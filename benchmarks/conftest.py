@@ -6,10 +6,11 @@ under pytest-benchmark (the quantities of interest are the produced
 table/figure and an order-of-magnitude runtime, not micro-second statistics).
 
 Benchmarks that track a performance trajectory write machine-readable
-``BENCH_<name>.json`` files at the repository root via
-:func:`write_bench_json`; CI uploads them as artifacts so the numbers are
-comparable across commits.  A session hook additionally dumps every
-pytest-benchmark timing into ``BENCH_benchmarks.json``.
+``BENCH_<name>.json`` files into the gitignored ``benchmarks/out/`` via
+:func:`write_bench_json`, so a test run never rewrites a tracked file; CI
+uploads them as artifacts so the numbers are comparable across commits.  A
+session hook additionally dumps every pytest-benchmark timing into
+``BENCH_benchmarks.json``.
 """
 
 import json
@@ -20,13 +21,14 @@ import pytest
 #: Seed shared by all benchmark experiments (reported results are reproducible).
 BENCH_SEED = 2008
 
-#: Repository root -- where the ``BENCH_*.json`` trajectory files land.
-REPO_ROOT = Path(__file__).resolve().parent.parent
+#: Where the ``BENCH_*.json`` trajectory files land (gitignored).
+BENCH_OUT = Path(__file__).resolve().parent / "out"
 
 
 def write_bench_json(name: str, payload: dict) -> Path:
-    """Write one ``BENCH_<name>.json`` trajectory file at the repo root."""
-    path = REPO_ROOT / f"BENCH_{name}.json"
+    """Write one ``BENCH_<name>.json`` trajectory file into :data:`BENCH_OUT`."""
+    BENCH_OUT.mkdir(exist_ok=True)
+    path = BENCH_OUT / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -75,7 +75,8 @@ class InjectionEngine:
         pristine configuration from their own instance, so a mismatched
         factory would silently inject into a different configuration.
     jobs:
-        Number of workers scenarios are fanned out to (1 = in-process serial).
+        Number of workers scenarios are fanned out to (1 = serial, on this
+        engine's own SUT).
     executor:
         Executor strategy name (``"serial"``, ``"thread"``, ``"process"``);
         None picks serial for ``jobs == 1`` and threads otherwise.
@@ -89,8 +90,9 @@ class InjectionEngine:
         Optional :class:`~repro.core.faults.FaultPolicy` opting the campaign
         into the fault-tolerance layer (per-scenario timeouts, worker-crash
         retry and quarantine).  Requires a SUT factory -- a watchdog that
-        cannot rebuild its worker context cannot recover anything.  None
-        (the default) leaves every execution path untouched.
+        cannot rebuild its worker context cannot recover anything -- so
+        even a serial run then injects on disposable contexts built from
+        it.  None (the default) leaves every execution path untouched.
     """
 
     def __init__(
@@ -305,20 +307,21 @@ class InjectionEngine:
         settings: same records, order and outcomes (hence byte-identical
         summaries); only per-record wall-clock durations vary.
 
-        The merge is *streaming*: parallel strategies yield each record as
-        its experiment completes, and an in-order buffer releases records to
-        the profile and the observer as soon as the front of the scenario
-        sequence is contiguous.  Observers (progress lines, result-store
-        appends) therefore fire while workers are still injecting; the
-        buffer only ever holds records that completed ahead of a
-        still-running earlier scenario (typically around ``jobs x
+        Every strategy, serial included, is one stream: each record is
+        yielded as its experiment completes, and an in-order buffer releases
+        records to the profile and the observer as soon as the front of the
+        scenario sequence is contiguous.  Observers (progress lines,
+        result-store appends) therefore fire while workers are still
+        injecting; the buffer only ever holds records that completed ahead
+        of a still-running earlier scenario (typically around ``jobs x
         block_size`` entries).
 
         When ``scenarios`` is given (a pre-generated, possibly filtered list
         -- the resume path of campaign suites), generation is skipped
         entirely and exactly those scenarios run.  ``config_set``/``view_set``
         let a caller that already ran :meth:`generate_scenarios` reuse its
-        parse and view transform instead of paying for them twice.
+        parse and view transform instead of paying for them twice; a serial
+        run injects into exactly these sets, on this engine's own SUT.
         """
         if scenarios is None:
             config_set, view_set, scenario_list = self.generate_scenarios(config_set)
@@ -330,64 +333,41 @@ class InjectionEngine:
                 view_set = self.plugin.view.transform(config_set)
             scenario_list = list(scenarios)
 
-        from repro.core.executor import SerialExecutor, resolve_executor
+        from repro.core.executor import WorkerContext, resolve_executor
 
         strategy = resolve_executor(self.executor, self.jobs, self.block_size)
-        if isinstance(strategy, SerialExecutor) and self.policy is None:
-            # serial == inline: reuse this engine's SUT and already-built
-            # context instead of re-parsing inside a worker
-            strategy = None
-        if strategy is None and self.policy is not None:
-            # fault tolerance runs scenarios on a disposable guarded worker
-            # even serially: a hung context must be abandonable, which the
-            # inline path (sharing this engine's own SUT) cannot offer
-            strategy = SerialExecutor()
         profile = ResilienceProfile(self.sut.name)
         if not scenario_list:
             return profile
-        if strategy is None:
-            # serial: observe each record as it is produced (live progress)
-            baseline = self.baseline_files(config_set, view_set)
-            prepared = self.prepare_incremental(config_set, view_set)
-            for scenario in scenario_list:
-                record = self.run_scenario(
-                    scenario, config_set, view_set, baseline_files=baseline, incremental=prepared
-                )
-                profile.add(record)
+        # workers stream (index, record) pairs in completion order; release
+        # them in scenario order as the front completes so observers fire
+        # live (store appends stay durable mid-run)
+        buffer: dict[int, InjectionRecord] = {}
+        next_index = 0
+        for index, record in strategy.stream(
+            self.worker_spec(),
+            scenario_list,
+            lambda: WorkerContext(self, config_set, view_set),
+        ):
+            buffer[index] = record
+            while next_index in buffer:
+                ready = buffer.pop(next_index)
+                next_index += 1
+                profile.add(ready)
                 if self.observer is not None:
-                    self.observer(record)
-        else:
-            # parallel: workers stream (index, record) pairs in completion
-            # order; release them in scenario order as the front completes so
-            # observers fire live (store appends stay durable mid-run)
-            buffer: dict[int, InjectionRecord] = {}
-            next_index = 0
-            for index, record in strategy.stream(self.worker_spec(), scenario_list):
-                buffer[index] = record
-                while next_index in buffer:
-                    ready = buffer.pop(next_index)
-                    next_index += 1
-                    profile.add(ready)
-                    if self.observer is not None:
-                        self.observer(ready)
-            if next_index != len(scenario_list):  # pragma: no cover - strategy bug
-                raise CampaignError(
-                    f"executor stream ended after {next_index} of "
-                    f"{len(scenario_list)} scenarios (no record for index "
-                    f"{next_index}; {len(buffer)} later records stranded)"
-                )
+                    self.observer(ready)
+        if next_index != len(scenario_list):  # pragma: no cover - strategy bug
+            raise CampaignError(
+                f"executor stream ended after {next_index} of "
+                f"{len(scenario_list)} scenarios (no record for index "
+                f"{next_index}; {len(buffer)} later records stranded)"
+            )
         return profile
 
     def worker_spec(self):
         """Picklable description of this engine for executor workers."""
         from repro.core.executor import WorkerSpec
 
-        if self.sut_factory is None:
-            raise CampaignError(
-                "parallel execution and fault tolerance need a SUT factory: pass "
-                "the SUT class or a zero-argument callable instead of a shared "
-                "instance"
-            )
         return WorkerSpec(
             sut_factory=self.sut_factory,
             plugin=self.plugin,

@@ -8,18 +8,17 @@ but a campaign is more than a work-partitioning problem: it is a *durability*
 problem too.  A long campaign must make progress visible (and persistable) as
 it happens, not only once every worker has drained its share.
 
-Every strategy therefore implements a streaming protocol:
+Every strategy therefore implements one streaming protocol:
 
-``stream(spec, scenarios)``
+``stream(spec, scenarios, local_context=None)``
     A generator yielding ``(scenario_index, record)`` pairs **as each
     experiment completes**, in whatever order workers finish them.  The
     engine merges the stream back into scenario order on the fly, so
     observers (progress lines, result-store appends) fire while the campaign
-    is still running -- under every strategy, not just the serial one.
-
-``run(spec, scenarios)``
-    Back-compatible convenience: drains :meth:`stream` and returns the
-    records sorted into scenario order.
+    is still running -- under every strategy, the serial one included.
+    ``local_context`` builds the context of scenarios run in the calling
+    thread: the engine passes one over its own SUT and already-parsed
+    configuration, so a serial run parses the configuration once.
 
 Work is handed out in small *blocks* pulled from one shared queue (work
 stealing) rather than one static contiguous chunk per worker: a chunk full
@@ -33,13 +32,17 @@ pulling.
 Three strategies are provided:
 
 ``SerialExecutor``
-    One worker in the calling thread; the reference implementation.
+    One worker in the calling thread: a stream like the others, whose
+    records simply arrive in scenario order.
 ``ThreadPoolCampaignExecutor``
     Threads; best when experiment cost is dominated by waiting on the SUT
     (process startup, sockets) as with real servers.
 ``ProcessPoolCampaignExecutor``
     Processes; sidesteps the GIL for CPU-bound simulated SUTs, but requires
-    the SUT factory, plugin and scenarios to be picklable.
+    the SUT factory, plugin and scenarios to be picklable.  One stream
+    serves both the plain and the fault-tolerant run; the spec's
+    :class:`~repro.core.faults.FaultPolicy` only switches on its deadline,
+    respawn and isolation steps.
 """
 
 from __future__ import annotations
@@ -51,18 +54,22 @@ import time
 import traceback
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.core.faults import FaultPolicy, GuardedWorker, crash_record, timeout_record
+from repro.core.infoset import ConfigSet
 from repro.core.profile import InjectionRecord
 from repro.core.templates.base import FaultScenario
 from repro.errors import CampaignError
 from repro.plugins.base import ErrorGeneratorPlugin
 from repro.sut.base import SystemUnderTest
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
+    from repro.core.engine import InjectionEngine
 
 __all__ = [
     "WorkerSpec",
@@ -102,7 +109,10 @@ class WorkerSpec:
     execution path exactly as it was without it.
     """
 
-    sut_factory: Callable[[], SystemUnderTest]
+    #: None when the engine was given a shared SUT instance: the serial
+    #: stream then runs on the engine's own context, and anything that must
+    #: build a context of its own fails with a pointed error.
+    sut_factory: Callable[[], SystemUnderTest] | None
     plugin: ErrorGeneratorPlugin
     policy: FaultPolicy | None = None
     #: Whether workers may take the delta-validation fast path (the prepared
@@ -114,24 +124,43 @@ class WorkerSpec:
 class WorkerContext:
     """Per-worker injection context, built once per (worker, plugin run).
 
-    Bundles the private SUT, the parsed pristine configuration, the plugin
-    view and the baseline serialisation cache so that a worker pays the
-    setup cost once however many blocks it pulls from the queue.
+    Bundles an engine (and so its SUT), the parsed pristine configuration,
+    the plugin view and the baseline serialisation cache so that a worker
+    pays the setup cost once however many blocks it pulls from the queue.
+    ``config_set``/``view_set`` reuse a parse the caller already made.
     """
 
-    def __init__(self, spec: WorkerSpec):
+    def __init__(
+        self,
+        engine: InjectionEngine,
+        config_set: ConfigSet | None = None,
+        view_set: ConfigSet | None = None,
+    ):
+        self.engine = engine
+        if config_set is None:
+            config_set = engine.parse_initial_configuration()
+        if view_set is None:
+            view_set = engine.plugin.view.transform(config_set)
+        self.config_set = config_set
+        self.view_set = view_set
+        self.baseline = engine.baseline_files(config_set, view_set)
+        self.prepared = engine.prepare_incremental(config_set, view_set)
+
+    @classmethod
+    def from_spec(cls, spec: WorkerSpec) -> "WorkerContext":
+        """A context over a fresh SUT from ``spec``'s factory."""
         from repro.core.engine import InjectionEngine
 
-        self.engine = InjectionEngine(
-            spec.sut_factory(), spec.plugin, incremental=spec.incremental
-        )
-        self.config_set = self.engine.parse_initial_configuration()
-        self.view_set = spec.plugin.view.transform(self.config_set)
-        self.baseline = self.engine.baseline_files(self.config_set, self.view_set)
-        self.prepared = self.engine.prepare_incremental(self.config_set, self.view_set)
+        if spec.sut_factory is None:
+            raise CampaignError(
+                "parallel execution and fault tolerance need a SUT factory: pass "
+                "the SUT class or a zero-argument callable instead of a shared "
+                "instance"
+            )
+        return cls(InjectionEngine(spec.sut_factory(), spec.plugin, incremental=spec.incremental))
 
     def run(self, scenario: FaultScenario) -> InjectionRecord:
-        """Run one injection experiment against this worker's private SUT."""
+        """Run one injection experiment against this context's SUT."""
         return self.engine.run_scenario(
             scenario,
             self.config_set,
@@ -193,26 +222,23 @@ def make_blocks(indexed: Sequence, block_size: int) -> list[list]:
     return [list(indexed[i:i + block_size]) for i in range(0, len(indexed), block_size)]
 
 
-def _merge_in_order(
-    chunk_results: Sequence[Sequence[tuple[int, InjectionRecord]]]
-) -> list[InjectionRecord]:
-    """Deterministic merge: records sorted by original scenario index."""
-    flat = [pair for chunk in chunk_results for pair in chunk]
-    flat.sort(key=lambda pair: pair[0])
-    return [record for _, record in flat]
-
-
-def _make_runner(spec: WorkerSpec) -> "WorkerContext | GuardedWorker":
+def _make_runner(
+    spec: WorkerSpec, local_context: Callable[[], WorkerContext] | None = None
+) -> "WorkerContext | GuardedWorker":
     """One worker's scenario runner, honouring the spec's fault policy.
 
-    Without a policy this is a plain :class:`WorkerContext`; with one, a
-    :class:`~repro.core.faults.GuardedWorker` wrapping a context factory, so
-    hung or crashed contexts can be abandoned and rebuilt mid-run.  Both
-    expose the same ``run(scenario) -> record`` surface.
+    Without a policy this is a plain :class:`WorkerContext` -- the caller's
+    ``local_context`` when given, else one built from ``spec``; with one, a
+    :class:`~repro.core.faults.GuardedWorker` over contexts built from
+    ``spec``, so hung or crashed contexts can be abandoned and rebuilt
+    mid-run (the caller's own context cannot be thrown away).  Both expose
+    the same ``run(scenario) -> record`` surface.
     """
-    if spec.policy is None:
-        return WorkerContext(spec)
-    return GuardedWorker(lambda: WorkerContext(spec), spec.policy)
+    if spec.policy is not None:
+        return GuardedWorker(lambda: WorkerContext.from_spec(spec), spec.policy)
+    if local_context is not None:
+        return local_context()
+    return WorkerContext.from_spec(spec)
 
 
 def _close_runner(runner: "WorkerContext | GuardedWorker | None") -> None:
@@ -222,10 +248,12 @@ def _close_runner(runner: "WorkerContext | GuardedWorker | None") -> None:
 
 
 def _serial_stream(
-    spec: WorkerSpec, indexed: Sequence[tuple[int, FaultScenario]]
+    spec: WorkerSpec,
+    indexed: Sequence[tuple[int, FaultScenario]],
+    local_context: Callable[[], WorkerContext] | None = None,
 ) -> Iterator[tuple[int, InjectionRecord]]:
-    """Single-worker reference stream: one context, records in scenario order."""
-    runner = _make_runner(spec)
+    """Single-worker stream: one context, records in scenario order."""
+    runner = _make_runner(spec, local_context)
     try:
         for index, scenario in indexed:
             yield index, runner.run(scenario)
@@ -249,18 +277,20 @@ class CampaignExecutor(ABC):
 
     @abstractmethod
     def stream(
-        self, spec: WorkerSpec, scenarios: Sequence[FaultScenario]
+        self,
+        spec: WorkerSpec,
+        scenarios: Sequence[FaultScenario],
+        local_context: Callable[[], WorkerContext] | None = None,
     ) -> Iterator[tuple[int, InjectionRecord]]:
         """Yield ``(scenario_index, record)`` as each experiment completes.
 
         Pairs arrive in completion order, not scenario order; every index in
         ``range(len(scenarios))`` is yielded exactly once.  A worker failure
         raises from the generator after in-flight work has settled.
+        ``local_context`` builds the context for scenarios run in the
+        calling thread (a single worker); pool workers always build theirs
+        from ``spec``.
         """
-
-    def run(self, spec: WorkerSpec, scenarios: Sequence[FaultScenario]) -> list[InjectionRecord]:
-        """Execute every scenario and return records in scenario order."""
-        return _merge_in_order([list(self.stream(spec, scenarios))])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(jobs={self.jobs}, block_size={self.block_size})"
@@ -271,10 +301,8 @@ class SerialExecutor(CampaignExecutor):
 
     name = "serial"
 
-    def stream(
-        self, spec: WorkerSpec, scenarios: Sequence[FaultScenario]
-    ) -> Iterator[tuple[int, InjectionRecord]]:
-        return _serial_stream(spec, list(enumerate(scenarios)))
+    def stream(self, spec, scenarios, local_context=None):
+        return _serial_stream(spec, list(enumerate(scenarios)), local_context)
 
 
 class _WorkerFailure:
@@ -323,15 +351,13 @@ class ThreadPoolCampaignExecutor(CampaignExecutor):
 
     name = "thread"
 
-    def stream(
-        self, spec: WorkerSpec, scenarios: Sequence[FaultScenario]
-    ) -> Iterator[tuple[int, InjectionRecord]]:
+    def stream(self, spec, scenarios, local_context=None):
         indexed = list(enumerate(scenarios))
         if not indexed:
             return
         workers = min(self.jobs, len(indexed))
         if workers <= 1:
-            yield from _serial_stream(spec, indexed)
+            yield from _serial_stream(spec, indexed, local_context)
             return
 
         block_size = resolve_block_size(len(indexed), workers, self.block_size)
@@ -439,71 +465,14 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
 
     name = "process"
 
-    def stream(
-        self, spec: WorkerSpec, scenarios: Sequence[FaultScenario]
-    ) -> Iterator[tuple[int, InjectionRecord]]:
-        scenario_list = list(scenarios)
-        if not scenario_list:
-            return
-        workers = min(self.jobs, len(scenario_list))
-        if workers <= 1:
-            yield from _serial_stream(spec, list(enumerate(scenario_list)))
-            return
-        # Pre-flight the pickle round-trip so an unshippable campaign fails
-        # with a pointed message; inside the pool a pickling error would be
-        # indistinguishable from a genuine worker-side bug, which must keep
-        # its own traceback.
-        try:
-            pickle.dumps((spec, scenario_list))
-        except Exception as exc:
-            raise CampaignError(
-                "process executor could not ship the campaign to workers "
-                "(SUT factory, plugin and scenarios must be picklable; "
-                "closures such as token filters are not): " + str(exc)
-            ) from exc
+    def stream(self, spec, scenarios, local_context=None):
+        """Stream block results; ``spec.policy`` decides what a dead worker costs.
 
-        if spec.policy is not None:
-            yield from self._tolerant_stream(spec, scenario_list, workers, spec.policy)
-            return
-
-        block_size = resolve_block_size(len(scenario_list), workers, self.block_size)
-        index_blocks = make_blocks(range(len(scenario_list)), block_size)
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(index_blocks)),
-            initializer=_initialize_process_worker,
-            initargs=(spec, tuple(scenario_list)),
-        )
-        try:
-            futures = [pool.submit(_run_scenario_block, block) for block in index_blocks]
-            for future in as_completed(futures):
-                yield from future.result()
-        finally:
-            # Abandoned mid-stream (consumer failure/kill): drop the queued
-            # blocks, wait only for the ones already running.
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    # ------------------------------------------------- fault-tolerant variant
-    def _spawn_pool(
-        self, spec: WorkerSpec, scenario_list: list[FaultScenario], workers: int
-    ) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_initialize_process_worker,
-            initargs=(spec, tuple(scenario_list)),
-        )
-
-    def _tolerant_stream(
-        self,
-        spec: WorkerSpec,
-        scenario_list: list[FaultScenario],
-        workers: int,
-        policy: FaultPolicy,
-    ) -> Iterator[tuple[int, InjectionRecord]]:
-        """Process stream that survives worker death and wedged workers.
-
-        Ordinary hangs never surface here: each worker process runs its
-        scenarios under an in-process :class:`GuardedWorker`, which turns
-        them into ``TIMEOUT`` records.  What is left for the coordinator:
+        Without a policy every block is queued at once and a dead worker
+        raises ``BrokenProcessPool`` from the stream.  With one, ordinary
+        hangs never surface here: each worker process runs its scenarios
+        under an in-process :class:`GuardedWorker`, which turns them into
+        ``TIMEOUT`` records.  What is left for the coordinator:
 
         * **worker death** (``os._exit``, segfault, OOM-kill).  The stdlib
           pool declares itself wholly broken, so every unfinished block --
@@ -524,11 +493,32 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
         Attribution is therefore exact: no innocent scenario is ever
         quarantined for a neighbour's crash.
         """
+        scenario_list = list(scenarios)
+        if not scenario_list:
+            return
+        workers = min(self.jobs, len(scenario_list))
+        if workers <= 1:
+            yield from _serial_stream(spec, list(enumerate(scenario_list)), local_context)
+            return
+        # Pre-flight the pickle round-trip so an unshippable campaign fails
+        # with a pointed message; inside the pool a pickling error would be
+        # indistinguishable from a genuine worker-side bug, which must keep
+        # its own traceback.
+        try:
+            pickle.dumps((spec, scenario_list))
+        except Exception as exc:
+            raise CampaignError(
+                "process executor could not ship the campaign to workers "
+                "(SUT factory, plugin and scenarios must be picklable; "
+                "closures such as token filters are not): " + str(exc)
+            ) from exc
+
+        policy = spec.policy
         total = len(scenario_list)
         block_size = resolve_block_size(total, workers, self.block_size)
         pending_blocks: deque[list[int]] = deque(make_blocks(range(total), block_size))
         suspects: deque[int] = deque()
-        window = workers * 2
+        window = workers * 2 if policy is not None else len(pending_blocks)
 
         while pending_blocks:
             pool = self._spawn_pool(spec, scenario_list, min(workers, len(pending_blocks)))
@@ -539,7 +529,7 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
                     while pending_blocks and len(in_flight) < window:
                         block = pending_blocks.popleft()
                         in_flight[pool.submit(_run_scenario_block, block)] = block
-                    deadline = policy.block_deadline(
+                    deadline = None if policy is None else policy.block_deadline(
                         max(len(block) for block in in_flight.values())
                     )
                     done, _ = wait(set(in_flight), timeout=deadline, return_when=FIRST_COMPLETED)
@@ -556,6 +546,8 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
                         try:
                             yield from future.result()
                         except BrokenProcessPool:
+                            if policy is None:
+                                raise
                             suspects.extend(block)
                             broken = True
                 # Pool broke: the stdlib fails *every* unfinished future, but
@@ -566,18 +558,33 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
                     except BrokenProcessPool:
                         suspects.extend(block)
             finally:
-                pool.shutdown(wait=False, cancel_futures=True)
+                # Abandoned mid-stream (consumer failure/kill): drop the
+                # queued blocks.  Without a policy wait for the running ones;
+                # with one a worker may be wedged, so never wait on it.
+                pool.shutdown(wait=policy is None, cancel_futures=True)
 
         yield from self._isolate_suspects(spec, scenario_list, suspects, policy)
+
+    def _spawn_pool(
+        self, spec: WorkerSpec, scenario_list: list[FaultScenario], workers: int
+    ) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_initialize_process_worker,
+            initargs=(spec, tuple(scenario_list)),
+        )
 
     def _isolate_suspects(
         self,
         spec: WorkerSpec,
         scenario_list: list[FaultScenario],
         suspects: deque,
-        policy: FaultPolicy,
+        policy: FaultPolicy | None,
     ) -> Iterator[tuple[int, InjectionRecord]]:
-        """Re-run each suspect alone in a singleton pool for exact blame."""
+        """Re-run each suspect alone in a singleton pool for exact blame.
+
+        Only a policy makes suspects; without one this yields nothing.
+        """
         attempts: dict[int, int] = {}
         while suspects:
             index = suspects.popleft()
@@ -640,17 +647,14 @@ def available_executors() -> list[str]:
 
 def resolve_executor(
     kind: str | None, jobs: int, block_size: int | None = None
-) -> CampaignExecutor | None:
+) -> CampaignExecutor:
     """Pick a strategy for (kind, jobs, block_size).
 
-    Returns None for the plain in-engine serial path (``jobs <= 1`` with no
-    explicit strategy), which keeps single-worker campaigns free of factory
-    requirements and pool overhead.
+    No explicit strategy means serial for ``jobs <= 1`` and threads
+    otherwise.
     """
     if kind is None:
-        if jobs <= 1:
-            return None
-        kind = "thread"
+        kind = "serial" if jobs <= 1 else "thread"
     try:
         executor_class = _EXECUTORS[kind]
     except KeyError:

@@ -242,10 +242,11 @@ class ResilienceProfile:
         """
         from pathlib import Path
 
+        from repro.core.durable import write_atomic
+
         target = Path(path).expanduser()
         target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+        write_atomic(target, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "ResilienceProfile":

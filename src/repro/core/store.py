@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from repro.core.durable import write_atomic
 from repro.core.profile import InjectionRecord, ResilienceProfile
 from repro.errors import StoreError
 
@@ -295,7 +296,7 @@ class ResultStore:
         self._acquire_writer_lock()
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {"version": MANIFEST_VERSION, **manifest}
-        self.manifest_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_atomic(self.manifest_path, json.dumps(payload, indent=2) + "\n")
         self._manifest_cache = payload
 
     def read_manifest(self) -> dict[str, Any]:
@@ -563,9 +564,7 @@ class ResultStore:
             else:
                 dropped += 1
         if kept:
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text("\n".join(kept) + "\n", encoding="utf-8")
-            os.replace(tmp, path)
+            write_atomic(path, "\n".join(kept) + "\n")
         else:
             path.unlink()
         return dropped
@@ -602,8 +601,7 @@ class ResultStore:
         if index.get(system) == filename:
             return
         index[system] = filename
-        path = self.root / _SYSTEMS_INDEX_NAME
-        path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        self._write_systems_index(index)
 
     # ------------------------------------------------------------------ loading
     def systems(self) -> list[str]:
@@ -791,21 +789,20 @@ class ResultStore:
                 continue
             bad_numbers = set(corrupt)
             sidecar = path.with_name(path.name + _CORRUPT_SUFFIX)
-            tmp = path.with_name(path.name + ".tmp")
-            with open(path, "r", encoding="utf-8") as source, open(
-                tmp, "w", encoding="utf-8"
-            ) as good, open(sidecar, "a", encoding="utf-8") as bad:
+            with open(path, "r", encoding="utf-8") as source:
                 lines = source.readlines()
-                last_content = max(
-                    (i for i, raw in enumerate(lines, start=1) if raw.strip()), default=0
-                )
+            last_content = max(
+                (i for i, raw in enumerate(lines, start=1) if raw.strip()), default=0
+            )
+            good: list[str] = []
+            with open(sidecar, "a", encoding="utf-8") as bad:
                 for number, raw in enumerate(lines, start=1):
                     is_torn = torn and number == last_content
                     if number in bad_numbers or is_torn:
                         bad.write(raw if raw.endswith("\n") else raw + "\n")
                     else:
-                        good.write(raw)
-            os.replace(tmp, path)
+                        good.append(raw)
+            write_atomic(path, "".join(good))
         self._rebuild_systems_index()
         return report
 
@@ -830,8 +827,11 @@ class ResultStore:
             if path.name not in covered and path.name != QUARANTINE_NAME:
                 index.setdefault(path.stem, path.name)
         self._systems_index = index
-        (self.root / _SYSTEMS_INDEX_NAME).write_text(
-            json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        self._write_systems_index(index)
+
+    def _write_systems_index(self, index: Mapping[str, str]) -> None:
+        write_atomic(
+            self.root / _SYSTEMS_INDEX_NAME, json.dumps(index, indent=2, sort_keys=True) + "\n"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

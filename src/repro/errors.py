@@ -85,6 +85,15 @@ class ServiceError(ConfErrError):
     """The campaign service (HTTP API / job queue) hit an operational error."""
 
 
+class ServiceNotFoundError(ServiceError):
+    """The job a service request names does not exist for the calling tenant."""
+
+
+class ServiceConflictError(ServiceError):
+    """A well-formed service request that the job's state forbids
+    (cancelling a job that already finished)."""
+
+
 class StoreError(ConfErrError):
     """A persistent result store is missing, corrupt, or incompatible with
     the suite being run (mismatched seed, systems or plugin configuration)."""

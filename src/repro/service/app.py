@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.core.spec import ExperimentSpec, validation_error_entry, validation_report
 from repro.core.store import ResultStore
-from repro.errors import ServiceError, SpecError
+from repro.errors import ServiceError, ServiceNotFoundError, SpecError
 from repro.service.jobs import Job, JobRegistry
 from repro.service.scheduler import Scheduler
 
@@ -171,7 +171,7 @@ class CampaignService:
     def job(self, tenant: str, job_id: str) -> Job:
         job = self.registry.get(tenant, job_id)
         if job is None:
-            raise ServiceError(f"no job {job_id} for tenant {tenant}")
+            raise ServiceNotFoundError(f"no job {job_id} for tenant {tenant}")
         return job
 
     def cancel(self, tenant: str, job_id: str) -> Job:

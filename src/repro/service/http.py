@@ -32,7 +32,7 @@ import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.errors import ServiceError, StoreError
+from repro.errors import ServiceConflictError, ServiceError, ServiceNotFoundError, StoreError
 from repro.service.app import ARTIFACT_NAMES, CampaignService, SpecRejected
 from repro.service.jobs import DEFAULT_TENANT, validate_tenant
 
@@ -80,8 +80,15 @@ class _Handler(BaseHTTPRequestHandler):
         return validate_tenant(self.headers.get("X-Tenant", DEFAULT_TENANT))
 
     def _read_body(self) -> str:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # a negative length would make rfile.read block until the client
+            # hangs up; the unread body also makes the connection unusable
+            self.close_connection = True
+            raise ServiceError(f"invalid Content-Length {header!r}: expected a byte count")
+        length = int(header)
         if length > _MAX_BODY_BYTES:
+            self.close_connection = True
             raise ServiceError(
                 f"request body of {length} bytes exceeds the "
                 f"{_MAX_BODY_BYTES}-byte spec limit"
@@ -93,16 +100,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._route(method)
         except SpecRejected as exc:
             self._send_json(400, exc.report)
-        except ServiceError as exc:
-            message = str(exc)
-            status = 404 if message.startswith("no job ") else 400
-            if "cannot be cancelled" in message:
-                status = 409
-            self._send_json(status, {"error": message})
-        except StoreError as exc:
-            # a store that cannot serve the artifact (wrong run kind, still
-            # empty, damaged): the request was well-formed, the state says no
+        except ServiceNotFoundError as exc:
+            self._send_json(404, {"error": str(exc)})
+        except (ServiceConflictError, StoreError) as exc:
+            # a finished job cannot be cancelled, and a store may be unable
+            # to serve an artifact (wrong run kind, still empty, damaged):
+            # the request was well-formed, the state says no
             self._send_json(409, {"error": str(exc)})
+        except ServiceError as exc:
+            self._send_json(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - a handler must never kill the server
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 

@@ -27,7 +27,6 @@ ever list, poll, cancel or render its own jobs.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 import time
@@ -36,8 +35,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.core.durable import write_atomic
 from repro.core.spec import ExperimentSpec
-from repro.errors import ServiceError
+from repro.errors import ServiceConflictError, ServiceError
 
 __all__ = [
     "JOB_STATES",
@@ -249,12 +249,9 @@ class JobRegistry:
                 self._jobs[(job.tenant, job.id)] = job
 
     def _save(self, job: Job) -> None:
-        """Atomically rewrite one job snapshot (tmp + rename)."""
+        """Atomically rewrite one job snapshot."""
         job.job_dir.mkdir(parents=True, exist_ok=True)
-        path = job.job_dir / _JOB_FILE
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(job.to_dict(), indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        write_atomic(job.job_dir / _JOB_FILE, json.dumps(job.to_dict(), indent=2) + "\n")
 
     # -------------------------------------------------------------- life cycle
     def submit(self, tenant: str, spec: ExperimentSpec) -> Job:
@@ -370,7 +367,7 @@ class JobRegistry:
         """
         with self.lock:
             if job.terminal:
-                raise ServiceError(
+                raise ServiceConflictError(
                     f"job {job.id} is already {job.state} and cannot be cancelled"
                 )
             if job.state == "QUEUED":

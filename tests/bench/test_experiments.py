@@ -11,25 +11,13 @@ from repro.bench import run_figure3, run_table1, run_table2, run_table3, time_si
 from repro.bench.table2 import APPLICABLE_CLASSES, VARIATION_LABELS
 from repro.bench.table3 import FAULT_LABELS
 from repro.bench.timing import single_injection_callable
-from repro.bench.workloads import (
-    comparison_suts,
-    dns_benchmark_suts,
-    full_directive_mysql_config,
-    full_directive_postgres_config,
-    structural_benchmark_suts,
-    typo_benchmark_suts,
-)
+from repro.bench.workloads import full_directive_mysql_config, full_directive_postgres_config
 from repro.core.profile import InjectionOutcome
 from repro.sut.mysql import SimulatedMySQL
 from repro.sut.postgres import SimulatedPostgres
 
 
 class TestWorkloads:
-    def test_typo_suts_cover_three_systems(self):
-        assert set(typo_benchmark_suts()) == {"MySQL", "Postgres", "Apache"}
-        assert set(structural_benchmark_suts()) == {"MySQL", "Postgres", "Apache"}
-        assert set(dns_benchmark_suts()) == {"BIND", "djbdns"}
-
     def test_full_directive_configs_are_healthy_baselines(self):
         mysql = SimulatedMySQL(default_config=full_directive_mysql_config())
         assert mysql.start(mysql.default_configuration()).started
@@ -40,9 +28,6 @@ class TestWorkloads:
     def test_full_directive_configs_exclude_booleans(self):
         assert "fsync" not in full_directive_postgres_config()
         assert "skip-external-locking" not in full_directive_mysql_config()
-
-    def test_comparison_suts(self):
-        assert set(comparison_suts()) == {"MySQL", "Postgresql"}
 
 
 class TestTable1:

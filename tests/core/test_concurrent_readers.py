@@ -108,3 +108,35 @@ class TestConcurrentReaders:
         profiles = ResultStore(tmp_path).merged_profiles()
         assert set(profiles) == {"MySQL", "Postgres"}
         assert all(len(profile) > 0 for profile in profiles.values())
+
+    def test_manifest_rewrites_never_show_a_reader_a_partial_file(self, tmp_path):
+        """``write_manifest`` replaces the file atomically: a reader racing the
+        rewrite loads the old manifest or the new one, never an empty or
+        half-written document."""
+        root = tmp_path / "store"
+        writer = ResultStore(root)
+        manifest = {"seed": 11, "systems": {f"system-{i}": f"System {i}" for i in range(40)}}
+        writer.write_manifest(manifest)
+        errors: list[BaseException] = []
+        reads = []
+        done = threading.Event()
+
+        def read_forever() -> None:
+            while not done.is_set():
+                try:
+                    reads.append(ResultStore(root).systems())
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+                    return
+
+        reader = threading.Thread(target=read_forever)
+        reader.start()
+        try:
+            for _ in range(300):
+                writer.write_manifest(manifest)
+        finally:
+            done.set()
+            reader.join(timeout=30)
+            writer.close()
+        assert not errors, f"reader saw a partial manifest: {errors[0]!r}"
+        assert reads and all(systems == list(manifest["systems"]) for systems in reads)

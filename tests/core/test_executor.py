@@ -11,6 +11,7 @@ per plugin run, however many blocks the worker pulls.
 
 import os
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -32,13 +33,13 @@ from repro.core.templates.base import FaultScenario
 from repro.errors import CampaignError
 from repro.plugins import OmissionDuplicationPlugin, SpellingMistakesPlugin, StructuralErrorsPlugin
 from repro.registry import get_system
-from repro.bench.workloads import simulated_sut_factories
+from repro.sut.chaos import ChaosFactory
 
 SEED = 2008
 
 #: The paper's five systems plus the beyond-the-paper SUTs: determinism
 #: across executor strategies must hold for every registered plain system.
-ALL_SYSTEMS = sorted(simulated_sut_factories()) + ["nginx", "sshd"]
+ALL_SYSTEMS = ["apache", "bind", "djbdns", "mysql", "postgres", "nginx", "sshd"]
 
 
 def _plugins_for(system: str):
@@ -78,11 +79,11 @@ class TestDeterminismAcrossStrategies:
         assert process_summary == serial_summary
         assert process_ids == serial_ids
 
-    def test_explicit_serial_strategy_matches_inline_serial(self):
-        inline_summary, inline_ids = _run("postgres", jobs=1, executor=None)
+    def test_explicit_serial_strategy_matches_default_serial(self):
+        default_summary, default_ids = _run("postgres", jobs=1, executor=None)
         strategy_summary, strategy_ids = _run("postgres", jobs=1, executor="serial")
-        assert strategy_summary == inline_summary
-        assert strategy_ids == inline_ids
+        assert strategy_summary == default_summary
+        assert strategy_ids == default_ids
 
     def test_worker_count_does_not_change_profiles(self):
         baseline = _run("mysql", jobs=2, executor="thread")
@@ -113,13 +114,14 @@ class TestStreaming:
 
     def _spec(self):
         return WorkerSpec(
-            sut_factory=simulated_sut_factories()["postgres"],
+            sut_factory=get_system("postgres"),
             plugin=SpellingMistakesPlugin(mutations_per_token=1),
         )
 
     def _scenarios(self):
-        factory = simulated_sut_factories()["postgres"]
-        engine = InjectionEngine(factory, SpellingMistakesPlugin(mutations_per_token=1), seed=SEED)
+        engine = InjectionEngine(
+            get_system("postgres"), SpellingMistakesPlugin(mutations_per_token=1), seed=SEED
+        )
         _, _, scenarios = engine.generate_scenarios()
         assert len(scenarios) >= 8
         return scenarios
@@ -136,12 +138,16 @@ class TestStreaming:
     @pytest.mark.parametrize("executor_class", [
         SerialExecutor, ThreadPoolCampaignExecutor, ProcessPoolCampaignExecutor
     ])
-    def test_run_returns_scenario_order(self, executor_class):
+    def test_sorted_stream_matches_serial_records(self, executor_class):
         scenarios = self._scenarios()
-        records = executor_class(jobs=3, block_size=2).run(self._spec(), scenarios)
-        assert len(records) == len(scenarios)
-        serial = SerialExecutor(jobs=1).run(self._spec(), scenarios)
-        assert [r.scenario_id for r in records] == [r.scenario_id for r in serial]
+        pairs = sorted(
+            executor_class(jobs=3, block_size=2).stream(self._spec(), scenarios),
+            key=lambda pair: pair[0],
+        )
+        serial = list(SerialExecutor(jobs=1).stream(self._spec(), scenarios))
+        assert [index for index, _ in serial] == list(range(len(scenarios)))
+        assert [r.scenario_id for _, r in pairs] == [r.scenario_id for _, r in serial]
+        assert [r.outcome for _, r in pairs] == [r.outcome for _, r in serial]
 
     def test_empty_scenario_list_streams_nothing(self):
         for executor_class in (SerialExecutor, ThreadPoolCampaignExecutor, ProcessPoolCampaignExecutor):
@@ -220,6 +226,59 @@ class TestStreaming:
 
 def _exploding_factory():
     raise RuntimeError("factory exploded in the worker process")
+
+
+class TestOnePathPerStrategy:
+    """Serial is a stream like the others; process fault tolerance is a policy."""
+
+    @pytest.mark.parametrize("executor", [None, "serial"])
+    def test_serial_run_parses_configuration_once(self, executor, monkeypatch):
+        parses = []
+        original = InjectionEngine.parse_initial_configuration
+
+        def counting(engine):
+            parses.append(engine)
+            return original(engine)
+
+        monkeypatch.setattr(InjectionEngine, "parse_initial_configuration", counting)
+        engine = InjectionEngine(
+            get_system("postgres"),
+            SpellingMistakesPlugin(mutations_per_token=1),
+            seed=SEED,
+            executor=executor,
+        )
+        profile = engine.run()
+        assert len(profile) > 1
+        assert parses == [engine]
+
+    def test_engine_over_a_bare_instance_runs_serially(self):
+        plugin = SpellingMistakesPlugin(mutations_per_token=1)
+        bare = InjectionEngine(get_system("postgres")(), plugin, seed=SEED)
+        assert bare.sut_factory is None
+        built = InjectionEngine(get_system("postgres"), plugin, seed=SEED)
+        assert bare.run().summary() == built.run().summary()
+
+    def test_dead_worker_without_policy_breaks_the_process_stream(self):
+        """No policy: no deadline, no respawn, no isolation -- the stream raises."""
+        spec = WorkerSpec(
+            sut_factory=ChaosFactory(get_system("postgres"), crash_fraction=1.0),
+            plugin=SpellingMistakesPlugin(mutations_per_token=1),
+        )
+        _, _, scenarios = InjectionEngine(get_system("postgres"), spec.plugin).generate_scenarios()
+        strategy = ProcessPoolCampaignExecutor(jobs=2, block_size=1)
+        outcome: dict = {}
+
+        def consume():
+            try:
+                outcome["pairs"] = list(strategy.stream(spec, scenarios))
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                outcome["error"] = exc
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=60)
+        assert not consumer.is_alive(), "process stream hung after a worker died"
+        assert isinstance(outcome.get("error"), BrokenProcessPool), outcome
 
 
 class TestBlockSizing:
@@ -346,8 +405,10 @@ class TestResolution:
     def test_available_executors(self):
         assert available_executors() == ["process", "serial", "thread"]
 
-    def test_default_is_inline_serial(self):
-        assert resolve_executor(None, 1) is None
+    def test_default_is_serial(self):
+        strategy = resolve_executor(None, 1)
+        assert isinstance(strategy, SerialExecutor)
+        assert strategy.jobs == 1
 
     def test_default_parallel_is_threads(self):
         strategy = resolve_executor(None, 4)
@@ -369,19 +430,19 @@ class TestResolution:
 
 class TestFactoryRequirement:
     def test_parallel_run_without_factory_raises(self):
-        sut = simulated_sut_factories()["postgres"]()
+        sut = get_system("postgres")()
         engine = InjectionEngine(sut, SpellingMistakesPlugin(mutations_per_token=1), jobs=4)
         with pytest.raises(CampaignError, match="factory"):
             engine.run()
 
     def test_engine_accepts_class_as_factory(self):
-        factory = simulated_sut_factories()["postgres"]
+        factory = get_system("postgres")
         engine = InjectionEngine(factory, SpellingMistakesPlugin(mutations_per_token=1), jobs=2)
         assert engine.sut_factory is factory
         assert engine.sut.name == "Postgres"
 
     def test_observer_sees_records_in_scenario_order(self):
-        factory = simulated_sut_factories()["postgres"]
+        factory = get_system("postgres")
         seen: list[str] = []
         engine = InjectionEngine(
             factory,

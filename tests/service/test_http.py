@@ -1,5 +1,6 @@
 """End-to-end tests of the HTTP API, through a real server and client."""
 
+import http.client
 import json
 import subprocess
 import sys
@@ -141,6 +142,40 @@ class TestRejections:
         with pytest.raises(ServiceClientError) as excinfo:
             client._json("DELETE", "/jobs")
         assert excinfo.value.status == 405
+
+    @pytest.mark.parametrize("method, suffix", [("DELETE", ""), ("GET", "/table1")])
+    def test_every_route_naming_an_unknown_job_is_a_404(self, client, method, suffix):
+        with pytest.raises(ServiceClientError) as excinfo:
+            client._request(method, "/jobs/feedfacecafe" + suffix)
+        assert excinfo.value.status == 404
+        assert excinfo.value.payload["error"] == "no job feedfacecafe for tenant alice"
+
+
+def _post_with_content_length(server, value: str) -> tuple[int, dict]:
+    """POST /jobs with a raw ``Content-Length`` header and no body."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=3)
+    try:
+        connection.putrequest("POST", "/jobs")
+        connection.putheader("Content-Length", value)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("value", ["abc", "-5", "-1"])
+    def test_malformed_length_is_a_400(self, server, value):
+        # "-1" used to block the handler until the client hung up
+        status, payload = _post_with_content_length(server, value)
+        assert status == 400
+        assert "invalid Content-Length" in payload["error"]
+
+    def test_oversized_length_is_a_400(self, server):
+        status, payload = _post_with_content_length(server, str(2 << 20))
+        assert status == 400
+        assert "exceeds" in payload["error"]
 
 
 class TestArtifacts:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.spec import ExperimentSpec
-from repro.errors import ServiceError
+from repro.errors import ServiceConflictError, ServiceError
 from repro.service.jobs import (
     DEFAULT_TENANT,
     TERMINAL_STATES,
@@ -135,7 +135,7 @@ class TestLifecycle:
         job = registry.submit(DEFAULT_TENANT, SPEC)
         registry.claim_next(1, 1)
         registry.finish(job, executed=1, skipped=0)
-        with pytest.raises(ServiceError, match="cannot be cancelled"):
+        with pytest.raises(ServiceConflictError, match="cannot be cancelled"):
             registry.request_cancel(job)
 
     def test_terminal_states_enumeration(self):
