@@ -82,7 +82,9 @@ def run_cli(*args: str) -> str:
 
 
 def main() -> int:
-    data_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("ci-service-data")
+    # the service and the reference run start with cwd=REPO, so a relative
+    # data dir must be pinned to the caller's cwd before either sees it
+    data_dir = (Path(sys.argv[1]) if len(sys.argv) > 1 else Path("ci-service-data")).resolve()
     port = free_port()
     client = ServiceClient(f"http://127.0.0.1:{port}", timeout=10.0)
     spec_toml = PAPER_SPEC.read_text()
@@ -155,7 +157,14 @@ def main() -> int:
     # exactly-once, part 2: the resumed store equals a fresh local reference run
     reference_dir = data_dir / "reference-store"
     run_cli("run-spec", str(PAPER_SPEC), "--store", str(reference_dir))
-    differences = diff_stores(crash_store, ResultStore(reference_dir))
+    reference = ResultStore(reference_dir)
+    reference_records = sum(
+        1 for system in reference.systems() for _record in reference.iter_records(system)
+    )
+    if not reference_records:
+        # two empty stores compare equal: an empty reference proves nothing
+        raise SystemExit(f"reference run left no records in {reference_dir}")
+    differences = diff_stores(crash_store, reference)
     if differences:
         for line in differences:
             print(line)

@@ -39,6 +39,7 @@ from repro.sut.base import SystemUnderTest, split_sut
 from repro.sut.incremental import (
     INCREMENTAL_STATS,
     BaselineValidation,
+    ChildrenChange,
     NodeChange,
     ScenarioDelta,
     node_at,
@@ -46,6 +47,63 @@ from repro.sut.incremental import (
 )
 
 __all__ = ["InjectionEngine"]
+
+
+def _reparse_alone(node: ConfigNode, filename: str, dialect) -> ConfigNode | None:
+    """The single node ``node`` reads back as when serialised on its own.
+
+    None when the text does not parse or parses to anything but exactly
+    one node.  ``node`` is not re-parented: the snippet root lists it
+    without adopting it, so shared and snapshot nodes stay untouched.
+    """
+    root = ConfigNode("file", name=filename)
+    root.children = [node]
+    snippet = ConfigTree(filename, root, dialect=dialect.name)
+    try:
+        reparsed = dialect.parse(dialect.serialize(snippet), filename=filename)
+    except ConfErrError:
+        return None
+    children = reparsed.root.children
+    return children[0] if len(children) == 1 else None
+
+
+def _children_vetted(
+    change: ChildrenChange, container: ConfigNode, filename: str, dialect
+) -> bool:
+    """Whether a patched child list means what a full parse would read.
+
+    Sound when three things hold:
+
+    * the dialect declares
+      :attr:`~repro.parsers.base.ConfigDialect.sibling_independent`, so
+      each child reads back the same whatever its new neighbours and
+      container are;
+    * every inserted snapshot serialises alone and re-parses to exactly
+      one structurally equal node (shared baseline nodes, kept or
+      moved, were read by the parser already and need no text check);
+    * a rewritten file *root* cannot end differently: a file's last
+      line interacts with the end-of-file rules (a trailing empty line
+      without a final newline vanishes on reparse), so the file must
+      keep at least two children, and a file without a final newline
+      must keep its baseline last child last.
+    """
+    if not dialect.sibling_independent:
+        return False
+    entries = change.children
+    if not change.path:
+        if len(entries) < 2:
+            return False
+        last = len(container.children) - 1
+        if not container.get("trailing_newline", True) and not (
+            isinstance(entries[-1], int) and entries[-1] == last
+        ):
+            return False
+    for entry in entries:
+        if isinstance(entry, ConfigNode):
+            reparsed = _reparse_alone(entry, filename, dialect)
+            if reparsed is None or not reparsed.structurally_equal(entry):
+                return False
+    return True
 
 
 class InjectionEngine:
@@ -197,14 +255,14 @@ class InjectionEngine:
         return prepared
 
     def _vet_change(
-        self, change: NodeChange, baseline_trees: ConfigSet
-    ) -> NodeChange | None:
+        self, change: NodeChange | ChildrenChange, baseline_trees: ConfigSet
+    ) -> NodeChange | ChildrenChange | None:
         """Round-trip-check ``change``; returns the change the SUT may trust.
 
         The full path validates ``parse(serialize(tree))``; the delta path
         validates patched baseline trees directly, so every changed node
-        must be proven to mean what the real parser would read.  Three
-        verdicts:
+        must be proven to mean what the real parser would read.  A field
+        change gets one of three verdicts:
 
         * the dialect's :meth:`~repro.parsers.base.ConfigDialect.roundtrip_safe`
           pre-filter (or an actual serialise-and-reparse) shows the node
@@ -216,30 +274,29 @@ class InjectionEngine:
           mutated file would see on that line;
         * anything else (parse error, node splits, kind changes) -- ``None``,
           routing the scenario through the full pass.
+
+        A child-list change is vetted by :func:`_children_vetted`.
         """
         if change.tree not in baseline_trees:
             return None
         baseline_tree = baseline_trees.get(change.tree)
         base_node = node_at(baseline_tree, change.path)
-        if base_node is None or base_node.kind != change.kind:
+        if base_node is None:
             return None
         dialect = get_dialect(baseline_tree.dialect)
+        if isinstance(change, ChildrenChange):
+            vetted = _children_vetted(change, base_node, baseline_tree.name, dialect)
+            return change if vetted else None
+        if base_node.kind != change.kind:
+            return None
         if not base_node.children and dialect.roundtrip_safe(
             change.kind, change.name, change.value, change.attrs
         ):
             return change
         patched = node_from_change(change, base_node)
-        root = ConfigNode("file", name=baseline_tree.name)
-        root.append(patched)
-        snippet = ConfigTree(baseline_tree.name, root, dialect=baseline_tree.dialect)
-        try:
-            reparsed = dialect.parse(dialect.serialize(snippet), filename=baseline_tree.name)
-        except ConfErrError:
+        reparsed_node = _reparse_alone(patched, baseline_tree.name, dialect)
+        if reparsed_node is None:
             return None
-        children = reparsed.root.children
-        if len(children) != 1:
-            return None
-        reparsed_node = children[0]
         if reparsed_node.structurally_equal(patched):
             return change
         if dialect.line_oriented and reparsed_node.kind == change.kind:
@@ -274,14 +331,16 @@ class InjectionEngine:
                 if changes is None:
                     INCREMENTAL_STATS.fallbacks += 1
                     return None
-                vetted = []
+                fields: list[NodeChange] = []
+                layouts: list[ChildrenChange] = []
                 for change in changes:
                     checked = self._vet_change(change, prepared.trees)
                     if checked is None:
                         INCREMENTAL_STATS.guard_fallbacks += 1
                         return None
-                    vetted.append(checked)
-                result = self.sut.start_delta(prepared, ScenarioDelta(tuple(vetted)))
+                    (layouts if isinstance(checked, ChildrenChange) else fields).append(checked)
+                delta = ScenarioDelta(tuple(fields), tuple(layouts))
+                result = self.sut.start_delta(prepared, delta)
         except Exception:
             INCREMENTAL_STATS.errors += 1
             self._safe_stop()
@@ -432,8 +491,8 @@ class InjectionEngine:
 
         With a prepared ``incremental`` baseline, the engine first offers
         the scenario to the delta-validation path; scenarios it cannot
-        soundly localise (structural edits, guard refusals) run the classic
-        materialise-and-start pipeline, byte-identically.
+        soundly localise (multi-operation structural edits, guard refusals)
+        run the classic materialise-and-start pipeline, byte-identically.
         """
         started_at = time.perf_counter()
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.core.infoset import ConfigSet
-from repro.sut.incremental import NodeChange, node_at
+from repro.core.infoset import ConfigNode, ConfigSet
+from repro.sut.incremental import ChildrenChange, NodeChange, node_at
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.core.templates.base import FaultScenario
@@ -65,16 +65,17 @@ class View(ABC):
         scenario: "FaultScenario",
         view_set: ConfigSet,
         baseline_trees: ConfigSet,
-    ) -> "Optional[list[NodeChange]]":
+    ) -> "Optional[list[NodeChange | ChildrenChange]]":
         """Reduce a scenario to the system-tree nodes it changes.
 
         Called with the *mutated* view (inside the scenario's apply/undo
         context) and the baseline system trees; returns detached
-        :class:`~repro.sut.incremental.NodeChange` records addressing
-        baseline nodes, or ``None`` when the view cannot localise the edit
-        to individual nodes (structural operations, cross-file grafts,
-        aggregate views).  ``None`` routes the scenario through the full
-        validation pass, so a conservative answer is always sound.
+        :class:`~repro.sut.incremental.NodeChange` (field edit) and
+        :class:`~repro.sut.incremental.ChildrenChange` (child-list edit)
+        records addressing baseline nodes, or ``None`` when the view cannot
+        localise the edit (cross-file grafts, multi-operation structural
+        scenarios, aggregate views).  ``None`` routes the scenario through
+        the full validation pass, so a conservative answer is always sound.
         """
         return None
 
@@ -112,14 +113,17 @@ class IdentityView(View):
         scenario: "FaultScenario",
         view_set: ConfigSet,
         baseline_trees: ConfigSet,
-    ) -> Optional[list[NodeChange]]:
+    ) -> Optional[list[NodeChange | ChildrenChange]]:
         # Identity mapping: a view path *is* the system-tree path, so a
-        # field edit maps one-to-one onto a baseline node.  Anything but a
-        # field edit restructures the tree -- full pass.
+        # field edit maps one-to-one onto a baseline node, and a lone
+        # structural operation onto the child lists it rewrites.
         from repro.core.templates.base import SetFieldOperation  # cycle guard
 
+        operations = scenario.operations
+        if len(operations) == 1 and not isinstance(operations[0], SetFieldOperation):
+            return _children_changes(operations[0], baseline_trees)
         latest: dict[tuple[str, tuple[int, ...]], NodeChange] = {}
-        for operation in scenario.operations:
+        for operation in operations:
             if not isinstance(operation, SetFieldOperation):
                 return None
             address = operation.target
@@ -139,3 +143,79 @@ class IdentityView(View):
                 attrs=node.attrs,
             )
         return list(latest.values())
+
+
+def _children_changes(operation, baseline_trees: ConfigSet) -> Optional[list[ChildrenChange]]:
+    """The child lists one structural operation rewrites, in baseline terms.
+
+    Every address of a lone operation is a baseline address (the pristine
+    view mirrors the baseline trees), so each rewritten container is
+    described by the indices of its baseline children it keeps, in their
+    new order.  Inserted nodes are the operation's own snapshot, which
+    every application clones and nothing mutates; a moved node is named by
+    its baseline path.  Cross-file moves and unknown operations give None.
+    """
+    from repro.core.templates.base import (  # cycle guard
+        DeleteOperation,
+        InsertOperation,
+        MoveOperation,
+        PermuteChildrenOperation,
+    )
+
+    def container(address) -> Optional[ConfigNode]:
+        if address.tree not in baseline_trees:
+            return None
+        return node_at(baseline_trees.get(address.tree), address.path)
+
+    def placed(layout: list, entry, index: Optional[int]) -> tuple:
+        # the insertion rule of InsertOperation and MoveOperation
+        if index is None or index >= len(layout):
+            layout.append(entry)
+        else:
+            layout.insert(index, entry)
+        return tuple(layout)
+
+    if isinstance(operation, (DeleteOperation, MoveOperation)):
+        target = operation.target
+        if not target.path:
+            return None
+        source = container(target.parent())
+        position = target.path[-1]
+        if source is None or position >= len(source.children):
+            return None
+        kept = [index for index in range(len(source.children)) if index != position]
+        if isinstance(operation, DeleteOperation):
+            return [ChildrenChange(target.tree, target.path[:-1], tuple(kept))]
+        destination = operation.new_parent
+        if destination.tree != target.tree:
+            return None
+        if destination.path == target.path[:-1]:
+            return [
+                ChildrenChange(
+                    target.tree, destination.path, placed(kept, position, operation.index)
+                )
+            ]
+        new_parent = container(destination)
+        if new_parent is None:
+            return None
+        return [
+            ChildrenChange(target.tree, target.path[:-1], tuple(kept)),
+            ChildrenChange(
+                target.tree,
+                destination.path,
+                placed(list(range(len(new_parent.children))), target.path, operation.index),
+            ),
+        ]
+    if isinstance(operation, InsertOperation):
+        parent = container(operation.parent)
+        if parent is None:
+            return None
+        layout = placed(list(range(len(parent.children))), operation.node, operation.index)
+        return [ChildrenChange(operation.parent.tree, operation.parent.path, layout)]
+    if isinstance(operation, PermuteChildrenOperation):
+        parent = container(operation.parent)
+        if parent is None:
+            return None
+        layout = (*operation.permutation, *range(len(operation.permutation), len(parent.children)))
+        return [ChildrenChange(operation.parent.tree, operation.parent.path, layout)]
+    return None

@@ -38,6 +38,9 @@ class ApacheConfDialect(ConfigDialect):
     """Parser/serialiser for Apache ``httpd.conf``-style files."""
 
     name = "apache"
+    #: Directives are single lines and sections balanced tag blocks; indents
+    #: are recorded, so a node reads back the same in any container.
+    sibling_independent = True
 
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)

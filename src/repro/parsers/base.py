@@ -77,6 +77,19 @@ class ConfigDialect(ABC):
     #: same kind means the full-file parse would see exactly that node.
     line_oriented: bool = False
 
+    #: True when a child's text reads back as the same node wherever it is
+    #: placed: whatever its siblings are and whichever container (at any
+    #: depth) holds it, as long as the node serialises alone and re-parses
+    #: to itself.  Self-delimiting lines and brace or tag blocks qualify; a
+    #: format in which meaning flows between siblings does not (a zone
+    #: file's blank owner and ``$ORIGIN``, an INI section header or an sshd
+    #: ``Match`` line claiming the lines after it).  The delta-validation
+    #: guard admits structural edits -- deleted, inserted, moved and
+    #: reordered children -- only for such dialects.  A code-level
+    #: contract: set it only where the sibling-independence property test
+    #: in ``tests/core/test_incremental.py`` holds.
+    sibling_independent: bool = False
+
     # ------------------------------------------------------------ template API
     @abstractmethod
     def _parse(self, text: str, filename: str) -> ConfigTree:

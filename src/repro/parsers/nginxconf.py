@@ -59,6 +59,9 @@ class NginxConfDialect(ConfigDialect):
     """Parser/serialiser for nginx ``nginx.conf``-style files."""
 
     name = "nginxconf"
+    #: Directives end at ``;`` and blocks at their own ``}``; indents are
+    #: recorded, so a node reads back the same in any container.
+    sibling_independent = True
 
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)

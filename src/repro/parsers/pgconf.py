@@ -37,6 +37,7 @@ class PostgresConfDialect(ConfigDialect):
     #: One line = one flat node and no cross-line constructs, so the
     #: engine's single-node reparse substitution is sound.
     line_oriented = True
+    sibling_independent = True
 
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)

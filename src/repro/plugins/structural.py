@@ -19,16 +19,14 @@ Two plugins live in this module:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.infoset import ConfigNode, ConfigSet
 from repro.core.templates.base import (
     FaultScenario,
     NodeAddress,
-    Operation,
+    PermuteChildrenOperation,
     SetFieldOperation,
-    resolve_address,
 )
 from repro.core.templates.compose import RandomSubsetTemplate, UnionTemplate
 from repro.core.templates.primitives import (
@@ -52,47 +50,6 @@ __all__ = [
     "PermuteChildrenOperation",
     "VARIATION_CLASSES",
 ]
-
-
-# ------------------------------------------------------------------- operations
-@dataclass(frozen=True)
-class PermuteChildrenOperation(Operation):
-    """Reorder the children of a node according to a fixed permutation.
-
-    ``permutation`` maps new positions to old positions and must cover every
-    child of the addressed node exactly once (children beyond the permutation
-    length keep their relative order at the end).
-    """
-
-    parent: NodeAddress
-    permutation: tuple[int, ...]
-
-    def apply(self, config_set: ConfigSet) -> None:
-        parent = resolve_address(config_set, self.parent)
-        children = list(parent.children)
-        if sorted(self.permutation) != list(range(len(self.permutation))):
-            raise TemplateError("permutation must be a rearrangement of 0..n-1")
-        if len(self.permutation) > len(children):
-            raise TemplateError("permutation longer than the child list")
-        reordered = [children[old_index] for old_index in self.permutation]
-        reordered.extend(children[len(self.permutation):])
-        parent.children = reordered
-
-    def apply_with_undo(self, config_set: ConfigSet):
-        parent = resolve_address(config_set, self.parent)
-        before = list(parent.children)
-        self.apply(config_set)
-
-        def undo() -> None:
-            parent.children = before
-
-        return undo
-
-    def touched_trees(self) -> frozenset[str]:
-        return frozenset({self.parent.tree})
-
-    def describe(self) -> str:
-        return f"permute children of {self.parent} to order {self.permutation}"
 
 
 # ----------------------------------------------------------- structural mistakes

@@ -9,16 +9,18 @@ delta protocol:
   file set once per ``(worker, plugin run)``, including the parsed trees and
   an opaque per-SUT reusable index (duplicate maps, option tables, context
   stacks).
-* :class:`NodeChange` / :class:`ScenarioDelta` -- a scenario reduced to the
-  detached field data of the configuration nodes it touches.  A change holds
-  plain data (kind, name, value, attrs), never node references, so it stays
-  valid after the copy-on-write context manager has undone the mutation and
-  is safe to share across threads.
+* :class:`ScenarioDelta` -- a scenario reduced to detached change records
+  addressing baseline nodes, in two kinds kept apart: :class:`NodeChange`
+  (the new fields of one node, edited in place) and
+  :class:`ChildrenChange` (the new child list of one container, covering
+  deleted, inserted, moved and reordered children).  Changes never hold
+  view nodes, so they stay valid after the copy-on-write context manager
+  has undone the mutation and are safe to share across threads.
 * a content-hash keyed baseline cache, so consecutive plugin runs (and suite
   cells) over the same system files reuse one prepared baseline instead of
   re-validating per run.
 * tree-patching helpers that build a revalidation tree by copying only the
-  spine above each changed node, sharing every untouched subtree with the
+  spine above each change, sharing every untouched subtree with the
   baseline.
 * :data:`INCREMENTAL_STATS` -- process-global counters tracking how often
   the delta path ran versus fell back to a full validation pass.
@@ -35,12 +37,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Union
 
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
 
 __all__ = [
     "BaselineValidation",
+    "ChildrenChange",
     "NodeChange",
     "ScenarioDelta",
     "IncrementalStats",
@@ -63,8 +66,9 @@ class IncrementalStats:
 
     ``attempts`` counts scenarios offered to the delta path;
     ``delta_starts`` the ones it validated without a full pass.  The three
-    fallback counters partition the remainder: ``fallbacks`` are structural
-    or unsupported edits, ``guard_fallbacks`` are changes the serialisation
+    fallback counters partition the remainder: ``fallbacks`` are edits the
+    view cannot express (multi-operation structural scenarios, cross-file
+    moves) or the SUT declined, ``guard_fallbacks`` are changes the
     round-trip guard refused, and ``errors`` are unexpected exceptions
     (always recoverable -- the full pass runs instead).  ``substitutions``
     counts changes the guard accepted after replacing the mutated fields
@@ -111,12 +115,13 @@ INCREMENTAL_STATS = IncrementalStats()
 # ------------------------------------------------------------------ data model
 @dataclass(frozen=True)
 class NodeChange:
-    """Detached description of one changed configuration node.
+    """Detached description of one node whose fields changed in place.
 
     ``tree``/``path`` address the node inside the *baseline* system trees
     (child indices from the root); the remaining fields are the node's
-    post-mutation state.  Children are never part of a change -- a scenario
-    that restructures children is a fallback, not a delta.
+    post-mutation state.  Children are never part of a field change: the
+    patched node keeps the baseline node's children, and edits to a child
+    list are :class:`ChildrenChange` records.
     """
 
     tree: str
@@ -127,16 +132,50 @@ class NodeChange:
     attrs: Mapping[str, Any] = field(default_factory=dict)
 
 
+#: One child of a patched container: the index of one of the container's
+#: own baseline children, the baseline path of a node moved in from another
+#: container of the same tree, or a detached snapshot node.
+ChildEntry = Union[int, tuple[int, ...], ConfigNode]
+
+
+@dataclass(frozen=True)
+class ChildrenChange:
+    """The new child list of one baseline container (a structural edit).
+
+    ``tree``/``path`` address the container inside the baseline trees and
+    ``children`` lists its post-mutation children in order.  An ``int``
+    entry is the index of one of the container's own baseline children and
+    a ``tuple`` entry the baseline path of a node moved in from elsewhere
+    in the same tree: both are shared with the baseline.  A
+    :class:`~repro.core.infoset.ConfigNode` entry is a detached snapshot
+    the scenario inserts; it is read, never mutated or re-parented.
+
+    One record per touched container expresses every structural operation:
+    a deletion omits an index, an insertion (or duplication) adds a
+    snapshot, a move omits an index in one container and names its path in
+    another, and a permutation reorders the indices.
+    """
+
+    tree: str
+    path: tuple[int, ...]
+    children: tuple[ChildEntry, ...]
+
+
 @dataclass(frozen=True)
 class ScenarioDelta:
-    """All node changes of one scenario, in operation order."""
+    """All changes of one scenario: in-place field edits and child lists.
+
+    The two kinds stay in separate tuples so a SUT that splices field edits
+    by path (MySQL, Postgres) can never mistake a structural edit for one.
+    """
 
     changes: tuple[NodeChange, ...]
+    children_changes: tuple[ChildrenChange, ...] = ()
 
     def trees(self) -> list[str]:
         """Names of the trees this delta touches, deduplicated, in order."""
         seen: dict[str, None] = {}
-        for change in self.changes:
+        for change in (*self.changes, *self.children_changes):
             seen.setdefault(change.tree, None)
         return list(seen)
 
@@ -225,45 +264,104 @@ def node_from_change(change: NodeChange, baseline_node: ConfigNode | None) -> Co
     return node
 
 
-def patch_tree(tree: ConfigTree, changes: Iterable[NodeChange]) -> ConfigTree | None:
-    """Copy of ``tree`` with each change's node replaced.
+def patch_tree(
+    tree: ConfigTree, changes: Iterable[NodeChange | ChildrenChange]
+) -> ConfigTree | None:
+    """Copy of ``tree`` with every change applied.
 
-    Only the spine from the root down to each changed node is copied;
-    untouched siblings and subtrees are shared with the baseline.  Returns
-    None when a change's path does not resolve or its kind disagrees with
-    the baseline node (the caller falls back to a full pass).
+    Field changes replace a node's fields and child-list changes a
+    container's children.  Only the child lists on the spine from the root
+    down to each change are copied (a list copy plus index replacement);
+    every other node and subtree is shared with the baseline.  Returns None
+    when a change does not resolve in ``tree`` -- an unknown path, a field
+    change whose kind disagrees with the baseline node, or a child entry
+    that names no baseline node -- and the caller falls back to a full pass.
     """
-    by_path: dict[tuple[int, ...], NodeChange] = {}
+    fields: dict[tuple[int, ...], NodeChange] = {}
+    layouts: dict[tuple[int, ...], ChildrenChange] = {}
     for change in changes:
-        if not change.path:
+        existing = node_at(tree, change.path)
+        if existing is None:
             return None
-        by_path[change.path] = change
-    for path, change in by_path.items():
-        existing = node_at(tree, path)
-        if existing is None or existing.kind != change.kind:
+        if isinstance(change, ChildrenChange):
+            layouts[change.path] = change
+        elif not change.path or existing.kind != change.kind:
             return None
-    root = _patch_node(tree.root, (), by_path)
-    patched = ConfigTree(tree.name, root, dialect=tree.dialect)
-    return patched
+        else:
+            fields[change.path] = change
+    # group the changes by path prefix once: each spine node maps to the
+    # child indices leading down to a change
+    spine: dict[tuple[int, ...], set[int]] = {}
+    for path in (*fields, *layouts):
+        for depth in range(len(path)):
+            spine.setdefault(path[:depth], set()).add(path[depth])
+    root = _patch_node(tree.root, (), _Plan(tree, fields, layouts, spine))
+    if root is None:
+        return None
+    return ConfigTree(tree.name, root, dialect=tree.dialect)
 
 
-def _patch_node(
+@dataclass(frozen=True)
+class _Plan:
+    tree: ConfigTree
+    fields: Mapping[tuple[int, ...], NodeChange]
+    layouts: Mapping[tuple[int, ...], ChildrenChange]
+    spine: Mapping[tuple[int, ...], set[int]]
+
+
+def _patch_node(node: ConfigNode, path: tuple[int, ...], plan: _Plan) -> ConfigNode | None:
+    """``node`` with the plan applied at and below ``path`` (None: unresolved)."""
+    change = plan.fields.get(path)
+    layout = plan.layouts.get(path)
+    below = plan.spine.get(path, ())
+    if change is None and layout is None and not below:
+        return node
+    source = change if change is not None else node
+    copy = ConfigNode(source.kind, name=source.name, value=source.value, attrs=source.attrs)
+    if layout is None:
+        children = list(node.children)
+        for index in below:
+            children[index] = _patch_node(children[index], path + (index,), plan)
+    else:
+        children = _laid_out(node, path, layout.children, below, plan)
+    if children is None or None in children:
+        return None
+    copy.children = children
+    return copy
+
+
+def _laid_out(
     node: ConfigNode,
     path: tuple[int, ...],
-    by_path: Mapping[tuple[int, ...], NodeChange],
-) -> ConfigNode:
-    change = by_path.get(path)
-    if change is not None:
-        return node_from_change(change, node)
-    depth = len(path)
-    if not any(len(p) > depth and p[:depth] == path for p in by_path):
-        return node
-    copy = ConfigNode(node.kind, name=node.name, value=node.value, attrs=dict(node.attrs))
-    copy.children = [
-        _patch_node(child, path + (index,), by_path)
-        for index, child in enumerate(node.children)
-    ]
-    return copy
+    entries: Iterable[ChildEntry],
+    below: Iterable[int],
+    plan: _Plan,
+) -> list[ConfigNode | None] | None:
+    """Resolve a child list's entries against the baseline container ``node``.
+
+    None when an entry names no baseline node, or would nest the container
+    (or one of its ancestors) inside itself.
+    """
+    own = node.children
+    children: list[ConfigNode | None] = []
+    for entry in entries:
+        if type(entry) is int:
+            if not 0 <= entry < len(own):
+                return None
+            child = own[entry]
+            if entry in below:
+                child = _patch_node(child, path + (entry,), plan)
+        elif type(entry) is tuple:
+            moved = node_at(plan.tree, entry)
+            if moved is None or entry == path[: len(entry)]:
+                return None
+            child = _patch_node(moved, entry, plan)
+        elif isinstance(entry, ConfigNode):
+            child = entry
+        else:
+            return None
+        children.append(child)
+    return children
 
 
 def patched_trees(baseline_trees: ConfigSet, delta: ScenarioDelta) -> ConfigSet | None:
@@ -272,8 +370,8 @@ def patched_trees(baseline_trees: ConfigSet, delta: ScenarioDelta) -> ConfigSet 
     Unchanged trees are shared verbatim; changed trees are spine-copied.
     Returns None when a change addresses an unknown tree or node.
     """
-    by_tree: dict[str, list[NodeChange]] = {}
-    for change in delta.changes:
+    by_tree: dict[str, list[NodeChange | ChildrenChange]] = {}
+    for change in (*delta.changes, *delta.children_changes):
         if change.tree not in baseline_trees:
             return None
         by_tree.setdefault(change.tree, []).append(change)

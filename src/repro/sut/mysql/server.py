@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.infoset import ConfigSet
+from repro.core.infoset import ConfigSet, ConfigTree
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import database_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta
+from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 from repro.sut.mysql.options import AUXILIARY_SECTIONS, CLIENT_OPTIONS, DEFAULT_MY_CNF, MYSQLD_OPTIONS
 from repro.sut.options import OptionSpec, OptionTable
 from repro.sut.storage import Connection, MiniSqlEngine
@@ -172,7 +172,14 @@ class SimulatedMySQL(SystemUnderTest):
             tree = get_dialect("ini").parse(text, filename=self.config_filename)
         except ParseError as exc:
             return StartResult.failed(f"could not parse option file: {exc}")
+        return self._start_from_tree(tree)
 
+    def _start_from_tree(self, tree: ConfigTree) -> StartResult:
+        """Validate and bring up the server from an already parsed tree.
+
+        The full start enters after parsing; a structural delta enters with
+        the patched baseline tree, so both walk the same code.
+        """
         settings: dict[str, object] = {
             spec.canonical_name(): self._default_for(spec) for spec in MYSQLD_OPTIONS
         }
@@ -256,7 +263,15 @@ class SimulatedMySQL(SystemUnderTest):
         recomputed in isolation and substituted at its document position;
         every key it touched is re-resolved by last-write-wins over the
         baseline index.  Section edits and unknown paths fall back.
+        Structural edits move document positions, so those walk the patched
+        baseline tree with the full-start code instead of splicing.
         """
+        if delta.children_changes:
+            patched = patched_trees(baseline.trees, delta)
+            if patched is None or self.config_filename not in patched:
+                return None
+            self.stop()
+            return self._start_from_tree(patched.get(self.config_filename))
         state: _MySqlDeltaState = baseline.state
         overrides: dict[int, tuple[str, str | None]] = {}
         for change in delta.changes:

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.infoset import ConfigSet
+from repro.core.infoset import ConfigSet, ConfigTree
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import database_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta
+from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 from repro.sut.options import OptionSpec
 from repro.sut.postgres.options import CROSS_CONSTRAINTS, DEFAULT_POSTGRESQL_CONF, POSTGRES_OPTIONS
 from repro.sut.storage import Connection, MiniSqlEngine
@@ -157,7 +157,14 @@ class SimulatedPostgres(SystemUnderTest):
             tree = get_dialect("pgconf").parse(text, filename=self.config_filename)
         except ParseError as exc:
             return StartResult.failed(f"syntax error in configuration file: {exc}")
+        return self._start_from_tree(tree)
 
+    def _start_from_tree(self, tree: ConfigTree) -> StartResult:
+        """Validate and bring up the server from an already parsed tree.
+
+        The full start enters after parsing; a structural delta enters with
+        the patched baseline tree, so both walk the same code.
+        """
         settings: dict[str, object] = {}
         for spec in POSTGRES_OPTIONS:
             try:
@@ -236,7 +243,15 @@ class SimulatedPostgres(SystemUnderTest):
         errors never depend on earlier lines) and substituted at its document
         position; touched keys are re-resolved last-write-wins and the
         cross-parameter constraints re-checked on the spliced settings.
+        Structural edits move document positions, so those walk the patched
+        baseline tree with the full-start code instead of splicing.
         """
+        if delta.children_changes:
+            patched = patched_trees(baseline.trees, delta)
+            if patched is None or self.config_filename not in patched:
+                return None
+            self.stop()
+            return self._start_from_tree(patched.get(self.config_filename))
         state: _PostgresDeltaState = baseline.state
         overrides: dict[int, tuple[str, str | None]] = {}
         for change in delta.changes:

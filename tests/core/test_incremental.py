@@ -9,22 +9,34 @@ fallback machinery that makes the contract hold:
   actually engage where supported, and fall back where not),
 * a hypothesis property: every change the round-trip guard accepts produces
   a patched tree that reparses to itself, so the SUT revalidates exactly
-  what a real parse of the mutated file would build,
-* fallback routing: structural edits, newline smuggling, kind-changing
-  typos and mutated include arguments all take the full path (or resolve
-  identically through it),
+  what a real parse of the mutated file would build -- for field edits and
+  for structural edits (deleted, inserted, moved, reordered children),
+* the sibling-independence contract of every dialect that declares it,
+* fallback routing: newline smuggling, kind-changing typos and mutated
+  include arguments all take the full path (or resolve identically
+  through it),
 * the content-hash baseline cache, counters and the spec/CLI knob.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro.core.campaign import Campaign
-from repro.core.engine import InjectionEngine
+from repro.core.engine import InjectionEngine, _children_vetted
+from repro.core.infoset import ConfigNode
 from repro.core.spec import RESUME_IRRELEVANT_PATHS, ExecutionSpec
-from repro.parsers.base import get_dialect
+from repro.core.templates.base import (
+    DeleteOperation,
+    FaultScenario,
+    InsertOperation,
+    MoveOperation,
+    NodeAddress,
+    PermuteChildrenOperation,
+)
+from repro.errors import TemplateError
+from repro.parsers.base import available_dialects, get_dialect
 from repro.plugins import (
     DnsSemanticErrorsPlugin,
     SpellingMistakesPlugin,
@@ -35,10 +47,12 @@ from repro.sut.apache import SimulatedApache
 from repro.sut.dns import SimulatedBIND, SimulatedDjbdns
 from repro.sut.incremental import (
     INCREMENTAL_STATS,
+    ChildrenChange,
     NodeChange,
     ScenarioDelta,
     clear_baseline_cache,
     patch_tree,
+    patched_trees,
 )
 from repro.sut.mysql import SimulatedMySQL
 from repro.sut.nginx import SimulatedNginx
@@ -118,14 +132,14 @@ class TestDeltaFullParity:
         assert slow_stats["attempts"] == 0, "incremental=False must disable the path"
 
     @pytest.mark.parametrize("sut_class", ALL_SUTS, ids=lambda c: c.name)
-    def test_structural_parity_routes_to_full_path(self, sut_class):
-        """Node insertion/deletion restructures trees: always a fallback."""
+    def test_structural_parity_and_delta_engages(self, sut_class):
+        """Lone deletes, duplicates and moves take the delta path where the
+        dialect is sibling-independent, with identical records."""
         (fast, fast_stats), (slow, _) = _run_both(sut_class, StructuralErrorsPlugin)
         assert fast == slow
-        assert fast_stats["delta_starts"] == 0
-        # every attempted scenario fell back (prepare may refuse the path
-        # outright for views that normalise, leaving attempts at zero)
-        assert fast_stats["fallbacks"] == fast_stats["attempts"]
+        if sut_class is SimulatedApache:
+            assert fast_stats["delta_starts"] > 0, "structural deltas never engaged"
+            assert fast_stats["fallbacks"] == 0
 
     @pytest.mark.parametrize(
         "sut_class", [SimulatedMySQL, SimulatedApache, SimulatedNginx], ids=lambda c: c.name
@@ -236,6 +250,255 @@ class TestRoundTripGuard:
             attrs=dict(node.attrs),
         )
         assert engine._vet_change(change, prepared.trees) is None
+
+
+# ------------------------------------------------------------ structural guard
+_ODD_TEXT = st.text("ab<>/#;{}= \t\n\\\"", max_size=8)
+
+
+@st.composite
+def _odd_nodes(draw, depth=0):
+    """Inserted nodes with odd fields: missing indents, newlines in values..."""
+    kind = draw(st.sampled_from(["directive", "comment", "blank", "section", "item"]))
+    name = draw(
+        st.one_of(st.sampled_from(["Listen", "ServerName", "Directory", "port"]), _ODD_TEXT)
+    )
+    value = draw(st.one_of(st.none(), st.sampled_from(["80", "/srv"]), _ODD_TEXT))
+    attrs = {}
+    if draw(st.booleans()):
+        attrs["indent"] = draw(st.sampled_from(["", "    ", "\t", " x"]))
+    if draw(st.booleans()):
+        attrs["separator"] = draw(st.sampled_from([" ", "\t", "", " = "]))
+    if kind == "blank" and draw(st.booleans()):
+        attrs["raw"] = draw(st.sampled_from(["", "   ", "x"]))
+    node = ConfigNode(kind, name=name, value=value, attrs=attrs)
+    if kind == "section" and depth == 0:
+        for child in draw(st.lists(_odd_nodes(depth=1), max_size=2)):
+            node.append(child)
+    return node
+
+
+def _inserted_nodes(tree):
+    """Snapshots a scenario may insert: copies of the tree's nodes, or odd ones."""
+    copies = [node for node, path in tree.root.walk_with_paths() if path]
+    return st.one_of(st.sampled_from(copies).map(lambda node: node.clone()), _odd_nodes())
+
+
+def _containers(tree):
+    """(node, path) of every node that holds children: the root and sections."""
+    return [
+        (node, path)
+        for node, path in tree.root.walk_with_paths()
+        if node.kind in ("file", "section")
+    ]
+
+
+class TestStructuralGuard:
+    """A lone structural operation is admitted only if the patched tree
+    means exactly what a full parse of the materialised file would read."""
+
+    @pytest.fixture(scope="class")
+    def apache(self):
+        clear_baseline_cache()
+        engine = InjectionEngine(SimulatedApache(), StructuralErrorsPlugin(), seed=1)
+        config_set, view_set, _ = engine.generate_scenarios()
+        prepared = engine.prepare_incremental(config_set, view_set)
+        assert prepared is not None
+        return engine, config_set, view_set, prepared
+
+    @given(data=st.data())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_admitted_changes_match_a_full_start(self, apache, data):
+        engine, config_set, view_set, prepared = apache
+        tree = prepared.trees.get("httpd.conf")
+        members = [path for _node, path in tree.root.walk_with_paths() if path]
+        containers = _containers(tree)
+        index = st.one_of(st.none(), st.integers(-3, 110))
+
+        def address(path):
+            return NodeAddress("httpd.conf", path)
+
+        kind = data.draw(st.sampled_from(["delete", "insert", "move", "permute"]))
+        if kind == "delete":
+            operation = DeleteOperation(address(data.draw(st.sampled_from(members))))
+        elif kind == "insert":
+            _node, parent = data.draw(st.sampled_from(containers))
+            operation = InsertOperation(
+                address(parent), data.draw(_inserted_nodes(tree)), data.draw(index)
+            )
+        elif kind == "move":
+            _node, parent = data.draw(st.sampled_from(containers))
+            operation = MoveOperation(
+                address(data.draw(st.sampled_from(members))), address(parent), data.draw(index)
+            )
+        else:
+            node, parent = data.draw(st.sampled_from(containers))
+            length = data.draw(st.integers(0, len(node.children)))
+            permutation = data.draw(st.permutations(range(length)))
+            operation = PermuteChildrenOperation(address(parent), tuple(permutation))
+        scenario = FaultScenario("property", "property", "property", operations=(operation,))
+
+        try:
+            with scenario.applied_to(view_set) as mutated:
+                changes = engine.plugin.view.scenario_changes(scenario, mutated, prepared.trees)
+        except TemplateError:
+            return  # an impossible operation, e.g. a move into its own subtree
+        assert changes is not None, "a lone structural operation must be expressible"
+        vetted = [engine._vet_change(change, prepared.trees) for change in changes]
+        if any(change is None for change in vetted):
+            event("guard fallback")
+            return  # the full pass handles it
+        event(f"admitted {kind}")
+        delta = ScenarioDelta((), tuple(vetted))
+        patched = patched_trees(prepared.trees, delta).get("httpd.conf")
+        dialect = get_dialect("apache")
+        reparsed = dialect.parse(dialect.serialize(patched), filename="httpd.conf")
+        assert reparsed.structurally_equal(patched)
+        files = engine.materialize(scenario, config_set, view_set)
+        assert dialect.parse(files["httpd.conf"], filename="httpd.conf").structurally_equal(patched)
+
+        delta_result = SimulatedApache().start_delta(prepared, delta)
+        full_result = SimulatedApache().start(files)
+        assert (delta_result.started, delta_result.errors, delta_result.warnings) == (
+            full_result.started,
+            full_result.errors,
+            full_result.warnings,
+        )
+
+    def test_file_end_must_survive(self):
+        """Without a final newline a trailing empty line vanishes on reparse,
+        so the guard keeps such a file's last child in place."""
+        dialect = get_dialect("apache")
+        tree = dialect.parse("Listen 80\n\nServerName x", filename="t.conf")
+        drop_last = ChildrenChange("t.conf", (), (0, 1))
+        patched = patch_tree(tree, [drop_last])
+        assert not dialect.parse(dialect.serialize(patched)).structurally_equal(patched)
+        assert not _children_vetted(drop_last, tree.root, "t.conf", dialect)
+        assert _children_vetted(ChildrenChange("t.conf", (), (1, 2)), tree.root, "t.conf", dialect)
+
+
+class TestPatchTree:
+    """patch_tree copies the spine only and refuses entries it cannot place."""
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        config = SimulatedApache().default_configuration()["httpd.conf"]
+        return get_dialect("apache").parse(config, filename="httpd.conf")
+
+    def test_only_the_spine_is_copied(self, tree):
+        section = next(i for i, n in enumerate(tree.root.children) if n.children)
+        inner = tree.root.children[section].children
+        node = inner[0]
+        change = NodeChange(
+            "httpd.conf", (section, 0), node.kind, node.name, "changed", node.attrs
+        )
+        patched = patch_tree(tree, [change])
+        assert patched.root is not tree.root
+        for index, child in enumerate(patched.root.children):
+            assert (child is tree.root.children[index]) == (index != section)
+        patched_inner = patched.root.children[section].children
+        assert patched_inner[0].value == "changed"
+        assert all(a is b for a, b in zip(patched_inner[1:], inner[1:]))
+
+    def test_a_move_spans_two_containers(self, tree):
+        section = next(i for i, n in enumerate(tree.root.children) if n.children)
+        moved = (section, 0)
+        drop = ChildrenChange(
+            "httpd.conf", (section,), tuple(range(1, len(tree.root.children[section].children)))
+        )
+        append = ChildrenChange(
+            "httpd.conf", (), (*range(len(tree.root.children)), moved)
+        )
+        patched = patch_tree(tree, [drop, append])
+        assert patched.root.children[-1] is tree.root.children[section].children[0]
+        assert len(patched.root.children[section].children) == len(
+            tree.root.children[section].children
+        ) - 1
+
+    @pytest.mark.parametrize("entry", [-1, 10**6, (), (0,) * 9, "0"], ids=repr)
+    def test_unresolvable_entries_refuse_the_patch(self, tree, entry):
+        assert patch_tree(tree, [ChildrenChange("httpd.conf", (), (0, entry))]) is None
+
+    def test_a_node_cannot_be_moved_into_itself(self, tree):
+        section = next(i for i, n in enumerate(tree.root.children) if n.children)
+        into_itself = ChildrenChange("httpd.conf", (section,), (0, (section,)))
+        assert patch_tree(tree, [into_itself]) is None
+
+
+# ---------------------------------------------------- sibling independence
+#: One shipped file per dialect that declares sibling independence.
+SIBLING_INDEPENDENT_SAMPLES = {
+    "apache": (SimulatedApache, "httpd.conf"),
+    "namedconf": (SimulatedBIND, "named.conf"),
+    "nginxconf": (SimulatedNginx, "nginx.conf"),
+    "pgconf": (SimulatedPostgres, "postgresql.conf"),
+}
+
+
+class TestSiblingIndependence:
+    """Dialects declaring ``sibling_independent`` keep its promise."""
+
+    def test_every_declaring_dialect_is_tested(self):
+        declared = {name for name in available_dialects() if get_dialect(name).sibling_independent}
+        assert declared == set(SIBLING_INDEPENDENT_SAMPLES)
+
+    @pytest.mark.parametrize("dialect_name", sorted(SIBLING_INDEPENDENT_SAMPLES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_admitted_child_lists_read_back_as_patched(self, dialect_name, data):
+        """Any mix of kept, moved-in and inserted children the guard admits,
+        in any container, serialises to text that parses back to itself
+        (kept children may repeat, drop out or change order)."""
+        sut_class, filename = SIBLING_INDEPENDENT_SAMPLES[dialect_name]
+        text = sut_class().default_configuration()[filename]
+        ending = data.draw(st.sampled_from(["lf", "crlf", "no-final-newline"]))
+        if ending == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif ending == "no-final-newline":
+            text = text.rstrip("\n")
+        dialect = get_dialect(dialect_name)
+        tree = dialect.parse(text, filename=filename)
+        container, path = data.draw(st.sampled_from(_containers(tree)))
+        # any node but the container and its ancestors may be moved in
+        movable = [
+            p for _node, p in tree.root.walk_with_paths() if p and path[: len(p)] != p
+        ]
+        count = len(container.children)
+        entries = []
+        if count:
+            entries = data.draw(st.lists(st.integers(0, count - 1), max_size=count))
+        extras = st.one_of(_inserted_nodes(tree), st.sampled_from(movable))
+        for extra in data.draw(st.lists(extras, max_size=3)):
+            entries.insert(data.draw(st.integers(0, len(entries))), extra)
+        change = ChildrenChange(filename, path, tuple(entries))
+        if not _children_vetted(change, container, filename, dialect):
+            event("refused")
+            return
+        event("admitted")
+        patched = patch_tree(tree, [change])
+        reparsed = dialect.parse(dialect.serialize(patched), filename=filename)
+        assert reparsed.structurally_equal(patched)
+
+    @pytest.mark.parametrize("dialect_name", ["bindzone", "ini", "sshdconf"])
+    def test_flowing_dialects_do_not_declare(self, dialect_name):
+        """Zone owners and $ORIGIN, INI headers and sshd Match lines carry
+        meaning across siblings, so these dialects never take structural
+        deltas."""
+        assert not get_dialect(dialect_name).sibling_independent
+
+    def test_ini_header_claims_a_moved_directive(self):
+        """Why INI cannot declare it: a root directive moved after a
+        section header reads back inside that section."""
+        dialect = get_dialect("ini")
+        tree = dialect.parse("port = 1\n[mysqld]\nuser = x\n", filename="my.cnf")
+        moved = ChildrenChange("my.cnf", (), (1, 0))
+        patched = patch_tree(tree, [moved])
+        assert not dialect.parse(dialect.serialize(patched)).structurally_equal(patched)
+        assert not _children_vetted(moved, tree.root, "my.cnf", dialect)
 
 
 # ------------------------------------------------------------- fallback routing
