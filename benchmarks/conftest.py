@@ -25,6 +25,13 @@ BENCH_SEED = 2008
 BENCH_OUT = Path(__file__).resolve().parent / "out"
 
 
+def run_suite(spec):
+    """Run an artefact's spec as a campaign suite; its cell profiles by display name."""
+    from repro.core.suite import CampaignSuite
+
+    return CampaignSuite.from_spec(spec).run().profiles_by_display()
+
+
 def write_bench_json(name: str, payload: dict) -> Path:
     """Write one ``BENCH_<name>.json`` trajectory file into :data:`BENCH_OUT`."""
     BENCH_OUT.mkdir(exist_ok=True)

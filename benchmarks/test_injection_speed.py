@@ -3,8 +3,8 @@
 The paper reports 2.2 s (MySQL), 6 s (Postgres) and 1.1 s (Apache) per
 injection experiment when driving the real servers; with the simulated
 servers one experiment (materialise faulty files + start + diagnose + stop)
-runs in milliseconds.  These benchmarks record the per-system cost so the
-speed-up is documented in EXPERIMENTS.md.
+runs in milliseconds.  These benchmarks record the per-system cost; see
+the per-injection section of ``docs/PERFORMANCE.md``.
 """
 
 import pytest

@@ -5,8 +5,8 @@ system-independent record view and classifies each fault class as
 found / not found / N/A, reproducing the paper's Table 3 cell by cell.
 """
 
-from benchmarks.conftest import BENCH_SEED
-from repro.bench import run_table3
+from benchmarks.conftest import BENCH_SEED, run_suite
+from repro.bench import table3
 from repro.core.profile import InjectionOutcome
 
 #: The behaviour matrix exactly as printed in the paper's Table 3.
@@ -19,12 +19,14 @@ PAPER_TABLE3 = {
 
 
 def test_table3_resilience_to_semantic_errors(run_once):
-    result = run_once(run_table3, seed=BENCH_SEED, max_scenarios_per_class=3)
+    cells = run_once(run_suite, table3.table3_spec(seed=BENCH_SEED, max_scenarios_per_class=3))
 
-    print("\n\nTable 3 -- Resilience to semantic errors\n" + result.table_text + "\n")
+    print("\n\nTable 3 -- Resilience to semantic errors\n" + table3.render(cells) + "\n")
 
-    assert result.behaviour == PAPER_TABLE3
+    assert table3.behaviour_matrix(cells) == PAPER_TABLE3
     # The "N/A" entries must come from impossible injections (djbdns' combined
     # '=' records), not from missing scenarios.
-    impossible = result.profiles["djbdns"].records_with(InjectionOutcome.INJECTION_IMPOSSIBLE)
+    impossible = cells["djbdns"][table3.TABLE3_CAMPAIGN].records_with(
+        InjectionOutcome.INJECTION_IMPOSSIBLE
+    )
     assert impossible

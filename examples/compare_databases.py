@@ -17,17 +17,21 @@ Run with::
     python examples/compare_databases.py
 """
 
-from repro.bench import run_figure3
+from repro.bench import figure3
+from repro.core.report import detection_distribution
+from repro.core.suite import CampaignSuite
 
 
 def main() -> None:
-    result = run_figure3(seed=2008, experiments_per_directive=20)
+    spec = figure3.figure3_spec(seed=2008, experiments_per_directive=20)
+    profiles = CampaignSuite.from_spec(spec).run().profiles_by_display()
 
     print("Share of directives per detection-quality bin (Figure 3):\n")
-    print(result.chart_text)
+    print(figure3.render(profiles))
     print()
 
-    for system, rates in result.per_directive_rates.items():
+    per_directive_rates = figure3.directive_rates(profiles)
+    for system, rates in per_directive_rates.items():
         strongest = sorted(rates.items(), key=lambda item: item[1], reverse=True)[:3]
         weakest = sorted(rates.items(), key=lambda item: item[1])[:3]
         print(f"{system}:")
@@ -35,8 +39,8 @@ def main() -> None:
         print("  worst-checked directives: " + ", ".join(f"{n} ({r:.0%})" for n, r in weakest))
         print()
 
-    mysql_poor = result.share("MySQL", "poor")
-    postgres_excellent = result.share("Postgresql", "excellent")
+    mysql_poor = detection_distribution(per_directive_rates["MySQL"])["poor"]
+    postgres_excellent = detection_distribution(per_directive_rates["Postgres"])["excellent"]
     print(
         f"MySQL leaves {mysql_poor:.0%} of its directives poorly checked, while "
         f"Postgres checks {postgres_excellent:.0%} of its directives excellently."

@@ -19,22 +19,23 @@ Run with::
     python examples/dns_semantic_errors.py
 """
 
-from repro.bench import run_table3
+from repro.bench import table3
 from repro.core.profile import InjectionOutcome
+from repro.core.suite import CampaignSuite
 
 
 def main() -> None:
-    result = run_table3(seed=2008)
+    result = CampaignSuite.from_spec(table3.table3_spec(seed=2008)).run()
 
     print("Behaviour per fault class (Table 3):\n")
-    print(result.table_text)
+    print(table3.render(result.profiles_by_display()))
     print()
 
-    for system, profile in result.profiles.items():
+    for profile in result.overall_profiles().values():
         impossible = profile.records_with(InjectionOutcome.INJECTION_IMPOSSIBLE)
         detected = profile.detected_count()
         print(
-            f"{system}: {profile.injected_count()} faults injected, {detected} detected, "
+            f"{profile.system_name}: {profile.injected_count()} faults injected, {detected} detected, "
             f"{len(impossible)} could not be expressed in the configuration format"
         )
         for record in impossible[:3]:

@@ -22,7 +22,7 @@ The public surface is re-exported here; see the subpackages for details:
 * :mod:`repro.plugins`  -- the error-generator plugins
 * :mod:`repro.dns`      -- DNS record model and resolver substrate
 * :mod:`repro.sut`      -- systems under test (simulated MySQL, Postgres, Apache, BIND, djbdns)
-* :mod:`repro.bench`    -- the experiment runners that regenerate the paper's tables and figures
+* :mod:`repro.bench`    -- the paper's tables and figures as spec builders plus renderers
 """
 
 from repro.core.campaign import Campaign, CampaignResult

@@ -17,10 +17,9 @@ the system detects.  Concretely (and as in the paper):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import json
+from typing import Mapping
 
-from repro.core.engine import InjectionEngine
 from repro.core.profile import ResilienceProfile
 from repro.core.report import (
     detection_distribution,
@@ -28,30 +27,16 @@ from repro.core.report import (
     render_distribution_chart,
 )
 from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
-from repro.core.store import ResultStore
 from repro.core.views.token_view import TOKEN_DIRECTIVE_VALUE
-from repro.bench.persist import write_bench_manifest
-from repro.sut.base import SystemUnderTest, split_sut
+from repro.errors import StoreError
 
-__all__ = [
-    "Figure3Result",
-    "run_figure3",
-    "run_figure3_for",
-    "figure3_from_store",
-    "figure3_spec",
-]
+__all__ = ["figure3_spec", "render", "directive_rates"]
 
-#: Store campaign key for the one plugin the comparison runs per system.
+#: Campaign key of the one plugin the comparison runs per system.
 FIGURE3_CAMPAIGN = "value-typos"
 
 
-def figure3_spec(
-    seed: int = 2008,
-    experiments_per_directive: int = 20,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-) -> ExperimentSpec:
+def figure3_spec(seed: int = 2008, experiments_per_directive: int = 20) -> ExperimentSpec:
     """The Figure 3 comparison as a declarative spec.
 
     Both systems run the full-directive workload variants (most available
@@ -72,136 +57,35 @@ def figure3_spec(
                 },
             ),
         ),
-        execution=ExecutionSpec(seed=seed, jobs=jobs, executor=executor, block_size=block_size),
+        execution=ExecutionSpec(seed=seed),
     )
 
 
-@dataclass
-class Figure3Result:
-    """Per-system directive detection rates, bin distributions and the chart."""
-
-    per_directive_rates: dict[str, dict[str, float]]
-    distributions: dict[str, dict[str, float]]
-    profiles: dict[str, ResilienceProfile]
-    chart_text: str
-
-    def share(self, system: str, bin_label: str) -> float:
-        """Share of a system's directives in one detection bin."""
-        return self.distributions[system].get(bin_label, 0.0)
-
-
-def run_figure3_for(
-    sut: SystemUnderTest | Callable[[], SystemUnderTest],
-    seed: int = 2008,
-    experiments_per_directive: int = 20,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    store: ResultStore | None = None,
-    system_key: str | None = None,
-) -> tuple[dict[str, float], ResilienceProfile]:
-    """Run the comparison procedure for one system.
-
-    Returns the per-directive detection rates and the full profile.
-    """
-    sut, sut_factory = split_sut(sut)
-    (plugin,) = figure3_spec(
-        seed=seed, experiments_per_directive=experiments_per_directive
-    ).build_plugins()
-    observer = None
-    if store is not None:
-        key = system_key or sut.name
-        observer = lambda record, key=key: store.append(key, FIGURE3_CAMPAIGN, record)
-    engine = InjectionEngine(
-        sut,
-        plugin,
-        seed=seed,
-        observer=observer,
-        sut_factory=sut_factory,
-        jobs=jobs,
-        executor=executor,
-        block_size=block_size,
-    )
-    profile = engine.run()
-    return per_directive_detection_rates(profile), profile
-
-
-def run_figure3(
-    seed: int = 2008,
-    experiments_per_directive: int = 20,
-    systems: dict[str, SystemUnderTest | Callable[[], SystemUnderTest]] | None = None,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    store: ResultStore | None = None,
-) -> Figure3Result:
-    """Run the Figure 3 comparison for MySQL and Postgres.
-
-    The run is wired from :func:`figure3_spec`.  With a ``store`` the
-    per-system records are persisted under the :data:`FIGURE3_CAMPAIGN` key
-    (the manifest embeds the serialized spec); :func:`figure3_from_store`
-    re-renders the distributions from those records.
-    """
-    spec = figure3_spec(
-        seed=seed,
-        experiments_per_directive=experiments_per_directive,
-        jobs=jobs,
-        executor=executor,
-        block_size=block_size,
-    )
-    suts = systems if systems is not None else spec.build_systems()
-    if store is not None:
-        write_bench_manifest(
-            store,
-            kind="figure3",
-            seed=seed,
-            suts=suts,
-            plugins=[{"name": FIGURE3_CAMPAIGN, "params": {}}],
-            params={"experiments_per_directive": experiments_per_directive},
-            spec=spec if systems is None else None,
+def directive_rates(
+    profiles: Mapping[str, Mapping[str, ResilienceProfile]],
+) -> dict[str, dict[str, float]]:
+    """System -> directive -> detection rate over its directive-value typos."""
+    value_typos = {
+        system: ResilienceProfile(
+            system,
+            [
+                record
+                for profile in cells.values()
+                for record in profile.records
+                if record.metadata.get("token_type") == TOKEN_DIRECTIVE_VALUE
+            ],
         )
-    per_directive_rates: dict[str, dict[str, float]] = {}
-    distributions: dict[str, dict[str, float]] = {}
-    profiles: dict[str, ResilienceProfile] = {}
-    for name, sut in suts.items():
-        rates, profile = run_figure3_for(
-            sut,
-            seed=seed,
-            experiments_per_directive=experiments_per_directive,
-            jobs=jobs,
-            executor=executor,
-            block_size=block_size,
-            store=store,
-            system_key=name,
-        )
-        per_directive_rates[name] = rates
-        distributions[name] = detection_distribution(rates)
-        profiles[name] = profile
-    return Figure3Result(
-        per_directive_rates=per_directive_rates,
-        distributions=distributions,
-        profiles=profiles,
-        chart_text=render_distribution_chart(distributions),
-    )
+        for system, cells in profiles.items()
+    }
+    if not any(len(profile) for profile in value_typos.values()):
+        raise StoreError("Figure 3 needs directive-value typo records; none found")
+    return {system: per_directive_detection_rates(profile) for system, profile in value_typos.items()}
 
 
-def figure3_from_store(store: ResultStore) -> Figure3Result:
-    """Rebuild a :class:`Figure3Result` from records on disk.
-
-    The per-directive detection rates are recomputed from the stored
-    records' metadata, exactly as the live run computes them.
-    """
-    store.require_kind("figure3", "suite")
-    per_directive_rates: dict[str, dict[str, float]] = {}
-    distributions: dict[str, dict[str, float]] = {}
-    profiles = store.merged_profiles()
-    for name, profile in profiles.items():
-        rates = per_directive_detection_rates(profile)
-        per_directive_rates[name] = rates
-        distributions[name] = detection_distribution(rates)
-    return Figure3Result(
-        per_directive_rates=per_directive_rates,
-        distributions=distributions,
-        profiles=profiles,
-        chart_text=render_distribution_chart(distributions),
-    )
+def render(profiles: Mapping[str, Mapping[str, ResilienceProfile]]) -> str:
+    """The Figure 3 chart followed by the bin shares as JSON."""
+    distributions = {
+        system: detection_distribution(rates)
+        for system, rates in directive_rates(profiles).items()
+    }
+    return f"{render_distribution_chart(distributions)}\n\n{json.dumps(distributions, indent=2)}"

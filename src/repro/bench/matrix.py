@@ -1,36 +1,20 @@
 """The resilience matrix -- M systems x N plugins, one table.
 
 The ROADMAP's north star asks for "as many scenarios as you can imagine";
-the matrix driver is where that ambition becomes visible: every registered
-system crossed with every applicable error family, rendered as one table
-whose cells are ``detected/injected (rate)``.  Adding a system or a plugin
-to the registries grows the matrix automatically.
-
-The driver reuses the campaign-suite machinery end to end, so a matrix run
-is resumable, persistable and executor-invariant like any suite:
-:func:`run_matrix` executes (optionally into a result store) and
-:func:`matrix_from_store` re-renders a stored run byte-identically without
-re-running a single injection.
+the matrix is where that ambition becomes visible: every registered system
+crossed with every applicable error family, rendered as one table whose
+cells are ``detected/injected (rate)``.  Adding a system or a plugin to the
+registries grows the matrix automatically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
-from repro.core.profile import ResilienceProfile
-from repro.core.report import resilience_matrix_table, store_matrix_profiles
-from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, StoreSpec, SystemSpec
-from repro.core.store import ResultStore
-from repro.core.suite import CampaignSuite, SuiteResult
+from repro.core.report import resilience_matrix_table
+from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
 
-__all__ = [
-    "MatrixResult",
-    "MATRIX_SYSTEMS",
-    "MATRIX_PLUGINS",
-    "matrix_spec",
-    "run_matrix",
-    "matrix_from_store",
-]
+__all__ = ["MATRIX_SYSTEMS", "MATRIX_PLUGINS", "matrix_spec", "render"]
 
 #: Default system line-up: the paper's five plus the beyond-the-paper SUTs.
 MATRIX_SYSTEMS = ("mysql", "postgres", "apache", "bind", "djbdns", "nginx", "sshd")
@@ -39,29 +23,12 @@ MATRIX_SYSTEMS = ("mysql", "postgres", "apache", "bind", "djbdns", "nginx", "ssh
 MATRIX_PLUGINS = ("spelling", "structural", "omission", "semantic-constraints")
 
 
-@dataclass
-class MatrixResult:
-    """Per-(system, plugin) profiles plus the rendered matrix."""
-
-    profiles: dict[str, dict[str, ResilienceProfile]]
-    table_text: str
-
-    def cell(self, system: str, plugin: str) -> ResilienceProfile:
-        """Profile of one (system display name, plugin) cell."""
-        return self.profiles[system][plugin]
-
-
 def matrix_spec(
-    systems: tuple[str, ...] | list[str] | None = None,
-    plugins: tuple[str, ...] | list[str] | None = None,
+    systems: Sequence[str] | None = None,
+    plugins: Sequence[str] | None = None,
     seed: int = 2008,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
     mutations_per_token: int | None = 1,
     max_scenarios_per_class: int | None = None,
-    store: str | None = None,
-    resume: bool = False,
 ) -> ExperimentSpec:
     """The matrix experiment as a declarative spec.
 
@@ -74,68 +41,11 @@ def matrix_spec(
         plugins=tuple(PluginSpec(name) for name in (plugins or MATRIX_PLUGINS)),
         execution=ExecutionSpec(
             seed=seed,
-            jobs=jobs,
-            executor=executor,
-            block_size=block_size,
             mutations_per_token=mutations_per_token,
             max_scenarios_per_class=max_scenarios_per_class,
         ),
-        store=StoreSpec(root=store, resume=resume) if store else None,
     )
 
 
-def _result_from_suite(result: SuiteResult) -> MatrixResult:
-    return MatrixResult(profiles=result.profiles_by_display(), table_text=result.matrix())
-
-
-def run_matrix(
-    systems: tuple[str, ...] | list[str] | None = None,
-    plugins: tuple[str, ...] | list[str] | None = None,
-    seed: int = 2008,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    mutations_per_token: int | None = 1,
-    max_scenarios_per_class: int | None = None,
-    store: ResultStore | None = None,
-    resume: bool = False,
-) -> MatrixResult:
-    """Run the whole matrix (optionally persisting into ``store``).
-
-    The run is an ordinary campaign suite: per-cell seeds derive from the
-    one experiment seed, records stream into the store as they land, and an
-    interrupted run resumes with ``resume=True``.
-    """
-    spec = matrix_spec(
-        systems=systems,
-        plugins=plugins,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        block_size=block_size,
-        mutations_per_token=mutations_per_token,
-        max_scenarios_per_class=max_scenarios_per_class,
-        store=str(store.root) if store is not None else None,
-        resume=resume,
-    )
-    suite = CampaignSuite.from_spec(spec)
-    result = suite.run(store=store, resume=resume)
-    return _result_from_suite(result)
-
-
-def matrix_from_store(store: ResultStore) -> MatrixResult:
-    """Rebuild a :class:`MatrixResult` from records on disk.
-
-    Works for any suite-kind store (``conferr suite --store`` and
-    ``conferr matrix --store`` write the same layout); the rendered table
-    is byte-identical to the live run's.
-    """
-    store.require_kind("suite")
-    profiles, plugin_order = store_matrix_profiles(store)
-    # a campaign that injected nothing has no records on disk; fill in the
-    # empty cells so .cell() behaves exactly like a live MatrixResult's
-    for display, per_plugin in profiles.items():
-        for plugin in plugin_order or ():
-            per_plugin.setdefault(plugin, ResilienceProfile(display))
-    table = resilience_matrix_table(profiles, plugin_order=plugin_order)
-    return MatrixResult(profiles=profiles, table_text=table)
+#: The matrix renders any suite's cells as they are.
+render = resilience_matrix_table

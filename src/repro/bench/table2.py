@@ -1,34 +1,23 @@
 """Table 2 -- resilience to structural errors (configuration variations).
 
-For each system and each variation class of Section 5.3 the runner creates
-``variants_per_class`` semantically-equivalent configuration files and checks
-whether the system accepts all of them.  A class is "Yes" when every variant
-starts and passes the functional tests, "No" when at least one is rejected,
-and "n/a" when the class does not apply to the system's format (for example
-section reordering for the flat ``postgresql.conf``).
+For each system and each variation class of Section 5.3 the experiment
+creates ``variants_per_class`` semantically-equivalent configuration files
+and checks whether the system accepts all of them.  A class is "Yes" when
+every variant starts and passes the functional tests, "No" when at least one
+is rejected, and "n/a" when the class does not apply to the system's format
+(for example section reordering for the flat ``postgresql.conf``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Mapping
 
-from repro.core.engine import InjectionEngine
 from repro.core.profile import ResilienceProfile
 from repro.core.report import classify_structural_support, structural_support_table
 from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
-from repro.core.store import ResultStore
-from repro.bench.persist import write_bench_manifest
-from repro.sut.base import SystemUnderTest, split_sut
+from repro.errors import StoreError
 
-__all__ = [
-    "Table2Result",
-    "run_table2",
-    "table2_from_store",
-    "table2_spec",
-    "VARIATION_LABELS",
-    "APPLICABLE_CLASSES",
-]
+__all__ = ["table2_spec", "render", "support_matrix", "VARIATION_LABELS", "APPLICABLE_CLASSES"]
 
 #: Human-readable row labels, in the paper's order.
 VARIATION_LABELS = {
@@ -50,32 +39,8 @@ APPLICABLE_CLASSES = {
 }
 
 
-@dataclass
-class Table2Result:
-    """Support matrix (system -> variation label -> Yes/No/n/a) plus profiles."""
-
-    support: dict[str, dict[str, str]]
-    profiles: dict[str, dict[str, ResilienceProfile]]
-    table_text: str
-
-    def satisfied_fraction(self, system: str) -> float:
-        """Fraction of applicable variation classes the system accepts."""
-        values = [v for v in self.support[system].values() if v != "n/a"]
-        return sum(1 for v in values if v == "Yes") / len(values) if values else 0.0
-
-
-#: Table 2 cell classification; the rule lives in :mod:`repro.core.report`
-#: so the table can also be rebuilt from stored profiles.
-_classify = classify_structural_support
-
-
 def table2_spec(
-    seed: int = 2008,
-    variants_per_class: int = 10,
-    min_truncation: int = 8,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
+    seed: int = 2008, variants_per_class: int = 10, min_truncation: int = 8
 ) -> ExperimentSpec:
     """The Table 2 experiment as a declarative spec.
 
@@ -101,106 +66,37 @@ def table2_spec(
             )
             for variation_class, label in VARIATION_LABELS.items()
         ),
-        execution=ExecutionSpec(seed=seed, jobs=jobs, executor=executor, block_size=block_size),
+        execution=ExecutionSpec(seed=seed),
     )
 
 
-def run_table2(
-    seed: int = 2008,
-    variants_per_class: int = 10,
-    systems: dict[str, SystemUnderTest | Callable[[], SystemUnderTest]] | None = None,
-    min_truncation: int = 8,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    store: ResultStore | None = None,
-) -> Table2Result:
-    """Run the Table 2 experiment for MySQL, Postgres and Apache.
+def support_matrix(
+    profiles: Mapping[str, Mapping[str, ResilienceProfile]],
+) -> dict[str, dict[str, str]]:
+    """System -> variation label -> "Yes"/"No"/"n/a".
 
-    The run is wired from :func:`table2_spec`.  With a ``store`` every
-    variant's record is persisted under the variation label as campaign key
-    (the manifest embeds the serialized spec); :func:`table2_from_store`
-    re-renders the support matrix from those records.
+    A class outside the system's :data:`APPLICABLE_CLASSES` is "n/a" even
+    when it ran; a class without records classifies as "n/a" too.
     """
-    spec = table2_spec(
-        seed=seed,
-        variants_per_class=variants_per_class,
-        min_truncation=min_truncation,
-        jobs=jobs,
-        executor=executor,
-        block_size=block_size,
-    )
-    suts = systems if systems is not None else spec.build_systems()
-    if store is not None:
-        write_bench_manifest(
-            store,
-            kind="table2",
-            seed=seed,
-            suts=suts,
-            plugins=[
-                {"name": "structural-variations", "params": {"classes": list(VARIATION_LABELS)}}
-            ],
-            params={
-                "variants_per_class": variants_per_class,
-                "min_truncation": min_truncation,
-            },
-            spec=spec if systems is None else None,
+    if not any(label in cells for cells in profiles.values() for label in VARIATION_LABELS.values()):
+        raise StoreError(
+            "Table 2 needs a structural-variations campaign labelled with a "
+            f"variation class ({', '.join(VARIATION_LABELS.values())}); none found"
         )
     support: dict[str, dict[str, str]] = {}
-    profiles: dict[str, dict[str, ResilienceProfile]] = {}
-    for name, sut in suts.items():
-        sut, sut_factory = split_sut(sut)
-        applicable = APPLICABLE_CLASSES.get(name, tuple(VARIATION_LABELS))
-        support[name] = {}
-        profiles[name] = {}
-        for plugin in spec.build_plugins():
-            variation_class = plugin.classes[0]
-            label = plugin.name
-            if variation_class not in applicable:
-                support[name][label] = "n/a"
-                continue
-            observer = None
-            if store is not None:
-                observer = lambda record, key=name, label=label: store.append(key, label, record)
-            engine = InjectionEngine(
-                sut,
-                plugin,
-                seed=seed,
-                observer=observer,
-                sut_factory=sut_factory,
-                jobs=jobs,
-                executor=executor,
-                block_size=block_size,
+    for system, cells in profiles.items():
+        applicable = APPLICABLE_CLASSES.get(system, tuple(VARIATION_LABELS))
+        support[system] = {
+            label: (
+                classify_structural_support(cells.get(label, ResilienceProfile(system)))
+                if variation_class in applicable
+                else "n/a"
             )
-            profile = engine.run()
-            profiles[name][label] = profile
-            support[name][label] = _classify(profile)
-    return Table2Result(
-        support=support, profiles=profiles, table_text=structural_support_table(support)
-    )
+            for variation_class, label in VARIATION_LABELS.items()
+        }
+    return support
 
 
-def table2_from_store(store: ResultStore) -> Table2Result:
-    """Rebuild a :class:`Table2Result` from records on disk.
-
-    Variation classes without stored records classify as "n/a" -- exactly
-    the classes :func:`run_table2` never ran for that system.
-    """
-    store.require_kind("table2")
-    stored = store.load_profiles()
-    support: dict[str, dict[str, str]] = {}
-    profiles: dict[str, dict[str, ResilienceProfile]] = {}
-    for system in store.systems():
-        per_label = stored.get(system, {})
-        support[system] = {}
-        profiles[system] = {}
-        for label in VARIATION_LABELS.values():
-            profile = per_label.get(label)
-            if profile is None:
-                support[system][label] = "n/a"
-                continue
-            profiles[system][label] = profile
-            support[system][label] = _classify(profile)
-    return Table2Result(
-        support=support, profiles=profiles, table_text=structural_support_table(support)
-    )
+def render(profiles: Mapping[str, Mapping[str, ResilienceProfile]]) -> str:
+    """The Table 2 support matrix with its "% of assumptions satisfied" row."""
+    return structural_support_table(support_matrix(profiles))

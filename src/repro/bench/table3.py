@@ -1,6 +1,6 @@
 """Table 3 -- resilience to semantic (RFC-1912 style) DNS errors.
 
-For BIND and djbdns the runner injects record-level faults through the
+For BIND and djbdns the experiment injects record-level faults through the
 system-independent record view and classifies each fault class:
 
 * ``found``     -- at least one scenario of the class was detected (the
@@ -12,20 +12,16 @@ system-independent record view and classifies each fault class:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Mapping
 
-from repro.core.engine import InjectionEngine
 from repro.core.profile import ResilienceProfile
 from repro.core.report import classify_semantic_behaviour, semantic_behaviour_table
 from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
-from repro.core.store import ResultStore
-from repro.bench.persist import write_bench_manifest
-from repro.sut.base import SystemUnderTest, split_sut
+from repro.errors import StoreError
 
-__all__ = ["Table3Result", "run_table3", "table3_from_store", "table3_spec", "FAULT_LABELS"]
+__all__ = ["table3_spec", "render", "behaviour_matrix", "FAULT_LABELS", "TABLE3_CAMPAIGN"]
 
-#: Store campaign key for the one plugin Table 3 runs per system.
+#: Campaign key of the one plugin Table 3 runs per system.
 TABLE3_CAMPAIGN = "semantic-dns"
 
 #: Fault classes shown in the paper's Table 3, with the row descriptions.
@@ -37,45 +33,7 @@ FAULT_LABELS = {
 }
 
 
-@dataclass
-class Table3Result:
-    """Behaviour matrix (fault -> system -> found / not found / N/A) plus profiles."""
-
-    behaviour: dict[str, dict[str, str]]
-    profiles: dict[str, ResilienceProfile]
-    table_text: str
-
-    def behaviour_of(self, fault_class_label: str, system: str) -> str:
-        """Behaviour of one system for one fault row."""
-        return self.behaviour[fault_class_label][system]
-
-
-#: Table 3 cell classification; the rule lives in :mod:`repro.core.report`
-#: so the table can also be rebuilt from stored profiles.
-_classify = classify_semantic_behaviour
-
-
-def _behaviour_matrix(
-    profiles: dict[str, ResilienceProfile], labels: dict[str, str]
-) -> dict[str, dict[str, str]]:
-    """Classify each (fault class, system) cell from the raw profiles."""
-    behaviour: dict[str, dict[str, str]] = {label: {} for label in labels.values()}
-    for name, profile in profiles.items():
-        by_category = profile.by_category()
-        for fault_class, label in labels.items():
-            class_profile = by_category.get(f"semantic-{fault_class}", ResilienceProfile(name))
-            behaviour[label][name] = _classify(class_profile)
-    return behaviour
-
-
-def table3_spec(
-    seed: int = 2008,
-    max_scenarios_per_class: int = 3,
-    fault_classes: Sequence[str] | None = None,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-) -> ExperimentSpec:
+def table3_spec(seed: int = 2008, max_scenarios_per_class: int = 3) -> ExperimentSpec:
     """The Table 3 experiment as a declarative spec (the DNS semantic sweep)."""
     return ExperimentSpec(
         systems=(SystemSpec("bind", label="BIND"), SystemSpec("djbdns")),
@@ -83,92 +41,30 @@ def table3_spec(
             PluginSpec(
                 TABLE3_CAMPAIGN,
                 params={
-                    "classes": list(fault_classes if fault_classes is not None else FAULT_LABELS),
+                    "classes": list(FAULT_LABELS),
                     "max_scenarios_per_class": max_scenarios_per_class,
                 },
             ),
         ),
-        execution=ExecutionSpec(seed=seed, jobs=jobs, executor=executor, block_size=block_size),
+        execution=ExecutionSpec(seed=seed),
     )
 
 
-def run_table3(
-    seed: int = 2008,
-    max_scenarios_per_class: int = 3,
-    systems: dict[str, SystemUnderTest | Callable[[], SystemUnderTest]] | None = None,
-    fault_classes: dict[str, str] | None = None,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    store: ResultStore | None = None,
-) -> Table3Result:
-    """Run the Table 3 experiment for BIND and djbdns.
-
-    The run is wired from :func:`table3_spec`.  With a ``store`` the
-    per-system records are persisted under the :data:`TABLE3_CAMPAIGN` key
-    (the manifest embeds the serialized spec); :func:`table3_from_store`
-    re-renders the behaviour matrix from those records.
-    """
-    labels = fault_classes if fault_classes is not None else FAULT_LABELS
-    spec = table3_spec(
-        seed=seed,
-        max_scenarios_per_class=max_scenarios_per_class,
-        fault_classes=list(labels),
-        jobs=jobs,
-        executor=executor,
-        block_size=block_size,
-    )
-    suts = systems if systems is not None else spec.build_systems()
-    if store is not None:
-        write_bench_manifest(
-            store,
-            kind="table3",
-            seed=seed,
-            suts=suts,
-            plugins=[{"name": TABLE3_CAMPAIGN, "params": {"classes": list(labels)}}],
-            params={"max_scenarios_per_class": max_scenarios_per_class},
-            spec=spec if systems is None else None,
-        )
-    profiles: dict[str, ResilienceProfile] = {}
-    for name, sut in suts.items():
-        sut, sut_factory = split_sut(sut)
-        (plugin,) = spec.build_plugins()
-        observer = None
-        if store is not None:
-            observer = lambda record, key=name: store.append(key, TABLE3_CAMPAIGN, record)
-        engine = InjectionEngine(
-            sut,
-            plugin,
-            seed=seed,
-            observer=observer,
-            sut_factory=sut_factory,
-            jobs=jobs,
-            executor=executor,
-            block_size=block_size,
-        )
-        profiles[name] = engine.run()
-    behaviour = _behaviour_matrix(profiles, labels)
-    return Table3Result(
-        behaviour=behaviour,
-        profiles=profiles,
-        table_text=semantic_behaviour_table(behaviour),
-    )
+def behaviour_matrix(
+    profiles: Mapping[str, Mapping[str, ResilienceProfile]],
+) -> dict[str, dict[str, str]]:
+    """Fault row label -> system -> "found"/"not found"/"N/A"."""
+    if not any(TABLE3_CAMPAIGN in cells for cells in profiles.values()):
+        raise StoreError(f"Table 3 needs the {TABLE3_CAMPAIGN!r} campaign; none found")
+    behaviour: dict[str, dict[str, str]] = {label: {} for label in FAULT_LABELS.values()}
+    for system, cells in profiles.items():
+        by_category = cells.get(TABLE3_CAMPAIGN, ResilienceProfile(system)).by_category()
+        for fault_class, label in FAULT_LABELS.items():
+            class_profile = by_category.get(f"semantic-{fault_class}", ResilienceProfile(system))
+            behaviour[label][system] = classify_semantic_behaviour(class_profile)
+    return behaviour
 
 
-def table3_from_store(
-    store: ResultStore, fault_classes: dict[str, str] | None = None
-) -> Table3Result:
-    """Rebuild a :class:`Table3Result` from records on disk.
-
-    The stored records carry their fault class in the scenario category, so
-    the matrix is reclassified exactly as a live run classifies it.
-    """
-    store.require_kind("table3", "suite")
-    labels = fault_classes if fault_classes is not None else FAULT_LABELS
-    profiles = store.merged_profiles()
-    behaviour = _behaviour_matrix(profiles, labels)
-    return Table3Result(
-        behaviour=behaviour,
-        profiles=profiles,
-        table_text=semantic_behaviour_table(behaviour),
-    )
+def render(profiles: Mapping[str, Mapping[str, ResilienceProfile]]) -> str:
+    """The Table 3 behaviour matrix."""
+    return semantic_behaviour_table(behaviour_matrix(profiles))

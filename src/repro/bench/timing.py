@@ -5,7 +5,7 @@ seconds on the authors' workstation (2.2 s for MySQL, 6 s for Postgres,
 1.1 s for Apache), dominated by starting and stopping the real servers.
 With the simulated servers an experiment is orders of magnitude faster;
 ``benchmarks/test_injection_speed.py`` measures it with pytest-benchmark and
-EXPERIMENTS.md records the comparison.
+``docs/PERFORMANCE.md`` records the comparison.
 
 :func:`campaign_throughput` measures end-to-end scenarios/second for a whole
 campaign under a chosen executor strategy and worker count; it is the
@@ -15,12 +15,13 @@ instrument behind ``benchmarks/test_campaign_throughput.py`` and
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.campaign import Campaign
-from repro.core.engine import InjectionEngine
+from repro.core.executor import WorkerContext, WorkerSpec
 from repro.plugins.base import ErrorGeneratorPlugin
 from repro.plugins.spelling import SpellingMistakesPlugin
 from repro.sut.base import SystemUnderTest, split_sut
@@ -38,21 +39,19 @@ __all__ = [
 def single_injection_callable(sut: SystemUnderTest, seed: int = 2008):
     """Return a zero-argument callable that performs one injection experiment.
 
-    The scenario generation is done once up-front so the callable measures
-    exactly the inject + start + test + stop cycle (what the paper times).
+    The scenario generation and the worker context (parse, view, baseline)
+    are built once up-front, with the delta fast path off, so the callable
+    measures exactly the inject + start + test + stop cycle (what the paper
+    times).
     """
     sut, _ = split_sut(sut)
-    engine = InjectionEngine(sut, SpellingMistakesPlugin(mutations_per_token=1), seed=seed)
-    config_set, view_set, scenarios = engine.generate_scenarios()
+    plugin = SpellingMistakesPlugin(mutations_per_token=1)
+    context = WorkerContext.from_spec(WorkerSpec(lambda: sut, plugin, incremental=False))
+    scenarios = plugin.generate(context.view_set, random.Random(seed))
     if not scenarios:
         raise RuntimeError(f"no scenarios generated for {sut.name}")
     scenario = scenarios[0]
-    baseline = engine.baseline_files(config_set, view_set)
-
-    def run_once():
-        return engine.run_scenario(scenario, config_set, view_set, baseline_files=baseline)
-
-    return run_once
+    return lambda: context.run(scenario)
 
 
 def time_single_injection(sut: SystemUnderTest, repetitions: int = 10, seed: int = 2008) -> float:

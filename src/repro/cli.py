@@ -54,6 +54,7 @@ into a reusable, version-controllable experiment description.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
@@ -529,10 +530,11 @@ def _execution_from_args(args: argparse.Namespace) -> ExecutionSpec:
         jobs=args.jobs,
         executor=args.executor,
         block_size=args.block_size,
-        incremental=getattr(args, "incremental", True),
-        mutations_per_token=args.mutations_per_token,
-        max_scenarios_per_class=args.max_scenarios_per_class,
-        layout=args.layout,
+        incremental=args.incremental,
+        # the paper artefacts fix these per plugin and have no such flags
+        mutations_per_token=getattr(args, "mutations_per_token", None),
+        max_scenarios_per_class=getattr(args, "max_scenarios_per_class", None),
+        layout=getattr(args, "layout", None),
         timeout_seconds=args.timeout_seconds,
         max_retries=args.max_retries,
         retry_backoff_seconds=args.retry_backoff_seconds,
@@ -663,8 +665,6 @@ def _command_suite(args: argparse.Namespace) -> int:
 
 
 def _command_run_spec(args: argparse.Namespace) -> int:
-    import dataclasses
-
     # no explicit validate(): CampaignSuite.from_spec validates before building
     spec = ExperimentSpec.from_file(args.spec_file)
     if not args.incremental:
@@ -822,133 +822,31 @@ def _command_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _command_artifact(args: argparse.Namespace) -> int:
+    """``table1`` ... ``matrix``: run the artefact's spec (or load a stored
+    run) and print its render -- one renderer for both, so the two outputs
+    of one run are byte-identical."""
+    from repro.bench import ARTIFACTS, store_profiles
 
-def _owned_store(path: str | None):
-    """Context manager for a --store argument: a ResultStore whose cached
-    append handles are closed when the command finishes, or None.
-
-    The store is registered with :data:`_ACTIVE_STORES` while open so an
-    interrupt still flushes it."""
-    from contextlib import contextmanager, nullcontext
-
-    if not path:
-        return nullcontext()
-
-    @contextmanager
-    def tracked():
-        store = ResultStore(path)
-        _ACTIVE_STORES.append(store)
-        with store:
-            yield store
-        # only on success -- an interrupted run keeps the store listed so
-        # the KeyboardInterrupt handler in main() can name it in its hint
-        _ACTIVE_STORES.remove(store)
-
-    return tracked()
-
-
-def _command_table1(args: argparse.Namespace) -> int:
-    from repro.bench import run_table1, table1_from_store
-
+    artifact = ARTIFACTS[args.command]
+    resume = getattr(args, "resume", False)
     if args.from_store:
-        result = table1_from_store(ResultStore(args.from_store))
-    else:
-        with _owned_store(args.store) as store:
-            result = run_table1(
-                seed=args.seed,
-                typos_per_directive=args.typos_per_directive,
-                jobs=args.jobs,
-                executor=args.executor,
-                block_size=args.block_size,
-                store=store,
-            )
-    print(result.table_text)
-    return 0
-
-
-def _command_table2(args: argparse.Namespace) -> int:
-    from repro.bench import run_table2, table2_from_store
-
-    if args.from_store:
-        result = table2_from_store(ResultStore(args.from_store))
-    else:
-        with _owned_store(args.store) as store:
-            result = run_table2(
-                seed=args.seed,
-                variants_per_class=args.variants_per_class,
-                jobs=args.jobs,
-                executor=args.executor,
-                block_size=args.block_size,
-                store=store,
-            )
-    print(result.table_text)
-    return 0
-
-
-def _command_table3(args: argparse.Namespace) -> int:
-    from repro.bench import run_table3, table3_from_store
-
-    if args.from_store:
-        result = table3_from_store(ResultStore(args.from_store))
-    else:
-        with _owned_store(args.store) as store:
-            result = run_table3(
-                seed=args.seed,
-                jobs=args.jobs,
-                executor=args.executor,
-                block_size=args.block_size,
-                store=store,
-            )
-    print(result.table_text)
-    return 0
-
-
-def _command_matrix(args: argparse.Namespace) -> int:
-    from repro.bench.matrix import matrix_from_store, run_matrix
-
-    if args.from_store:
-        if args.resume:
+        if resume:
             raise SpecError(
                 "--resume needs --store (continue an interrupted run); "
                 "--from-store only re-renders the records already on disk"
             )
-        result = matrix_from_store(ResultStore(args.from_store))
+        profiles = store_profiles(ResultStore(args.from_store))
     else:
-        with _owned_store(args.store) as store:
-            result = run_matrix(
-                systems=args.systems,
-                plugins=args.plugins,
-                seed=args.seed,
-                jobs=args.jobs,
-                executor=args.executor,
-                block_size=args.block_size,
-                mutations_per_token=args.mutations_per_token,
-                max_scenarios_per_class=args.max_scenarios_per_class,
-                store=store,
-                resume=args.resume,
-            )
-    print(result.table_text)
-    return 0
-
-
-def _command_figure3(args: argparse.Namespace) -> int:
-    from repro.bench import figure3_from_store, run_figure3
-
-    if args.from_store:
-        result = figure3_from_store(ResultStore(args.from_store))
-    else:
-        with _owned_store(args.store) as store:
-            result = run_figure3(
-                seed=args.seed,
-                experiments_per_directive=args.experiments_per_directive,
-                jobs=args.jobs,
-                executor=args.executor,
-                block_size=args.block_size,
-                store=store,
-            )
-    print(result.chart_text)
-    print()
-    print(json.dumps(result.distributions, indent=2))
+        spec = artifact.spec(**{name: getattr(args, name) for name in artifact.options})
+        spec = dataclasses.replace(
+            spec,
+            execution=_execution_from_args(args),
+            store=StoreSpec(root=args.store, resume=resume) if args.store else None,
+        )
+        result, _store = _run_spec(spec, resume=resume)
+        profiles = result.profiles_by_display()
+    print(artifact.render(profiles))
     return 0
 
 
@@ -985,11 +883,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "list": _command_list,
         "report": _command_report,
         "store": _command_store,
-        "table1": _command_table1,
-        "table2": _command_table2,
-        "table3": _command_table3,
-        "figure3": _command_figure3,
-        "matrix": _command_matrix,
+        "table1": _command_artifact,
+        "table2": _command_artifact,
+        "table3": _command_artifact,
+        "figure3": _command_artifact,
+        "matrix": _command_artifact,
         "serve": _command_serve,
     }
     del _ACTIVE_STORES[:]

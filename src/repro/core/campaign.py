@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 from repro.core.engine import InjectionEngine
 from repro.core.faults import FaultPolicy
 from repro.core.profile import InjectionRecord, ResilienceProfile
-from repro.core.spec import ExperimentSpec, derive_seed
 from repro.errors import CampaignError
 from repro.plugins.base import ErrorGeneratorPlugin
 from repro.sut.base import SystemUnderTest, split_sut
@@ -122,42 +121,6 @@ class Campaign:
     plugin_observer: Callable[[str, InjectionRecord], None] | None = field(
         default=None, repr=False
     )
-
-    @classmethod
-    def from_spec(cls, spec: ExperimentSpec, system: str | None = None) -> "Campaign":
-        """Build the campaign of one system of a declarative experiment spec.
-
-        ``system`` is the spec-level key (label or registry name); it may be
-        omitted for a single-system spec.  The campaign runs under the same
-        derived per-(system, plugin) seeds a :class:`~repro.core.suite.CampaignSuite`
-        built from the spec would use, so a lone campaign and the matching
-        suite cell inject identical scenario streams.
-        """
-        spec.validate()
-        systems = spec.build_systems()
-        if system is None:
-            if len(systems) != 1:
-                raise CampaignError(
-                    f"spec describes {len(systems)} systems; pass system=<key> "
-                    f"(one of: {', '.join(systems)})"
-                )
-            system = next(iter(systems))
-        if system not in systems:
-            raise CampaignError(
-                f"system {system!r} is not part of the spec; available: {', '.join(systems)}"
-            )
-        seed = spec.execution.seed
-        return cls(
-            systems[system],
-            spec.build_plugins(),
-            seed=seed,
-            jobs=spec.execution.jobs,
-            executor=spec.execution.executor,
-            block_size=spec.execution.block_size,
-            policy=FaultPolicy.from_execution(spec.execution),
-            incremental=spec.execution.incremental,
-            seed_for=lambda plugin, _index, key=system: derive_seed(seed, key, plugin.name),
-        )
 
     def run(self) -> CampaignResult:
         """Run every plugin and collect the profiles.

@@ -282,15 +282,6 @@ class ResultStore:
         """Whether this store has been initialised (has a manifest)."""
         return self.manifest_path.is_file()
 
-    def ensure_fresh(self) -> "ResultStore":
-        """Refuse to write a new run over an existing store; returns self."""
-        if self.exists():
-            raise StoreError(
-                f"result store {self.root} already exists; choose a fresh "
-                "directory (resume it, or re-render it with its from-store reader)"
-            )
-        return self
-
     def write_manifest(self, manifest: Mapping[str, Any]) -> None:
         """Initialise the store directory and persist the run manifest."""
         self._acquire_writer_lock()
@@ -324,22 +315,6 @@ class ResultStore:
         self._manifest_cache = manifest
         return manifest
 
-    def require_kind(self, *kinds: str) -> dict[str, Any]:
-        """Check the store was produced by one of the given run kinds.
-
-        Guards the ``--from-store`` readers: rendering Table 1 from, say, a
-        table3 store would produce a plausible-looking but wrong artefact.
-        Returns the manifest on success.
-        """
-        manifest = self.read_manifest()
-        kind = manifest.get("kind")
-        if kind not in kinds:
-            raise StoreError(
-                f"result store {self.root} holds a {kind!r} run; "
-                f"this reader needs one of: {', '.join(kinds)}"
-            )
-        return manifest
-
     def check_compatible(self, manifest: Mapping[str, Any]) -> None:
         """Verify a resume continues the experiment described by ``manifest``.
 
@@ -353,9 +328,9 @@ class ResultStore:
         resume is refused with a pointed message.
         """
         stored = self.read_manifest()
-        # the run kind guards the spec path too: a table1 store and a suite
-        # spec may serialize identically but derive per-campaign seeds
-        # differently, so resuming across kinds would double-populate records
+        # the run kind guards the spec path too: stores of another kind may
+        # embed an identical spec yet derive per-campaign seeds differently,
+        # so resuming across kinds would double-populate records
         if stored.get("kind") != manifest.get("kind"):
             raise StoreError(
                 f"store {self.root} was produced by a different run: "

@@ -77,9 +77,10 @@ class SuiteResult:
     def profiles_by_display(self) -> dict[str, dict[str, ResilienceProfile]]:
         """Per-(system, plugin) cell profiles keyed by system display name.
 
-        The shape the matrix renderer (and :class:`MatrixResult`) consumes;
-        keeping the display-name remapping in one place is what guarantees
-        the live rendering stays byte-identical to the store-backed one.
+        The shape every artefact renderer in :mod:`repro.bench` consumes
+        (:func:`repro.bench.store_profiles` builds it from a store); keeping
+        the display-name remapping in one place is what guarantees the live
+        rendering stays byte-identical to the store-backed one.
         """
         return {
             self.system_names.get(key, key): dict(per_plugin)

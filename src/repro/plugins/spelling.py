@@ -20,6 +20,7 @@ handful of random typos per directive).
 
 from __future__ import annotations
 
+import hashlib
 import random
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -184,6 +185,30 @@ _MODEL_BUILDERS: dict[str, Callable[[Typist], TypoModel]] = {
 }
 
 
+# -------------------------------------------------------------------- selection
+def _directive_of(token: ConfigNode) -> tuple[str, tuple[int, ...]]:
+    """The (source tree, source path) of the directive a token belongs to."""
+    return token.get("source_tree"), tuple(token.get("source_path", ()))
+
+
+def _select_directives(
+    tokens: Sequence[ConfigNode], per_section: int
+) -> set[tuple[str, tuple[int, ...]]]:
+    """Up to ``per_section`` directives per section, lowest location hash first."""
+    by_section: dict[tuple[str, tuple[int, ...]], set[tuple[str, tuple[int, ...]]]] = {}
+    for token in tokens:
+        tree, path = _directive_of(token)
+        by_section.setdefault((tree, path[:-1]), set()).add((tree, path))
+
+    def rank(directive: tuple[str, tuple[int, ...]]) -> str:
+        return hashlib.sha256(repr(directive).encode("utf-8")).hexdigest()
+
+    selected: set[tuple[str, tuple[int, ...]]] = set()
+    for directives in by_section.values():
+        selected.update(sorted(directives, key=rank)[:per_section])
+    return selected
+
+
 # --------------------------------------------------------------------- template
 class TypoTemplate(ModifyTemplate):
     """Adapter exposing a :class:`TypoModel` as an abstract-modify template."""
@@ -215,21 +240,30 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
     mutations_per_token:
         When set, at most this many randomly chosen typos are produced per
         target token; when None, every possible typo becomes a scenario.
-    token_filter:
-        Optional predicate on token nodes for finer targeting (e.g. only
-        directives of a given section).
+    directives_per_section:
+        When set, only this many directives per section (or file root) are
+        targeted -- the paper's Table 1 selection.  The pick is the
+        directives with the lowest sha256 of their source location, so it
+        needs no RNG: campaigns over different token types of one
+        configuration select the same directives.
     """
 
     name = "spelling"
-    param_names = ("token_types", "models", "mutations_per_token", "layout")
+    param_names = (
+        "token_types",
+        "models",
+        "mutations_per_token",
+        "layout",
+        "directives_per_section",
+    )
 
     def __init__(
         self,
         token_types: Sequence[str] = (TOKEN_DIRECTIVE_NAME, TOKEN_DIRECTIVE_VALUE),
         models: Sequence[TypoModel] | None = None,
         mutations_per_token: int | None = None,
-        token_filter=None,
         layout_name: str | None = None,
+        directives_per_section: int | None = None,
     ):
         if layout_name is not None:
             from repro.keyboard.layouts import get_layout
@@ -243,7 +277,7 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
         if not self.models:
             raise PluginError("SpellingMistakesPlugin requires at least one typo model")
         self.mutations_per_token = mutations_per_token
-        self.token_filter = token_filter
+        self.directives_per_section = directives_per_section
         self._view = TokenView()
 
     @property
@@ -256,6 +290,7 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
             "models": [model.name for model in self.models],
             "mutations_per_token": self.mutations_per_token,
             "layout": self.layout_name,
+            "directives_per_section": self.directives_per_section,
         }
 
     @classmethod
@@ -299,6 +334,9 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
                 "mutations_per_token", params.get("mutations_per_token")
             ),
             layout_name=layout,
+            directives_per_section=positive_int_param(
+                "directives_per_section", params.get("directives_per_section")
+            ),
         )
 
     # ------------------------------------------------------------------ faults
@@ -313,10 +351,11 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
                     continue
                 if not (node.value or "").strip():
                     continue
-                if self.token_filter is not None and not self.token_filter(node):
-                    continue
                 tokens.append(node)
-        return tokens
+        if self.directives_per_section is None:
+            return tokens
+        selected = _select_directives(tokens, self.directives_per_section)
+        return [token for token in tokens if _directive_of(token) in selected]
 
     def mutations_for_token(self, token: ConfigNode) -> list[tuple[TypoModel, str]]:
         """Every (model, faulty spelling) pair applicable to ``token``."""

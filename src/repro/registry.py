@@ -4,7 +4,7 @@ Mirrors the plugin registry of :mod:`repro.plugins.base`: a system is
 registered under a short name together with a zero-argument, picklable
 factory (the SUT class itself, or a module-level function), and everything
 that needs a SUT -- the CLI, :class:`~repro.core.spec.ExperimentSpec`,
-the bench drivers -- looks it up here instead of keeping a private dict.
+the paper-artefact specs -- looks it up here instead of keeping a private dict.
 
 Beyond the five plain systems the paper studies, the registry also names
 the benchmark workload variants (the server-group-only MySQL of Table 1 and

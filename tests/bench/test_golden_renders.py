@@ -1,7 +1,7 @@
 """Golden-file snapshots of every rendered evaluation artefact.
 
-Each test runs a small-but-deterministic configuration of one bench driver
-and asserts three things at once:
+Each artefact's spec runs as a small-but-deterministic suite into a result
+store, and the tests assert three things at once:
 
 * the live render is byte-identical to the checked-in golden under
   ``tests/golden/`` (regenerate intentionally with
@@ -18,120 +18,59 @@ goldens cover the *rendering* contract, the full-size runs stay in
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.bench import (
-    figure3_from_store,
-    matrix_from_store,
-    run_figure3,
-    run_matrix,
-    run_table1,
-    run_table2,
-    run_table3,
-    table1_from_store,
-    table2_from_store,
-    table3_from_store,
-)
+from repro.bench import ARTIFACTS, store_profiles
 from repro.core.report import store_typo_table
 from repro.core.store import ResultStore
+from repro.core.suite import CampaignSuite
 
 SEED = 2008
 
-
-class TestTableGoldens:
-    @pytest.fixture(scope="class")
-    def table1_run(self, tmp_path_factory):
-        store = ResultStore(tmp_path_factory.mktemp("t1"))
-        result = run_table1(
-            seed=SEED, directives_per_section=3, typos_per_directive=2, store=store
-        )
-        return result, store
-
-    def test_table1_matches_golden(self, table1_run, golden):
-        result, _store = table1_run
-        golden("table1.txt", result.table_text + "\n")
-
-    def test_table1_store_render_is_byte_identical(self, table1_run):
-        result, store = table1_run
-        assert table1_from_store(store).table_text == result.table_text
-
-    @pytest.fixture(scope="class")
-    def table2_run(self, tmp_path_factory):
-        store = ResultStore(tmp_path_factory.mktemp("t2"))
-        result = run_table2(seed=SEED, variants_per_class=2, store=store)
-        return result, store
-
-    def test_table2_matches_golden(self, table2_run, golden):
-        result, _store = table2_run
-        golden("table2.txt", result.table_text + "\n")
-
-    def test_table2_store_render_is_byte_identical(self, table2_run):
-        result, store = table2_run
-        assert table2_from_store(store).table_text == result.table_text
-
-    @pytest.fixture(scope="class")
-    def table3_run(self, tmp_path_factory):
-        store = ResultStore(tmp_path_factory.mktemp("t3"))
-        result = run_table3(seed=SEED, store=store)
-        return result, store
-
-    def test_table3_matches_golden(self, table3_run, golden):
-        result, _store = table3_run
-        golden("table3.txt", result.table_text + "\n")
-
-    def test_table3_store_render_is_byte_identical(self, table3_run):
-        result, store = table3_run
-        assert table3_from_store(store).table_text == result.table_text
+#: Artefact -> spec-builder arguments of the reduced golden run.
+GOLDEN_RUNS = {
+    "table1": dict(seed=SEED, directives_per_section=3, typos_per_directive=2),
+    "table2": dict(seed=SEED, variants_per_class=2),
+    "table3": dict(seed=SEED),
+    "figure3": dict(seed=SEED, experiments_per_directive=2),
+    "matrix": dict(
+        systems=["nginx", "sshd", "mysql"],
+        plugins=["omission", "spelling"],
+        seed=SEED,
+        max_scenarios_per_class=4,
+    ),
+}
 
 
-class TestFigure3Golden:
-    @pytest.fixture(scope="class")
-    def figure3_run(self, tmp_path_factory):
-        store = ResultStore(tmp_path_factory.mktemp("f3"))
-        result = run_figure3(seed=SEED, experiments_per_directive=2, store=store)
-        return result, store
-
-    def test_figure3_chart_matches_golden(self, figure3_run, golden):
-        result, _store = figure3_run
-        golden(
-            "figure3.txt",
-            result.chart_text + "\n\n" + json.dumps(result.distributions, indent=2) + "\n",
-        )
-
-    def test_figure3_store_render_is_byte_identical(self, figure3_run):
-        result, store = figure3_run
-        reloaded = figure3_from_store(store)
-        assert reloaded.chart_text == result.chart_text
-        assert reloaded.distributions == result.distributions
+@pytest.fixture(scope="module", params=list(GOLDEN_RUNS))
+def artifact_run(request, tmp_path_factory):
+    """One stored suite run of an artefact's spec: (name, live render, store)."""
+    name = request.param
+    artifact = ARTIFACTS[name]
+    root = tmp_path_factory.mktemp(name)
+    spec = artifact.spec(**GOLDEN_RUNS[name])
+    with ResultStore(root) as store:
+        result = CampaignSuite.from_spec(spec).run(store=store)
+    return name, artifact.render(result.profiles_by_display()), ResultStore(root)
 
 
-class TestMatrixAndReportGoldens:
-    @pytest.fixture(scope="class")
-    def matrix_run(self, tmp_path_factory):
-        store = ResultStore(tmp_path_factory.mktemp("mx"))
-        result = run_matrix(
-            systems=["nginx", "sshd", "mysql"],
-            plugins=["omission", "spelling"],
-            seed=SEED,
-            max_scenarios_per_class=4,
-            store=store,
-        )
-        return result, store
+def test_live_render_matches_golden(artifact_run, golden):
+    name, live, _store = artifact_run
+    golden(f"{name}.txt", live + "\n")
 
-    def test_matrix_matches_golden(self, matrix_run, golden):
-        result, _store = matrix_run
-        golden("matrix.txt", result.table_text + "\n")
 
-    def test_matrix_store_render_is_byte_identical(self, matrix_run):
-        result, store = matrix_run
-        assert matrix_from_store(store).table_text == result.table_text
+def test_store_render_is_byte_identical(artifact_run):
+    name, live, store = artifact_run
+    assert ARTIFACTS[name].render(store_profiles(store)) == live
+    assert store.read_manifest()["kind"] == "suite"
 
-    def test_report_views_match_golden(self, matrix_run, golden):
-        # the deterministic body of `conferr report <store-dir>`: the merged
-        # per-system summaries followed by the typo-resilience layout
-        _result, store = matrix_run
-        sections = [profile.summary() for profile in store.merged_profiles().values()]
-        sections.append(store_typo_table(store))
-        golden("report.txt", "\n\n".join(sections) + "\n")
+
+def test_report_views_match_golden(tmp_path, golden):
+    # the deterministic body of `conferr report <store-dir>`: the merged
+    # per-system summaries followed by the typo-resilience layout
+    spec = ARTIFACTS["matrix"].spec(**GOLDEN_RUNS["matrix"])
+    with ResultStore(tmp_path / "mx") as store:
+        CampaignSuite.from_spec(spec).run(store=store)
+    sections = [profile.summary() for profile in store.merged_profiles().values()]
+    sections.append(store_typo_table(store))
+    golden("report.txt", "\n\n".join(sections) + "\n")

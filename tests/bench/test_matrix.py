@@ -1,11 +1,15 @@
-"""Tests for the M-systems x N-plugins resilience matrix driver."""
+"""Tests for the M-systems x N-plugins resilience matrix."""
+
+import dataclasses
 
 import pytest
 
-from repro.bench.matrix import MATRIX_PLUGINS, MATRIX_SYSTEMS, matrix_from_store, matrix_spec, run_matrix
+from repro.bench import store_profiles
+from repro.bench.matrix import MATRIX_PLUGINS, MATRIX_SYSTEMS, matrix_spec, render
 from repro.core.report import resilience_matrix_table
 from repro.core.profile import ResilienceProfile, InjectionOutcome, InjectionRecord
 from repro.core.store import ResultStore
+from repro.core.suite import CampaignSuite
 from repro.errors import StoreError
 
 SMALL = dict(
@@ -57,53 +61,61 @@ class TestDefaults:
         matrix_spec(**{k: v for k, v in SMALL.items() if k != "max_scenarios_per_class"}).validate()
 
 
+def run_matrix(store=None, execution=None, **options):
+    spec = matrix_spec(**options)
+    if execution is not None:
+        spec = dataclasses.replace(spec, execution=execution)
+    return CampaignSuite.from_spec(spec).run(store=store).profiles_by_display()
+
+
 class TestLiveVsStore:
     @pytest.fixture(scope="class")
     def stored_run(self, tmp_path_factory):
         store = ResultStore(tmp_path_factory.mktemp("matrix-store"))
-        result = run_matrix(store=store, **SMALL)
-        return result, store
+        profiles = run_matrix(store=store, **SMALL)
+        return profiles, store
 
     def test_live_and_store_renders_are_byte_identical(self, stored_run):
-        result, store = stored_run
-        assert matrix_from_store(store).table_text == result.table_text
+        profiles, store = stored_run
+        assert render(store_profiles(store)) == render(profiles)
 
     def test_matrix_lists_every_requested_cell(self, stored_run):
-        result, _store = stored_run
-        assert set(result.profiles) == {"nginx", "sshd"}
-        for per_plugin in result.profiles.values():
+        profiles, _store = stored_run
+        assert set(profiles) == {"nginx", "sshd"}
+        for per_plugin in profiles.values():
             assert set(per_plugin) == {"omission", "spelling"}
 
     def test_from_store_profiles_match_live_counts(self, stored_run):
-        result, store = stored_run
-        reloaded = matrix_from_store(store)
-        for system, per_plugin in result.profiles.items():
+        profiles, store = stored_run
+        reloaded = store_profiles(store)
+        for system, per_plugin in profiles.items():
             for plugin, profile in per_plugin.items():
-                assert reloaded.cell(system, plugin).injected_count() == profile.injected_count()
-                assert reloaded.cell(system, plugin).detected_count() == profile.detected_count()
+                assert reloaded[system][plugin].injected_count() == profile.injected_count()
+                assert reloaded[system][plugin].detected_count() == profile.detected_count()
 
     def test_empty_cells_are_present_in_store_backed_results(self, tmp_path):
         # regression: campaigns with zero records used to be missing from
-        # store-backed profiles, so .cell() raised KeyError on "n/a" cells
+        # store-backed profiles, so looking the cell up raised KeyError
         store = ResultStore(tmp_path / "na-cells")
         live = run_matrix(
             systems=["bind"], plugins=["omission", "semantic-constraints"],
             seed=2008, store=store,
         )
-        reloaded = matrix_from_store(store)
-        empty = reloaded.cell("BIND", "semantic-constraints")
-        assert len(empty) == 0
-        assert len(live.cell("BIND", "semantic-constraints")) == 0
+        reloaded = store_profiles(store)
+        assert len(reloaded["BIND"]["semantic-constraints"]) == 0
+        assert len(live["BIND"]["semantic-constraints"]) == 0
+        assert list(reloaded["BIND"]) == ["omission", "semantic-constraints"]
 
-    def test_from_store_requires_a_suite_store(self, tmp_path):
-        store = ResultStore(tmp_path / "bogus")
-        store.write_manifest({"kind": "table1", "seed": 1})
-        with pytest.raises(StoreError):
-            matrix_from_store(store)
+    def test_from_store_requires_a_result_store(self, tmp_path):
+        with pytest.raises(StoreError, match="no result store"):
+            store_profiles(ResultStore(tmp_path / "bogus"))
 
 
 class TestExecutorInvariance:
     def test_matrix_is_executor_invariant(self):
         serial = run_matrix(**SMALL)
-        threaded = run_matrix(jobs=4, executor="thread", **SMALL)
-        assert threaded.table_text == serial.table_text
+        execution = dataclasses.replace(
+            matrix_spec(**SMALL).execution, jobs=4, executor="thread"
+        )
+        threaded = run_matrix(execution=execution, **SMALL)
+        assert render(threaded) == render(serial)

@@ -284,19 +284,14 @@ class TestBuilding:
             plugins=(PluginSpec("semantic-constraints", params={"system": "postgres"}),),
             execution=ExecutionSpec(seed=3),
         )
-        result = CampaignSuite.from_spec(spec).run()
+        suite = CampaignSuite.from_spec(spec)
+        result = suite.run()
         assert set(result.profiles) == {"postgres"}
         assert result.total_executed() > 0
-
-    def test_campaign_from_spec_matches_suite_cell(self):
-        from repro.core.campaign import Campaign
-
-        spec = spec_for("postgres", "spelling", seed=3, mutations_per_token=1)
-        campaign_profile = Campaign.from_spec(spec).run().overall
-        suite_profile = CampaignSuite.from_spec(spec).run().overall("postgres")
-        assert [r.scenario_id for r in campaign_profile.records] == [
-            r.scenario_id for r in suite_profile.records
-        ]
+        # the suite's per-cell seed is the spec's
+        assert suite.campaign_seed("postgres", "semantic-constraints") == spec.seed_for(
+            "postgres", "semantic-constraints"
+        )
         assert derive_seed(3, "postgres", "spelling") == spec.seed_for("postgres", "spelling")
 
 

@@ -168,14 +168,30 @@ class TestSpellingPlugin:
             per_token[key] = per_token.get(key, 0) + 1
         assert all(count == 1 for count in per_token.values())
 
-    def test_token_filter_restricts_targets(self, config_set):
-        plugin = SpellingMistakesPlugin(
-            mutations_per_token=1,
-            token_filter=lambda token: token.get("owner_name") == "port",
-        )
+    def test_directives_per_section_selects_the_same_directives_per_token_type(self):
+        text = "[a]\np = 1\nq = 2\nr = 3\n[b]\ns = 4\nt = 5\n"
+        config_set = ConfigSet([get_dialect("ini").parse(text, "my.cnf")])
+        targets = {}
+        for token_type in (TOKEN_DIRECTIVE_NAME, TOKEN_DIRECTIVE_VALUE):
+            plugin = SpellingMistakesPlugin.from_params(
+                {"token_types": [token_type], "directives_per_section": 2}
+            )
+            tokens = plugin.target_tokens(plugin.view.transform(config_set))
+            targets[token_type] = [token.get("owner_name") for token in tokens]
+        assert targets[TOKEN_DIRECTIVE_NAME] == targets[TOKEN_DIRECTIVE_VALUE]
+        chosen = targets[TOKEN_DIRECTIVE_NAME]
+        assert len(set(chosen) & {"p", "q", "r"}) == 2
+        assert {"s", "t"} <= set(chosen)
+
+    def test_directives_per_section_round_trips_and_defaults_to_all(self, config_set):
+        plugin = SpellingMistakesPlugin.from_params({"directives_per_section": 1})
+        assert plugin.manifest_params()["directives_per_section"] == 1
+        rebuilt = SpellingMistakesPlugin.from_params(plugin.manifest_params())
+        assert rebuilt.manifest_params() == plugin.manifest_params()
         view_set = plugin.view.transform(config_set)
-        scenarios = plugin.generate(view_set, random.Random(0))
-        assert scenarios and all(s.metadata["directive"] == "port" for s in scenarios)
+        assert {t.get("owner_name") for t in plugin.target_tokens(view_set)} < {"port", "key_buffer_size"}
+        every = SpellingMistakesPlugin().target_tokens(view_set)
+        assert {t.get("owner_name") for t in every} == {"port", "key_buffer_size"}
 
     def test_generation_is_deterministic_per_seed(self, config_set):
         plugin = SpellingMistakesPlugin(mutations_per_token=2)

@@ -215,10 +215,28 @@ class TestArtifacts:
 
     def test_unservable_artifact_kind_is_a_409(self, client):
         job = client.wait(client.submit(SMOKE_SPEC)["id"], timeout=120.0)
-        # table2 needs a structural-variations store; this one cannot serve it
+        # table2 needs a variation-class campaign; this store cannot serve it
         with pytest.raises(ServiceClientError) as excinfo:
             client.artifact(job["id"], "table2")
         assert excinfo.value.status == 409
+        assert "variation class" in excinfo.value.payload["error"]
+
+    def test_served_table2_of_the_table2_spec_matches_cli_from_store(self, client, server):
+        # service stores are suite stores; Table 2 renders from their records
+        from repro.bench.table2 import table2_spec
+
+        spec = table2_spec(variants_per_class=1).to_dict()
+        job = client.wait(client.submit(spec)["id"], timeout=120.0)
+        served = client.artifact(job["id"], "table2")
+        store_dir = server.service.registry.get("alice", job["id"]).store_dir
+        cli = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "table2", "--from-store", str(store_dir)],
+            capture_output=True, text=True, cwd=REPO,
+            env={"PYTHONPATH": str(REPO / "src")},
+        )
+        assert cli.returncode == 0
+        assert served == cli.stdout
+        assert "% of assumptions satisfied" in served
 
 
 class TestCancelOverHttp:

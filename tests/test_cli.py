@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.store import ResultStore
 
 
 class TestParser:
@@ -172,7 +173,7 @@ class TestCommands:
         assert main(["figure3", "--experiments-per-directive", "4"]) == 0
         output = capsys.readouterr().out
         assert "excellent" in output
-        assert "Postgresql" in output
+        assert "Postgres" in output
 
     def test_run_with_output_then_report(self, capsys, tmp_path):
         saved = tmp_path / "profile.json"
@@ -450,14 +451,49 @@ class TestStoreBackedTables:
         assert main(["table3", "--store", store]) == 1
         assert "already exists" in capsys.readouterr().err
 
-    def test_from_store_rejects_a_store_of_the_wrong_kind(self, capsys, tmp_path):
-        # rendering Table 1 from a table3 store would produce plausible-
-        # looking but wrong numbers; the manifest kind prevents it
+    def test_from_store_rejects_a_store_without_the_artifacts_campaigns(self, capsys, tmp_path):
+        # rendering Table 2 from a table3 store would produce a plausible-
+        # looking but empty support matrix; the content check refuses it
         store = str(tmp_path / "t3")
         assert main(["table3", "--store", store]) == 0
         capsys.readouterr()
-        assert main(["table1", "--from-store", store]) == 1
-        assert "table3" in capsys.readouterr().err
+        assert main(["table2", "--from-store", store]) == 1
+        assert "variation class" in capsys.readouterr().err
+        assert main(["figure3", "--from-store", store]) == 1
+        assert "directive-value typo records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--typos-per-directive", "1"],
+            ["table2", "--variants-per-class", "1"],
+            ["table3"],
+            ["figure3", "--experiments-per-directive", "1"],
+            ["matrix", "--systems", "nginx", "--plugins", "omission", "--max-scenarios-per-class", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_artifacts_pass_execution_flags_on(self, argv, capsys, tmp_path):
+        # regression: the artefact commands accepted these flags but never
+        # handed them to the run
+        store = tmp_path / "store"
+        argv = argv + ["--timeout-seconds", "5", "--no-incremental", "--store", str(store)]
+        assert main(argv) == 0
+        execution = ResultStore(store).read_manifest()["spec"]["execution"]
+        assert execution["timeout_seconds"] == 5
+        assert execution["incremental"] is False
+        assert ResultStore(store).read_manifest()["kind"] == "suite"
+
+    def test_table1_process_executor_matches_serial(self, capsys, tmp_path):
+        # the directive selection is a plugin parameter, not a closure, so
+        # Table 1 runs on worker processes with identical records
+        argv = ["table1", "--typos-per-directive", "1"]
+        process, serial = tmp_path / "process", tmp_path / "serial"
+        assert main(argv + ["--executor", "process", "-j", "2", "--store", str(process)]) == 0
+        live = capsys.readouterr().out
+        assert main(argv + ["--store", str(serial)]) == 0
+        assert capsys.readouterr().out == live
+        assert main(["store", "diff", str(process), str(serial)]) == 0
 
     def test_table1_from_store_accepts_a_suite_store(self, capsys, tmp_path):
         store = str(tmp_path / "suite")
