@@ -3,14 +3,14 @@
 The paper reports that each injection experiment took on the order of
 seconds on the authors' workstation (2.2 s for MySQL, 6 s for Postgres,
 1.1 s for Apache), dominated by starting and stopping the real servers.
-With the simulated servers an experiment is orders of magnitude faster;
-``benchmarks/test_injection_speed.py`` measures it with pytest-benchmark and
-``docs/PERFORMANCE.md`` records the comparison.
+With the simulated servers an experiment is orders of magnitude faster.
 
-:func:`campaign_throughput` measures end-to-end scenarios/second for a whole
-campaign under a chosen executor strategy and worker count; it is the
-instrument behind ``benchmarks/test_campaign_throughput.py`` and
-``docs/PERFORMANCE.md``.
+This module holds the two instruments behind ``docs/PERFORMANCE.md``:
+:func:`time_single_injection` (and :func:`single_injection_callable`, which
+``benchmarks/test_injection_speed.py`` times with pytest-benchmark) measure
+one experiment, and :func:`campaign_throughput` measures end-to-end
+scenarios/second for a whole campaign under a chosen executor strategy and
+worker count (``benchmarks/test_campaign_throughput.py``).
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "single_injection_callable",
     "ThroughputResult",
     "campaign_throughput",
-    "simulate_static_makespan",
-    "simulate_work_stealing_makespan",
 ]
 
 
@@ -78,47 +76,6 @@ class ThroughputResult:
     def scenarios_per_second(self) -> float:
         """Scenarios completed per wall-clock second."""
         return self.scenarios / self.seconds if self.seconds > 0 else float("inf")
-
-
-def simulate_static_makespan(costs: Sequence[float], jobs: int) -> float:
-    """Makespan of the pre-streaming static partitioning, deterministically.
-
-    The old executors gave each worker one contiguous chunk
-    (:func:`~repro.core.executor.partition_scenarios`), so the campaign's
-    wall clock was gated on the chunk with the largest *total* cost -- a
-    cluster of expensive scenarios landed on one worker while the others
-    idled.  ``costs`` is the per-scenario cost model (e.g. seconds per
-    experiment); the result is the busiest chunk's sum.
-    """
-    from repro.core.executor import partition_scenarios
-
-    chunks = partition_scenarios(list(costs), jobs)
-    return max((sum(cost for _, cost in chunk) for chunk in chunks), default=0.0)
-
-
-def simulate_work_stealing_makespan(
-    costs: Sequence[float], jobs: int, block_size: int | None = None
-) -> float:
-    """Makespan of the streaming executors' block queue, deterministically.
-
-    Replays the exact schedule the work-stealing pipeline produces -- blocks
-    cut by :func:`~repro.core.executor.make_blocks` at the executor's own
-    :func:`~repro.core.executor.resolve_block_size`, each pulled by the
-    earliest-free worker -- as a list-scheduling simulation over the cost
-    model, free of machine-load noise.
-    """
-    from repro.core.executor import make_blocks, resolve_block_size
-
-    cost_list = list(costs)
-    if not cost_list:
-        return 0.0
-    workers = max(1, min(jobs, len(cost_list)))
-    block = resolve_block_size(len(cost_list), workers, block_size)
-    busy = [0.0] * workers
-    for blk in make_blocks(list(enumerate(cost_list)), block):
-        worker = min(range(workers), key=busy.__getitem__)
-        busy[worker] += sum(cost for _, cost in blk)
-    return max(busy)
 
 
 def campaign_throughput(

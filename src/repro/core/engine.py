@@ -467,18 +467,6 @@ class InjectionEngine:
                 files[tree.name] = serialize_tree(tree)
             return files
 
-    def materialize_cloning(
-        self, scenario: FaultScenario, config_set: ConfigSet, view_set: ConfigSet
-    ) -> dict[str, str]:
-        """Reference materialisation: full clone per scenario (the pre-CoW path).
-
-        Kept for benchmarking the apply/undo fast path against and as an
-        always-correct oracle in tests.
-        """
-        mutated_view = scenario.apply(view_set)
-        system_set = self.plugin.view.untransform(mutated_view, config_set)
-        return {tree.name: serialize_tree(tree) for tree in system_set}
-
     def run_scenario(
         self,
         scenario: FaultScenario,

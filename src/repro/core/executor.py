@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import pickle
 import queue
+import signal
 import threading
 import time
 import traceback
@@ -80,7 +81,6 @@ __all__ = [
     "ProcessPoolCampaignExecutor",
     "available_executors",
     "resolve_executor",
-    "partition_scenarios",
     "resolve_block_size",
     "make_blocks",
     "DEFAULT_MAX_BLOCK",
@@ -170,29 +170,6 @@ class WorkerContext:
         )
 
 
-def partition_scenarios(
-    scenarios: Sequence[FaultScenario], jobs: int
-) -> list[list[tuple[int, FaultScenario]]]:
-    """Split scenarios into at most ``jobs`` contiguous, index-tagged chunks.
-
-    Chunk sizes are balanced (they differ by at most one) so every requested
-    worker gets work whenever there are at least ``jobs`` scenarios; a naive
-    ceil-sized split can leave workers idle (6 scenarios over 4 jobs would
-    make 3 chunks of 2 instead of 2+2+1+1).
-
-    This is the *static* partitioning the pre-streaming executors used; it is
-    kept as the reference the work-stealing benchmarks compare against (a
-    static chunk gates the campaign on its most expensive member).
-    """
-    indexed = list(enumerate(scenarios))
-    if not indexed:
-        return []
-    jobs = max(1, min(jobs, len(indexed)))
-    total = len(indexed)
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    return [indexed[bounds[i]:bounds[i + 1]] for i in range(jobs)]
-
-
 def resolve_block_size(total: int, jobs: int, block_size: int | None = None) -> int:
     """Scenarios handed to a worker per queue pull.
 
@@ -215,9 +192,8 @@ def make_blocks(indexed: Sequence, block_size: int) -> list[list]:
     """Cut a sequence into contiguous blocks of ``block_size``.
 
     The one block-cutting rule of the work-stealing pipeline: the thread
-    strategy feeds it ``(index, scenario)`` pairs, the process strategy bare
-    indices, and the benchmark schedule simulations ``(index, cost)`` pairs
-    -- so all three always agree on block boundaries.
+    strategy feeds it ``(index, scenario)`` pairs and the process strategy
+    bare indices, so both always agree on block boundaries.
     """
     return [list(indexed[i:i + block_size]) for i in range(0, len(indexed), block_size)]
 
@@ -433,6 +409,10 @@ _PROCESS_INIT_ERROR: str | None = None
 def _initialize_process_worker(spec: WorkerSpec, scenarios: tuple[FaultScenario, ...]) -> None:
     """Pool initializer: build this process's injection context exactly once."""
     global _PROCESS_CONTEXT, _PROCESS_SCENARIOS, _PROCESS_INIT_ERROR
+    # A forked worker inherits the parent's handlers; the CLI folds SIGTERM
+    # into KeyboardInterrupt, which would turn _terminate_pool's kill into a
+    # traceback (and can wedge the pool's shutdown) instead of a quiet exit.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         _PROCESS_CONTEXT = _make_runner(spec)
         _PROCESS_SCENARIOS = tuple(scenarios)
@@ -527,8 +507,18 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
             try:
                 while (pending_blocks or in_flight) and not broken:
                     while pending_blocks and len(in_flight) < window:
-                        block = pending_blocks.popleft()
-                        in_flight[pool.submit(_run_scenario_block, block)] = block
+                        try:
+                            future = pool.submit(_run_scenario_block, pending_blocks[0])
+                        except BrokenProcessPool:
+                            # A worker died after the last wait returned: the
+                            # unsubmitted block stays queued for the respawn.
+                            if policy is None:
+                                raise
+                            broken = True
+                            break
+                        in_flight[future] = pending_blocks.popleft()
+                    if broken:
+                        break
                     deadline = None if policy is None else policy.block_deadline(
                         max(len(block) for block in in_flight.values())
                     )

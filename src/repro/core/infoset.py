@@ -25,39 +25,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 
-class CloneStats:
-    """Process-wide counters of deep-copy operations.
-
-    The copy-on-write materialization path exists to keep campaign cost
-    independent of how many scenarios run; these counters let benchmarks and
-    tests assert that no per-scenario full-set clone sneaks back in.
-
-    The counters are process-local and incremented without synchronisation:
-    they are only meaningful around *serial* runs in the measuring process.
-    Thread workers may lose increments and process workers count in their
-    own interpreter, so parallel campaigns under-report here.
-    """
-
-    __slots__ = ("set_clones", "tree_clones")
-
-    def __init__(self) -> None:
-        self.set_clones = 0
-        self.tree_clones = 0
-
-    def reset(self) -> None:
-        """Zero both counters."""
-        self.set_clones = 0
-        self.tree_clones = 0
-
-    def snapshot(self) -> tuple[int, int]:
-        """Current ``(set_clones, tree_clones)`` pair."""
-        return (self.set_clones, self.tree_clones)
-
-
-#: Global clone counters; benchmarks reset and read them around hot loops.
-CLONE_STATS = CloneStats()
-
-
 class ConfigNode:
     """One information item in a configuration tree."""
 
@@ -266,8 +233,7 @@ class ConfigTree:
         self.dialect = dialect
 
     def clone(self) -> "ConfigTree":
-        """Deep copy of the tree (used before every mutation)."""
-        CLONE_STATS.tree_clones += 1
+        """Deep copy of the tree (for the copy-on-write overlay and view transforms)."""
         return ConfigTree(self.name, self.root.clone(), self.dialect)
 
     def walk(self) -> Iterator[ConfigNode]:
@@ -336,7 +302,6 @@ class ConfigSet:
 
     def clone(self) -> "ConfigSet":
         """Deep copy of every tree in the set."""
-        CLONE_STATS.set_clones += 1
         return ConfigSet(tree.clone() for tree in self)
 
     def structurally_equal(self, other: "ConfigSet") -> bool:

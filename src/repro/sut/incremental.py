@@ -107,8 +107,8 @@ class IncrementalStats:
         return self.fallback_total / self.attempts if self.attempts else 0.0
 
 
-#: Counters shared by every engine in the process (per-process in pools,
-#: like ``CLONE_STATS``).
+#: Counters shared by every engine in the process (each pool worker counts
+#: in its own interpreter).
 INCREMENTAL_STATS = IncrementalStats()
 
 

@@ -52,3 +52,29 @@ def golden(request: pytest.FixtureRequest):
         )
 
     return check
+
+
+@pytest.fixture
+def clone_counts(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
+    """Count ``ConfigSet.clone`` and ``ConfigTree.clone`` calls during a test.
+
+    Returns ``{"set": n, "tree": n}``, updated live by counting wrappers
+    installed on both classes.  A set clone also counts one tree clone per
+    member tree, since it clones each of them.
+    """
+    from repro.core.infoset import ConfigSet, ConfigTree
+
+    counts = {"set": 0, "tree": 0}
+
+    def count(cls: type, key: str) -> None:
+        original = cls.clone
+
+        def clone(self):
+            counts[key] += 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "clone", clone)
+
+    count(ConfigSet, "set")
+    count(ConfigTree, "tree")
+    return counts

@@ -1,6 +1,7 @@
 """Unit tests for the injection engine, using a small in-memory SUT."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -9,9 +10,11 @@ from repro.core.infoset import ConfigSet
 from repro.core.profile import InjectionOutcome
 from repro.core.templates import DeleteTemplate, FaultScenario, SetValueTemplate
 from repro.core.views.structure_view import StructureView
-from repro.errors import SUTError
-from repro.parsers.base import get_dialect
+from repro.errors import SerializationError, SUTError, TransformError
+from repro.parsers.base import get_dialect, serialize_tree
+from repro.plugins import SpellingMistakesPlugin, StructuralErrorsPlugin
 from repro.plugins.base import ErrorGeneratorPlugin
+from repro.registry import available_systems, get_system
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest, TestResult
 
 
@@ -211,3 +214,50 @@ class TestOutcomeClassification:
 
         profile = InjectionEngine(sut, BadPlugin(DeleteTemplate("//directive")), seed=0).run()
         assert profile.records[0].outcome is InjectionOutcome.INJECTION_IMPOSSIBLE
+
+
+#: Scenarios checked per (system, plugin) case, spread evenly over the list.
+ORACLE_SCENARIOS = 40
+
+UNEXPRESSIBLE = (SerializationError, TransformError)
+
+
+def _reference_files(engine, scenario):
+    """The obviously-correct materialisation: fresh parse, cloning apply, full untransform."""
+    config_set = engine.parse_initial_configuration()
+    view_set = engine.plugin.view.transform(config_set)
+    system_set = engine.plugin.view.untransform(scenario.apply(view_set), config_set)
+    return {tree.name: serialize_tree(tree) for tree in system_set}
+
+
+class TestMaterializeOracle:
+    """``materialize`` (in-place apply/undo, partial untransform) vs a fresh parse."""
+
+    @pytest.mark.parametrize(
+        "make_plugin",
+        [partial(SpellingMistakesPlugin, mutations_per_token=1), StructuralErrorsPlugin],
+        ids=["spelling", "structural"],
+    )
+    @pytest.mark.parametrize("system", available_systems())
+    def test_matches_fresh_parse_reference(self, system, make_plugin, clone_counts):
+        engine = InjectionEngine(get_system(system), make_plugin(), seed=2008)
+        config_set, view_set, scenarios = engine.generate_scenarios()
+        if not scenarios:
+            pytest.skip(f"{system} generates no scenarios for this plugin")
+        baseline = engine.baseline_files(config_set, view_set)
+        assert baseline is not None
+        pristine = engine.plugin.view.transform(engine.parse_initial_configuration())
+        step = max(1, len(scenarios) // ORACLE_SCENARIOS)
+        for scenario in scenarios[::step][:ORACLE_SCENARIOS]:
+            set_clones = clone_counts["set"]
+            try:
+                files = engine.materialize(scenario, config_set, view_set, baseline_files=baseline)
+            except UNEXPRESSIBLE:
+                files = None
+            assert clone_counts["set"] == set_clones, f"{scenario.scenario_id} cloned the set"
+            assert view_set.structurally_equal(pristine), scenario.scenario_id
+            if files is None:
+                with pytest.raises(UNEXPRESSIBLE):
+                    _reference_files(engine, scenario)
+            else:
+                assert files == _reference_files(engine, scenario), scenario.scenario_id

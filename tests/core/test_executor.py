@@ -10,11 +10,13 @@ per plugin run, however many blocks the worker pulls.
 """
 
 import os
+import signal
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.cli import _sigterm_to_interrupt
 from repro.core.campaign import Campaign
 from repro.core.engine import InjectionEngine
 from repro.core.executor import (
@@ -25,15 +27,15 @@ from repro.core.executor import (
     WorkerSpec,
     available_executors,
     make_blocks,
-    partition_scenarios,
     resolve_block_size,
     resolve_executor,
 )
-from repro.core.templates.base import FaultScenario
 from repro.errors import CampaignError
 from repro.plugins import OmissionDuplicationPlugin, SpellingMistakesPlugin, StructuralErrorsPlugin
 from repro.registry import get_system
+from repro.sut.base import StartResult
 from repro.sut.chaos import ChaosFactory
+from repro.sut.postgres import SimulatedPostgres
 
 SEED = 2008
 
@@ -281,6 +283,34 @@ class TestOnePathPerStrategy:
         assert isinstance(outcome.get("error"), BrokenProcessPool), outcome
 
 
+class _SigtermProbePostgres(SimulatedPostgres):
+    """Postgres whose start refuses with the worker's SIGTERM disposition."""
+
+    def start(self, files):
+        return StartResult.failed(f"SIGTERM={signal.getsignal(signal.SIGTERM)!r}")
+
+
+class TestProcessWorkerSignals:
+    def test_workers_do_not_inherit_the_cli_sigterm_handler(self):
+        """A forked worker must die on SIGTERM, not raise KeyboardInterrupt.
+
+        ``cli.main`` folds SIGTERM into KeyboardInterrupt; a worker that
+        inherited that handler prints a traceback when the fault layer
+        terminates its pool, and can leave the CLI hanging at exit.
+        """
+        plugin = SpellingMistakesPlugin(mutations_per_token=1)
+        spec = WorkerSpec(sut_factory=_SigtermProbePostgres, plugin=plugin, incremental=False)
+        _, _, scenarios = InjectionEngine(get_system("postgres"), plugin, seed=SEED).generate_scenarios()
+        previous = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
+        try:
+            strategy = ProcessPoolCampaignExecutor(jobs=2, block_size=1)
+            pairs = list(strategy.stream(spec, scenarios[:4]))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert len(pairs) == 4
+        assert {tuple(record.messages) for _, record in pairs} == {(f"SIGTERM={signal.SIG_DFL!r}",)}
+
+
 class TestBlockSizing:
     def test_explicit_block_size_wins(self):
         assert resolve_block_size(1000, 4, 5) == 5
@@ -380,25 +410,6 @@ def _counting_postgres_factory():
     with open(os.environ[_COUNTER_ENV], "a", encoding="utf-8") as handle:
         handle.write(f"{os.getpid()}\n")
     return SimulatedPostgres()
-
-
-class TestPartitioning:
-    def _scenarios(self, count):
-        return [FaultScenario(f"s{i}", "", "test") for i in range(count)]
-
-    def test_chunks_are_contiguous_and_cover_everything(self):
-        chunks = partition_scenarios(self._scenarios(10), 4)
-        assert len(chunks) == 4
-        flat = [index for chunk in chunks for index, _ in chunk]
-        assert flat == list(range(10))
-
-    def test_more_jobs_than_scenarios(self):
-        chunks = partition_scenarios(self._scenarios(2), 8)
-        assert len(chunks) == 2
-        assert all(len(chunk) == 1 for chunk in chunks)
-
-    def test_empty_scenario_list(self):
-        assert partition_scenarios([], 4) == []
 
 
 class TestResolution:

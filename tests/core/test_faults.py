@@ -8,6 +8,9 @@ scenario must surface exactly once as a quarantined ``TIMEOUT`` /
 ``HARNESS_ERROR`` record -- never silently vanish, never duplicate.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.core.campaign import Campaign
@@ -245,6 +248,28 @@ class TestChaosCrashes:
                 assert record.metadata["quarantined"] is True
             else:
                 assert _comparable(record) == _comparable(plain[record.scenario_id])
+
+    def test_pool_broken_between_waits_requeues_unsubmitted_blocks(self, monkeypatch):
+        """A worker can die after ``wait`` returns and before the window refills.
+
+        ``submit`` then raises ``BrokenProcessPool`` itself.  With a policy
+        the stream must respawn the pool and run the refused block there,
+        not raise to its caller.
+        """
+        original_submit = ProcessPoolExecutor.submit
+        submits = []
+
+        def racy_submit(pool, fn, *args, **kwargs):
+            submits.append(fn)
+            if len(submits) == 2:
+                raise BrokenProcessPool("a worker died since the last wait")
+            return original_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", racy_submit)
+        plain = _plain_profile().records
+        profile = _chaos_campaign(4, "process").run().overall
+        assert len(submits) > 2
+        assert [_comparable(r) for r in profile.records] == [_comparable(r) for r in plain]
 
     def test_blame_is_identical_across_executors(self):
         by_executor = {}

@@ -8,7 +8,7 @@ manager, and the copy-on-write fallback for operations without an inverse.
 
 import pytest
 
-from repro.core.infoset import CLONE_STATS, ConfigNode, ConfigSet, ConfigTree
+from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
 from repro.core.templates.base import (
     DeleteOperation,
     FaultScenario,
@@ -146,17 +146,17 @@ class TestScenarioAppliedTo:
             assert not config_set.structurally_equal(pristine)
         assert config_set.structurally_equal(pristine)
 
-    def test_fast_path_does_not_clone(self):
+    def test_fast_path_does_not_clone(self, clone_counts):
         config_set = build_set()
         scenario = FaultScenario(
             "s2", "one op", "test",
             operations=(SetFieldOperation(NodeAddress("app.conf", (0, 0)), "value", "1"),),
         )
-        CLONE_STATS.reset()
         with scenario.applied_to(config_set):
             pass
-        assert CLONE_STATS.set_clones == 0
-        assert CLONE_STATS.tree_clones == 0
+        assert clone_counts == {"set": 0, "tree": 0}
+        scenario.apply(config_set)  # the reference path clones: the counter is live
+        assert clone_counts == {"set": 1, "tree": len(config_set)}
 
     def test_matches_full_clone_apply(self):
         scenario = FaultScenario(
