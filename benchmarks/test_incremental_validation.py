@@ -16,19 +16,27 @@ Two things are asserted:
   the speedup).
 * **Identical profiles** -- the speedup must not change a single outcome.
 
+Beside each wall-clock ratio, one more untimed rerun counts the work the
+ratio rests on (full starts, tree walks, parses), so a pass cannot come
+from host noise alone.
+
 The measured numbers, the delta-path counter snapshot (fallback rate), and a
 single-run per-SUT breakdown across all seven families are written to
 ``BENCH_incremental.json`` for the tracked perf trajectory.
 """
 
+import functools
 import time
+from collections import Counter
 
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, write_bench_json
 from repro.core.engine import InjectionEngine
+from repro.parsers.base import ConfigDialect
 from repro.plugins import SpellingMistakesPlugin
 from repro.registry import get_system
+from repro.sut.base import split_sut
 from repro.sut.incremental import INCREMENTAL_STATS
 
 #: Minimum incremental-over-full throughput ratio on mysql-full-directives
@@ -73,6 +81,55 @@ def _timed_run(system_name: str, incremental: bool, rounds: int = 3):
     return profile, count, min(rerun() for _ in range(rounds))
 
 
+def _count_work(monkeypatch, system_name: str) -> Counter:
+    """Count the work runs do from here on; returns the live counter.
+
+    ``starts`` counts full starts; ``delta_walks`` tree walks entered from
+    ``start_delta``; ``start_parses`` dialect parses made inside a full
+    start and ``other_parses`` the rest (the round-trip guard re-parses
+    one serialised node per changed node it vets).
+    """
+    sut_class = type(split_sut(get_system(system_name))[0])
+    counts: Counter = Counter()
+    active: Counter = Counter()
+
+    def entered(fn, key):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            active[key] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active[key] -= 1
+
+        return wrapper
+
+    def counted(fn, key_of):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[key_of()] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    walk = sut_class._start_from_trees
+    monkeypatch.setattr(
+        sut_class, "start", counted(entered(sut_class.start, "start"), lambda: "starts")
+    )
+    monkeypatch.setattr(sut_class, "start_delta", entered(sut_class.start_delta, "delta"))
+    monkeypatch.setattr(
+        sut_class,
+        "_start_from_trees",
+        counted(walk, lambda: "delta_walks" if active["delta"] else "start_walks"),
+    )
+    monkeypatch.setattr(
+        ConfigDialect,
+        "parse",
+        counted(ConfigDialect.parse, lambda: "start_parses" if active["start"] else "other_parses"),
+    )
+    return counts
+
+
 def _semantics(profile):
     """Everything of a profile except per-record wall clock."""
     return [
@@ -82,12 +139,13 @@ def _semantics(profile):
 
 
 class TestIncrementalSpeedup:
-    def test_mysql_full_directives_5x_at_jobs1(self):
+    def test_mysql_full_directives_5x_at_jobs1(self, monkeypatch):
         """Delta validation >= 5x full revalidation, with identical records."""
         INCREMENTAL_STATS.reset()
-        fast_profile, scenarios, fast_seconds = _timed_run(
+        fast_profile, scenarios, fast_rerun = _prepared_run(
             "mysql-full-directives", incremental=True
         )
+        fast_seconds = min(fast_rerun() for _ in range(3))
         stats = INCREMENTAL_STATS.snapshot()
         slow_profile, slow_scenarios, slow_seconds = _timed_run(
             "mysql-full-directives", incremental=False
@@ -136,13 +194,22 @@ class TestIncrementalSpeedup:
             },
         )
 
+        # the speedup rests on the splice: spelling scenarios are field-only
+        # deltas, and none of them may run the full walk (counted after every
+        # timed run, so the counters cost no measured time)
+        work = _count_work(monkeypatch, "mysql-full-directives")
+        INCREMENTAL_STATS.reset()
+        fast_rerun()
+        assert INCREMENTAL_STATS.delta_starts > 0
+        assert work["delta_walks"] == 0, work
+
         assert speedup >= MIN_SPEEDUP, (
             f"incremental path only {speedup:.2f}x full revalidation "
             f"({fast_sps:.0f} vs {slow_sps:.0f} scenarios/sec) -- floor is {MIN_SPEEDUP}x"
         )
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_every_family_profits_or_breaks_even(self, family):
+    def test_every_family_profits_or_breaks_even(self, family, monkeypatch):
         """No SUT family may get *slower* under the delta protocol.
 
         A family whose scenarios all fall back (e.g. djbdns structural
@@ -161,3 +228,12 @@ class TestIncrementalSpeedup:
         assert inc_seconds <= full_seconds * 1.35, (
             f"{family}: incremental {inc_seconds:.4f}s vs full {full_seconds:.4f}s"
         )
+
+        # files are parsed only by full starts, one per fallback or prepare;
+        # the delta path adds at most the guard's reparse of the changed node
+        work = _count_work(monkeypatch, family)
+        INCREMENTAL_STATS.reset()
+        incremental()
+        stats = INCREMENTAL_STATS
+        assert work["starts"] <= stats.fallback_total + stats.prepares, work
+        assert work["other_parses"] <= stats.attempts, work

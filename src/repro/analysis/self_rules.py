@@ -10,7 +10,7 @@ fail only at runtime -- or worse, not at all:
 * process-pool safety: exceptions that cross executor boundaries must
   unpickle, and should be :mod:`repro.errors` types;
 * registry contracts: the ``param_names``/``from_params``/
-  ``manifest_params`` triangle, the ``start_delta`` delta protocol, and
+  ``manifest_params`` triangle, the delta protocol's two hooks, and
   frozen spec dataclasses.
 
 Findings can be suppressed per line with an inline pragma naming the
@@ -481,11 +481,11 @@ def check_unfrozen_spec(ctx: SelfLintContext) -> Iterator[Diagnostic]:
 def check_delta_contract(ctx: SelfLintContext) -> Iterator[Diagnostic]:
     """A SUT advertises delta support it does not implement.
 
-    ``supports_delta()`` is derived from overriding ``start_delta``;
-    overriding the probe directly advertises a fast path that falls over
-    at runtime.  Registered SUTs that do override ``start_delta`` must
-    also override ``_baseline_state``, or the delta path diffs against a
-    meaningless baseline.
+    ``supports_delta()`` is derived from overriding ``_start_from_trees``
+    (the tree walk ``start_delta`` re-runs); overriding the probe directly
+    advertises a fast path that falls over at runtime.  Registered SUTs
+    that do override ``_start_from_trees`` must also override
+    ``_observable_state``, or no delta is ever recognised as a no-op.
     """
     for module in ctx.modules:
         for node in _class_defs(module):
@@ -494,13 +494,13 @@ def check_delta_contract(ctx: SelfLintContext) -> Iterator[Diagnostic]:
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
-            if "supports_delta" in method_names and "start_delta" not in method_names:
+            if "supports_delta" in method_names and "_start_from_trees" not in method_names:
                 yield Diagnostic(
                     code="harness/delta-contract",
                     message=(
                         f"class {node.name!r} overrides supports_delta without "
-                        "defining start_delta; delta support is advertised by "
-                        "implementing start_delta, not by patching the probe"
+                        "defining _start_from_trees; delta support is advertised "
+                        "by implementing the tree walk, not by patching the probe"
                     ),
                     severity=Severity.ERROR,
                     file=str(module.path),
@@ -524,18 +524,16 @@ def check_delta_contract(ctx: SelfLintContext) -> Iterator[Diagnostic]:
         if cls in seen:
             continue
         seen.add(cls)
-        overrides_start = cls.start_delta is not SystemUnderTest.start_delta
-        overrides_baseline = (
-            cls._baseline_state is not SystemUnderTest._baseline_state
-        )
-        if overrides_start and not overrides_baseline:
+        overrides_walk = cls._start_from_trees is not SystemUnderTest._start_from_trees
+        overrides_observable = cls._observable_state is not SystemUnderTest._observable_state
+        if overrides_walk and not overrides_observable:
             file, line = _source_location(cls)
             yield Diagnostic(
                 code="harness/delta-contract",
                 message=(
                     f"SUT {cls.__name__!r} (system {name!r}) implements "
-                    "start_delta but not _baseline_state; the delta path "
-                    "would diff against the generic baseline"
+                    "_start_from_trees but not _observable_state; no delta "
+                    "would ever be recognised as a no-op"
                 ),
                 severity=Severity.ERROR,
                 file=file,

@@ -607,7 +607,7 @@ def check_no_delta_support(target: SpecTarget) -> Iterator[Diagnostic]:
                 code="spec/no-delta-support",
                 message=(
                     f"system {system.key!r} is chaos-wrapped; the wrapper does "
-                    "not implement start_delta, so its cells always run full "
+                    "not implement _start_from_trees, so its cells always run full "
                     "validation"
                 ),
                 severity=Severity.INFO,
@@ -620,7 +620,7 @@ def check_no_delta_support(target: SpecTarget) -> Iterator[Diagnostic]:
             yield Diagnostic(
                 code="spec/no-delta-support",
                 message=(
-                    f"system {system.key!r} does not implement start_delta; "
+                    f"system {system.key!r} does not implement _start_from_trees; "
                     "its cells always run full validation"
                 ),
                 severity=Severity.INFO,

@@ -45,7 +45,7 @@ def figure3_spec(seed: int = 2008, experiments_per_directive: int = 20) -> Exper
     return ExperimentSpec(
         systems=(
             SystemSpec("mysql-full-directives", label="MySQL"),
-            SystemSpec("postgres-full-directives", label="Postgresql"),
+            SystemSpec("postgres-full-directives", label="Postgres"),
         ),
         plugins=(
             PluginSpec(

@@ -232,8 +232,8 @@ class InjectionEngine:
         full serialise-and-reparse round trip, so it is only enabled when
 
         * the engine and the SUT opt in (``incremental`` and a
-          ``start_delta`` override),
-        * the pristine full validation started with a reusable index, and
+          ``_start_from_trees`` override),
+        * the pristine full validation started, and
         * the view's reverse mapping reproduces the parsed pristine trees
           *exactly* (a view that normalises formatting would make patched
           baseline trees diverge from what the SUT would really see).
@@ -245,7 +245,7 @@ class InjectionEngine:
         except ConfErrError:
             return None
         prepared = self.sut.prepare(self.sut.default_configuration())
-        if prepared is None or not prepared.result.started or prepared.state is None:
+        if prepared is None or not prepared.result.started:
             return None
         if prepared.trees.names() != system_set.names():
             return None

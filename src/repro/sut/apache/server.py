@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
+from repro.core.infoset import ConfigNode, ConfigSet
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.apache.directives import APACHE_DIRECTIVES, DEFAULT_HTTPD_CONF, SECTION_TAGS, DirectiveSpec
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import web_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 
 __all__ = ["SimulatedApache"]
 
@@ -75,15 +74,16 @@ class SimulatedApache(SystemUnderTest):
             tree = get_dialect("apache").parse(text, filename=self.config_filename)
         except ParseError as exc:
             return StartResult.failed(f"Syntax error: {exc}")
-        return self._start_from_tree(tree)
+        return self._start_from_trees(ConfigSet([tree]), files)
 
-    def _start_from_tree(self, tree: ConfigTree) -> StartResult:
-        """Validate and bring up the server from an already parsed tree.
+    def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
+        """Validate and bring up the server from the parsed ``httpd.conf``.
 
-        The single source of truth for configuration semantics: the full
-        start enters after parsing, the delta start after patching the
-        baseline tree, so both walks are literally the same code.
+        ``<IfModule>`` guards and module availability are recomputed from
+        the tree, so a mutated ``LoadModule`` line changes which blocks are
+        skipped exactly as a full parse would.
         """
+        tree = trees.get(self.config_filename)
         self.listen_ports = []
         self.document_roots = []
         self.virtual_hosts = []
@@ -110,43 +110,13 @@ class SimulatedApache(SystemUnderTest):
         self._running = True
         return StartResult.ok(warnings)
 
-    # ------------------------------------------------------------ delta start
-    def _baseline_state(self, trees: ConfigSet) -> dict[str, object] | None:
-        """Snapshot of the pristine server state for equivalence detection."""
-        if self.config_filename not in trees:
-            return None
-        return {
-            "ports": list(self.listen_ports),
-            "roots": list(self.document_roots),
-            "vhosts": list(self.virtual_hosts),
-            "directives": dict(self.effective_directives),
-        }
-
-    def start_delta(
-        self, baseline: BaselineValidation, delta: ScenarioDelta
-    ) -> StartResult | None:
-        """Revalidate the patched baseline tree, skipping untransform/parse.
-
-        ``<IfModule>`` guards and module availability are recomputed from
-        the patched tree, so a mutated ``LoadModule`` line changes which
-        blocks are skipped exactly as a full parse would.
-        """
-        patched = patched_trees(baseline.trees, delta)
-        if patched is None or self.config_filename not in patched:
-            return None
-        self.stop()
-        result = self._start_from_tree(patched.get(self.config_filename))
-        state: dict[str, object] = baseline.state
-        if (
-            result.started
-            and result.warnings == baseline.result.warnings
-            and self.listen_ports == state["ports"]
-            and self.document_roots == state["roots"]
-            and self.virtual_hosts == state["vhosts"]
-            and self.effective_directives == state["directives"]
-        ):
-            return baseline.result
-        return result
+    def _observable_state(self) -> tuple:
+        return (
+            self.listen_ports,
+            self.document_roots,
+            self.virtual_hosts,
+            self.effective_directives,
+        )
 
     # ----------------------------------------------------------------- helpers
     #: Modules compiled into the server (always "present" for <IfModule>).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -13,6 +14,7 @@ from repro.sut.incremental import (
     ScenarioDelta,
     cached_baseline,
     content_key,
+    patched_trees,
     store_baseline,
 )
 
@@ -77,6 +79,12 @@ class SystemUnderTest(ABC):
     The engine drives the SUT through a fixed lifecycle for every injection:
     ``start(files)`` with the (possibly faulty) configuration files, then the
     functional tests, then ``stop()``.
+
+    A family opts into incremental revalidation with two hooks: its
+    validation walk over parsed trees (:meth:`_start_from_trees`, which
+    ``start()`` calls after parsing) and the state its diagnosis suite can
+    observe (:meth:`_observable_state`).  :meth:`start_delta` implements
+    the rest of the delta protocol once, for every family.
     """
 
     #: Human-readable system name used in profiles and reports.
@@ -108,18 +116,19 @@ class SystemUnderTest(ABC):
 
     # ------------------------------------------------- incremental revalidation
     def supports_delta(self) -> bool:
-        """Whether this SUT overrides :meth:`start_delta`."""
-        return type(self).start_delta is not SystemUnderTest.start_delta
+        """Whether this SUT overrides :meth:`_start_from_trees`."""
+        return type(self)._start_from_trees is not SystemUnderTest._start_from_trees
 
     def prepare(self, files: Mapping[str, str]) -> BaselineValidation | None:
         """Parse and fully validate the pristine ``files`` once, for reuse.
 
         Returns a :class:`~repro.sut.incremental.BaselineValidation` holding
-        the parsed trees, the full-start result, and (when the pristine
-        system started) the SUT-specific reusable index from
-        :meth:`_baseline_state`.  Baselines are cached per (SUT class,
-        content hash of the files), so consecutive plugin runs -- and suite
-        cells -- over the same system reuse one prepared baseline.
+        the parsed trees, the full-start result and, when the pristine
+        system started, a copy of its :meth:`_observable_state` plus the
+        SUT-specific reusable index from :meth:`_baseline_state`.  Baselines
+        are cached per (SUT class, content hash of the files), so
+        consecutive plugin runs -- and suite cells -- over the same system
+        reuse one prepared baseline.
 
         The system is stopped before this returns; ``start_delta`` restores
         the running state itself.  Returns None when a file fails to parse
@@ -144,11 +153,13 @@ class SystemUnderTest(ABC):
 
         tree_set = ConfigSet(trees)
         result = self.start(files)
-        state = None
+        state = observable = None
         functional: tuple[tuple[bool, str, str], ...] | None = None
         try:
             if result.started:
                 state = self._baseline_state(tree_set)
+                # a copy: the live state is compared against it per delta
+                observable = copy.deepcopy(self._observable_state())
                 try:
                     functional = tuple(
                         (outcome.passed, outcome.name, outcome.detail)
@@ -166,44 +177,84 @@ class SystemUnderTest(ABC):
             trees=tree_set,
             result=result,
             state=state,
+            observable=observable,
             functional=functional,
             content_key=key,
         )
         store_baseline(sut_key, key, baseline)
         return baseline
 
+    def _start_from_trees(self, trees: Any, files: Mapping[str, str]) -> StartResult:
+        """Validate and bring up the system from already parsed ``trees``.
+
+        The family's validation walk, and the single source of truth for
+        its configuration semantics: ``start()`` enters it after parsing
+        ``files``, :meth:`start_delta` with the patched baseline
+        :class:`~repro.core.infoset.ConfigSet`, so both paths run literally
+        the same code.  ``files`` resolves any file a walk needs that
+        ``trees`` lacks (an include or zone file the full start has not
+        parsed yet).  Overriding it is what enables the delta path.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no tree walk")
+
+    def _observable_state(self) -> Any:
+        """What the diagnosis suite can observe of the started system.
+
+        Called only while the system is started, after the pristine start
+        (:meth:`prepare` keeps a copy) and after each delta walk; equal
+        values make a delta a no-op (see :meth:`start_delta`).  Live
+        attributes may be returned as they are: :meth:`prepare` copies the
+        pristine value, so the per-delta call need not.  The default, a
+        fresh ``object()``, equals nothing, so a SUT that does not say what
+        it exposes never has a delta declared a no-op.
+        """
+        return object()
+
     def _baseline_state(self, trees: Any) -> Any:
         """Reusable validation index built while the pristine system runs.
 
         Called by :meth:`prepare` with the parsed pristine trees after a
-        successful full start and before the stop.  SUTs that support
-        deltas return whatever :meth:`start_delta` needs (duplicate maps,
-        per-directive effects, cross-reference tables); the default None
-        disables the delta path.
+        successful full start and before the stop.  Only SUTs that override
+        :meth:`start_delta` to splice field edits (MySQL, Postgres) need
+        one; the default is None.
         """
         return None
 
     def start_delta(
         self, baseline: BaselineValidation, delta: ScenarioDelta
     ) -> "StartResult | None":
-        """Revalidate only what ``delta`` touches; None falls back to full.
+        """Revalidate ``delta`` from the patched baseline trees.
 
-        A successful implementation must leave the system in exactly the
-        state a full ``start()`` on the mutated files would have: the
-        functional tests interrogate the live system afterwards.  Returning
-        None at any point routes the scenario through the byte-identical
-        full-validation pass instead.
+        The delta protocol every family shares: patch the baseline trees
+        (copying only the spine above each change), stop the system and
+        re-run :meth:`_start_from_trees` on them.  The system ends in
+        exactly the state a full ``start()`` on the mutated files would
+        leave -- the functional tests interrogate the live system
+        afterwards -- and only the untransform/serialise/parse round trip is
+        skipped.  Returns None, routing the scenario through the
+        byte-identical full pass, when a change does not resolve in the
+        baseline trees.
 
         Returning ``baseline.result`` *itself* (object identity) declares
-        the delta *functionally equivalent* to the pristine start: the
-        start outcome (including warnings) is identical, and the parts of
-        the system state the diagnosis suite can observe are unchanged, so
-        the suite would reproduce the baseline's recorded outcomes.  The
-        engine then reuses those outcomes instead of re-running the suite.
-        The implementation must still leave the system fully started in
-        case the engine has no recorded outcomes to reuse.
+        the delta *functionally equivalent* to the pristine start: the walk
+        started with the baseline's warnings and :meth:`_observable_state`
+        equals the pristine copy, so the diagnosis suite would reproduce the
+        baseline's recorded outcomes.  The engine then reuses those outcomes
+        instead of re-running the suite.  An override must keep this
+        contract and still leave the system fully started.
         """
-        return None
+        patched = patched_trees(baseline.trees, delta)
+        if patched is None:
+            return None
+        self.stop()
+        result = self._start_from_trees(patched, baseline.files)
+        if (
+            result.started
+            and result.warnings == baseline.result.warnings
+            and self._observable_state() == baseline.observable
+        ):
+            return baseline.result
+        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

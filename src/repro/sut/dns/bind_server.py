@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.infoset import ConfigSet, ConfigTree
+from repro.core.infoset import ConfigSet
 from repro.dns.names import normalize_name
 from repro.dns.records import DnsRecord, RecordSet
 from repro.dns.resolver import ResolutionError, Resolver
@@ -28,7 +28,6 @@ from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.dns.zonedata import RecordDataError, config_set_to_records
 from repro.sut.functional import dns_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 
 __all__ = ["SimulatedBIND", "DEFAULT_NAMED_CONF", "DEFAULT_FORWARD_ZONE", "DEFAULT_REVERSE_ZONE"]
 
@@ -130,22 +129,17 @@ class SimulatedBIND(SystemUnderTest):
             named_conf = get_dialect("namedconf").parse(named_conf_text, filename="named.conf")
         except ParseError as exc:
             return StartResult.failed(f"named.conf parse failure: {exc}")
-        return self._start_from_trees(named_conf, files, None)
+        return self._start_from_trees(ConfigSet([named_conf]), files)
 
-    def _start_from_trees(
-        self,
-        named_conf: ConfigTree,
-        files: Mapping[str, str],
-        zone_trees: ConfigSet | None,
-    ) -> StartResult:
-        """Load zones from a parsed ``named.conf`` tree.
+    def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
+        """Load zones from the parsed ``named.conf`` in ``trees``.
 
-        The single source of truth for zone loading: the full start enters
-        after parsing ``named.conf``, the delta start after patching the
-        baseline trees.  ``zone_trees`` supplies already parsed zone files
-        (the delta path's patched set); zone files absent from it are parsed
-        from ``files`` as usual.
+        Zone files already in ``trees`` (the delta path's patched set) are
+        used as parsed; the others are parsed from ``files``, so a mutated
+        ``named.conf`` (zone name, file directive) re-resolves zone files
+        through the same lookup a full start performs.
         """
+        named_conf = trees.get("named.conf")
         zones: dict[str, str] = {}
         for section in named_conf.root.children_of_kind("section"):
             if (section.name or "").lower() != "zone":
@@ -161,15 +155,11 @@ class SimulatedBIND(SystemUnderTest):
 
         config_set = ConfigSet()
         for zone_name, zone_file in zones.items():
-            if (
-                zone_trees is not None
-                and zone_file in zone_trees
-                and zone_trees.get(zone_file).dialect == "bindzone"
-            ):
-                # delta path: the zone file is already parsed (and patched);
-                # the dialect check keeps a file directive mutated to point at
-                # named.conf itself on the text path, like a full parse
-                config_set.add(zone_trees.get(zone_file))
+            if zone_file in trees and trees.get(zone_file).dialect == "bindzone":
+                # already parsed (on the delta path: patched); the dialect
+                # check keeps a file directive mutated to point at named.conf
+                # itself on the text path, like a full parse
+                config_set.add(trees.get(zone_file))
                 continue
             text = files.get(zone_file)
             if text is None:
@@ -192,37 +182,8 @@ class SimulatedBIND(SystemUnderTest):
         self.zones = zones
         return StartResult.ok()
 
-    # ------------------------------------------------------------ delta start
-    def _baseline_state(self, trees: ConfigSet) -> dict[str, object] | None:
-        """Pristine zone table and served records, for equivalence detection."""
-        if "named.conf" not in trees or self._records is None:
-            return None
-        return {"zones": dict(self.zones), "records": list(self._records)}
-
-    def start_delta(
-        self, baseline: BaselineValidation, delta: ScenarioDelta
-    ) -> StartResult | None:
-        """Reload from the patched baseline trees, skipping untransform/parse.
-
-        Zone-file edits reuse their patched parse; a mutated ``named.conf``
-        (zone name, file directive) re-resolves zone files through the same
-        lookup a full start performs.
-        """
-        patched = patched_trees(baseline.trees, delta)
-        if patched is None or "named.conf" not in patched:
-            return None
-        self.stop()
-        result = self._start_from_trees(patched.get("named.conf"), baseline.files, patched)
-        state: dict[str, object] = baseline.state
-        if (
-            result.started
-            and result.warnings == baseline.result.warnings
-            and self.zones == state["zones"]
-            and self._records is not None
-            and list(self._records) == state["records"]
-        ):
-            return baseline.result
-        return result
+    def _observable_state(self) -> tuple:
+        return (self.zones, list(self._records))
 
     # ------------------------------------------------------------- zone checks
     @staticmethod

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.infoset import ConfigSet, ConfigTree
+from repro.core.infoset import ConfigSet
 from repro.dns.records import DnsRecord, RecordSet
 from repro.dns.resolver import ResolutionError, Resolver
 from repro.errors import ParseError
@@ -24,7 +24,6 @@ from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.dns.zonedata import RecordDataError, config_set_to_records
 from repro.sut.functional import dns_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 
 __all__ = ["SimulatedDjbdns", "DEFAULT_TINYDNS_DATA"]
 
@@ -95,15 +94,11 @@ class SimulatedDjbdns(SystemUnderTest):
             tree = get_dialect("tinydns").parse(text, filename=self.config_filename)
         except ParseError as exc:
             return StartResult.failed(f"tinydns-data: {exc}")
-        return self._start_from_tree(tree)
+        return self._start_from_trees(ConfigSet([tree]), files)
 
-    def _start_from_tree(self, tree: ConfigTree) -> StartResult:
-        """Validate and publish from an already parsed ``data`` tree.
-
-        The single source of truth for the data-file semantics: the full
-        start enters after parsing, the delta start after patching the
-        baseline tree.
-        """
+    def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
+        """Validate and publish from the parsed ``data`` file."""
+        tree = trees.get(self.config_filename)
         # Syntax-level validation, mirroring what tinydns-data checks when it
         # compiles data into data.cdb.
         for node in tree.root.children_of_kind("record"):
@@ -130,31 +125,8 @@ class SimulatedDjbdns(SystemUnderTest):
         self._resolver = Resolver(records)
         return StartResult.ok()
 
-    # ------------------------------------------------------------ delta start
-    def _baseline_state(self, trees: ConfigSet) -> list[DnsRecord] | None:
-        """Pristine published records, for equivalence detection."""
-        if self.config_filename not in trees or self._records is None:
-            return None
+    def _observable_state(self) -> list[DnsRecord]:
         return list(self._records)
-
-    def start_delta(
-        self, baseline: BaselineValidation, delta: ScenarioDelta
-    ) -> StartResult | None:
-        """Revalidate the patched baseline tree, skipping untransform/parse."""
-        patched = patched_trees(baseline.trees, delta)
-        if patched is None or self.config_filename not in patched:
-            return None
-        self.stop()
-        result = self._start_from_tree(patched.get(self.config_filename))
-        if (
-            result.started
-            and result.warnings == baseline.result.warnings
-            and self._records is not None
-            and list(self._records) == baseline.state
-        ):
-            # the mutation did not change a single published record
-            return baseline.result
-        return result
 
     # --------------------------------------------------------------- behaviour
     def query(self, name: str, rtype: str) -> list[DnsRecord]:

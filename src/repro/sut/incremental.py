@@ -6,9 +6,9 @@ configuration set, yet the classic SUT contract re-parses and re-walks the
 delta protocol:
 
 * :class:`BaselineValidation` -- the result of fully validating the pristine
-  file set once per ``(worker, plugin run)``, including the parsed trees and
-  an opaque per-SUT reusable index (duplicate maps, option tables, context
-  stacks).
+  file set once per ``(worker, plugin run)``, including the parsed trees,
+  the pristine observable state and, for SUTs that splice field edits, an
+  opaque per-SUT reusable index.
 * :class:`ScenarioDelta` -- a scenario reduced to detached change records
   addressing baseline nodes, in two kinds kept apart: :class:`NodeChange`
   (the new fields of one node, edited in place) and
@@ -26,8 +26,9 @@ delta protocol:
   the delta path ran versus fell back to a full validation pass.
 
 The engine decides *when* the delta path is sound (see
-``InjectionEngine.prepare_incremental`` and its round-trip guard); SUTs
-decide *how* to revalidate a delta (``SystemUnderTest.start_delta``).
+``InjectionEngine.prepare_incremental`` and its round-trip guard);
+``SystemUnderTest.start_delta`` revalidates a delta by re-running the SUT's
+own validation walk over the patched trees.
 Returning ``None`` anywhere falls back to the byte-identical full pass, so
 the protocol can never change an experiment's outcome -- only its cost.
 """
@@ -187,11 +188,14 @@ class BaselineValidation:
     ``trees`` are the files parsed with the SUT's own dialects; ``result``
     is the full ``start()`` outcome on the pristine files; ``state`` is the
     SUT-specific reusable index built by ``_baseline_state`` while the
-    pristine system was running (``None`` when the SUT offers no delta
-    support); ``functional`` records the diagnosis suite's outcomes on the
-    pristine system as ``(passed, name, detail)`` triples, reused verbatim
-    for no-op deltas.  Treat instances as immutable: they are shared
-    between plugin runs and threads through the baseline cache.
+    pristine system was running (``None`` for SUTs that do not splice);
+    ``observable`` is a copy of the pristine system's ``_observable_state``,
+    which a delta must reproduce to count as a no-op; ``functional`` records
+    the diagnosis suite's outcomes on the pristine system as ``(passed,
+    name, detail)`` triples, reused verbatim for no-op deltas.  The last
+    three stay None when the pristine system did not start.  Treat
+    instances as immutable: they are shared between plugin runs and threads
+    through the baseline cache.
     """
 
     files: dict[str, str]
@@ -199,6 +203,7 @@ class BaselineValidation:
     result: Any
     state: Any
     content_key: str
+    observable: Any = None
     functional: tuple[tuple[bool, str, str], ...] | None = None
 
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
+from repro.core.infoset import ConfigNode, ConfigSet
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import web_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 from repro.sut.nginx.directives import (
     DEFAULT_MIME_TYPES,
     DEFAULT_NGINX_CONF,
@@ -55,7 +54,7 @@ class SimulatedNginx(SystemUnderTest):
         self._mime_types = mime_types if mime_types is not None else DEFAULT_MIME_TYPES
         self._running = False
         self._has_events = False
-        self._include_trees: ConfigSet | None = None
+        self._include_trees = ConfigSet()
         self.listen_ports: list[int] = []
         self.server_roots: list[str] = []
         self.mime_map: dict[str, str] = {}
@@ -88,20 +87,19 @@ class SimulatedNginx(SystemUnderTest):
             tree = get_dialect("nginxconf").parse(text, filename=self.config_filename)
         except ParseError as exc:
             return StartResult.failed(f"nginx: [emerg] {exc}")
-        return self._start_from_tree(tree, files)
+        return self._start_from_trees(ConfigSet([tree]), files)
 
-    def _start_from_tree(
-        self, tree: ConfigTree, files: Mapping[str, str], include_trees: ConfigSet | None = None
-    ) -> StartResult:
-        """Validate and bring up the server from an already parsed tree.
+    def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
+        """Validate and bring up the server from the parsed ``nginx.conf``.
 
-        The single source of truth for configuration semantics: the full
-        start enters after parsing, the delta start after patching the
-        baseline trees.  ``include_trees`` supplies already parsed trees for
-        ``include`` resolution (the delta path's patched set); files absent
-        from it are parsed from ``files`` as usual.
+        ``include`` directives resolve against ``trees`` first (the delta
+        path's patched set, so a mutated ``mime.types`` entry is honoured
+        without re-parsing); files absent from it are parsed from ``files``,
+        so a mutated include *argument* fails ("open() ... failed") exactly
+        like a full start.
         """
-        self._include_trees = include_trees
+        tree = trees.get(self.config_filename)
+        self._include_trees = trees
         self.listen_ports = []
         self.server_roots = []
         self.mime_map = {}
@@ -122,46 +120,8 @@ class SimulatedNginx(SystemUnderTest):
         self._running = True
         return StartResult.ok(warnings)
 
-    # ------------------------------------------------------------ delta start
-    def _baseline_state(self, trees: ConfigSet) -> dict[str, object] | None:
-        """Snapshot of the pristine server state for equivalence detection."""
-        if self.config_filename not in trees:
-            return None
-        return {
-            "ports": list(self.listen_ports),
-            "roots": list(self.server_roots),
-            "mime": dict(self.mime_map),
-            "directives": dict(self.effective_directives),
-        }
-
-    def start_delta(
-        self, baseline: BaselineValidation, delta: ScenarioDelta
-    ) -> StartResult | None:
-        """Revalidate the patched baseline trees, skipping untransform/parse.
-
-        ``include`` directives resolve against the patched tree set first,
-        so a mutated ``mime.types`` entry is honoured without re-parsing and
-        a mutated include *argument* falls back to the text lookup exactly
-        like a full start ("open() ... failed" on a typo'd name).
-        """
-        patched = patched_trees(baseline.trees, delta)
-        if patched is None or self.config_filename not in patched:
-            return None
-        self.stop()
-        result = self._start_from_tree(
-            patched.get(self.config_filename), baseline.files, patched
-        )
-        state: dict[str, object] = baseline.state
-        if (
-            result.started
-            and result.warnings == baseline.result.warnings
-            and self.listen_ports == state["ports"]
-            and self.server_roots == state["roots"]
-            and self.mime_map == state["mime"]
-            and self.effective_directives == state["directives"]
-        ):
-            return baseline.result
-        return result
+    def _observable_state(self) -> tuple:
+        return (self.listen_ports, self.server_roots, self.mime_map, self.effective_directives)
 
     # ----------------------------------------------------------------- checks
     def _process_block(
@@ -302,8 +262,8 @@ class SimulatedNginx(SystemUnderTest):
         filename = value.split()[0]
         if filename in seen_includes:
             return f'nginx: [emerg] include cycle detected for "{filename}"'
-        if self._include_trees is not None and filename in self._include_trees:
-            # delta path: the included file is already parsed (and patched)
+        if filename in self._include_trees:
+            # already parsed (on the delta path: patched)
             tree = self._include_trees.get(filename)
         else:
             included = files.get(filename)

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.infoset import ConfigSet, ConfigTree
+from repro.core.infoset import ConfigSet
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import database_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
+from repro.sut.incremental import BaselineValidation, ScenarioDelta
 from repro.sut.options import OptionSpec
 from repro.sut.postgres.options import CROSS_CONSTRAINTS, DEFAULT_POSTGRESQL_CONF, POSTGRES_OPTIONS
 from repro.sut.storage import Connection, MiniSqlEngine
@@ -157,14 +157,11 @@ class SimulatedPostgres(SystemUnderTest):
             tree = get_dialect("pgconf").parse(text, filename=self.config_filename)
         except ParseError as exc:
             return StartResult.failed(f"syntax error in configuration file: {exc}")
-        return self._start_from_tree(tree)
+        return self._start_from_trees(ConfigSet([tree]), files)
 
-    def _start_from_tree(self, tree: ConfigTree) -> StartResult:
-        """Validate and bring up the server from an already parsed tree.
-
-        The full start enters after parsing; a structural delta enters with
-        the patched baseline tree, so both walk the same code.
-        """
+    def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
+        """Validate and bring up the server from the parsed ``postgresql.conf``."""
+        tree = trees.get(self.config_filename)
         settings: dict[str, object] = {}
         for spec in POSTGRES_OPTIONS:
             try:
@@ -194,6 +191,10 @@ class SimulatedPostgres(SystemUnderTest):
         return StartResult.ok()
 
     # ------------------------------------------------------------ delta start
+    def _observable_state(self) -> int:
+        # the diagnosis suite sees the server only through its admission limit
+        return int(self.effective_settings.get("max_connections") or 1)
+
     def _baseline_state(self, trees: ConfigSet) -> _PostgresDeltaState | None:
         """Index the pristine configuration for last-write-wins splicing."""
         if self.config_filename not in trees:
@@ -243,15 +244,11 @@ class SimulatedPostgres(SystemUnderTest):
         errors never depend on earlier lines) and substituted at its document
         position; touched keys are re-resolved last-write-wins and the
         cross-parameter constraints re-checked on the spliced settings.
-        Structural edits move document positions, so those walk the patched
-        baseline tree with the full-start code instead of splicing.
+        Structural edits move document positions, so those take the shared
+        protocol (the walk over the patched tree) instead of splicing.
         """
         if delta.children_changes:
-            patched = patched_trees(baseline.trees, delta)
-            if patched is None or self.config_filename not in patched:
-                return None
-            self.stop()
-            return self._start_from_tree(patched.get(self.config_filename))
+            return super().start_delta(baseline, delta)
         state: _PostgresDeltaState = baseline.state
         overrides: dict[int, tuple[str, str | None]] = {}
         for change in delta.changes:
@@ -312,9 +309,8 @@ class SimulatedPostgres(SystemUnderTest):
         self.effective_settings = settings
         max_connections = int(settings.get("max_connections") or 1)
         self._engine = MiniSqlEngine(max_connections=max(1, max_connections))
-        if max_connections == int(state.final_settings.get("max_connections") or 1):
-            # a successful Postgres start carries no warnings, so an equal
-            # admission limit makes the delta functionally equivalent
+        if self._observable_state() == baseline.observable:
+            # a successful Postgres start carries no warnings
             return baseline.result
         return StartResult.ok()
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
+from repro.core.infoset import ConfigNode, ConfigSet
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import ssh_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 from repro.sut.options import OptionSpec
 from repro.sut.sshd.options import (
     DEFAULT_SSHD_CONFIG,
@@ -90,15 +89,11 @@ class SimulatedSshd(SystemUnderTest):
             tree = get_dialect("sshdconf").parse(text, filename=self.config_filename)
         except ParseError as exc:
             return StartResult.failed(f"{self.config_filename}: {exc}")
-        return self._start_from_tree(tree)
+        return self._start_from_trees(ConfigSet([tree]), files)
 
-    def _start_from_tree(self, tree: ConfigTree) -> StartResult:
-        """Validate and bring up the daemon from an already parsed tree.
-
-        The single source of truth for configuration semantics: the full
-        start enters after parsing, the delta start after patching the
-        baseline tree, so both walks are literally the same code.
-        """
+    def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
+        """Validate and bring up the daemon from the parsed ``sshd_config``."""
+        tree = trees.get(self.config_filename)
         settings: dict[str, object] = {
             spec.canonical_name(): self._default_for(spec) for spec in SSHD_OPTIONS
         }
@@ -159,50 +154,8 @@ class SimulatedSshd(SystemUnderTest):
         self._running = True
         return StartResult.ok(warnings)
 
-    # ------------------------------------------------------------ delta start
-    def _baseline_state(self, trees: ConfigSet) -> dict[str, object] | None:
-        """Snapshot of the pristine daemon state for equivalence detection.
-
-        The delta walk revalidates the patched baseline tree directly, so
-        the only extra index needed is the pristine observable state: when a
-        delta reproduces it exactly, the start is functionally equivalent.
-        """
-        if self.config_filename not in trees:
-            return None
-        return {
-            "settings": dict(self.effective_settings),
-            "match_blocks": list(self.match_blocks),
-            "ports": list(self.listen_ports),
-            "host_keys": list(self.host_keys),
-        }
-
-    def start_delta(
-        self, baseline: BaselineValidation, delta: ScenarioDelta
-    ) -> StartResult | None:
-        """Revalidate the patched baseline tree, skipping untransform/parse.
-
-        ``sshd_config`` is a page of keywords, so the walk itself is cheap;
-        what the delta path removes is the full reverse transform, the
-        serialisation and the re-parse of the mutated file.
-        """
-        patched = patched_trees(baseline.trees, delta)
-        if patched is None or self.config_filename not in patched:
-            return None
-        self.stop()
-        result = self._start_from_tree(patched.get(self.config_filename))
-        state: dict[str, object] = baseline.state
-        if (
-            result.started
-            and result.warnings == baseline.result.warnings
-            and self.effective_settings == state["settings"]
-            and self.match_blocks == state["match_blocks"]
-            and self.listen_ports == state["ports"]
-            and self.host_keys == state["host_keys"]
-        ):
-            # the mutated keyword left every observable unchanged (comment
-            # edit, ignored duplicate, same-value rewrite): pristine outcome
-            return baseline.result
-        return result
+    def _observable_state(self) -> tuple:
+        return (self.effective_settings, self.match_blocks, self.listen_ports, self.host_keys)
 
     # ----------------------------------------------------------------- helpers
     @staticmethod

@@ -1,9 +1,9 @@
-"""Fixture: delta support advertised by implementing start_delta."""
+"""Fixture: delta support advertised by implementing the tree walk."""
 
 
 class HonestSut:
     def supports_delta(self):
         return True
 
-    def start_delta(self, baseline, delta):
+    def _start_from_trees(self, trees, files):
         return None

@@ -120,7 +120,7 @@ class _DriftingPlugin(plugin_base.ErrorGeneratorPlugin):
 
 
 class _HalfDeltaSut(SystemUnderTest):
-    """start_delta without _baseline_state: the delta contract violation."""
+    """A tree walk without _observable_state: the delta contract violation."""
 
     name = "lint-test-half-delta"
 
@@ -139,8 +139,8 @@ class _HalfDeltaSut(SystemUnderTest):
     def functional_tests(self):
         return []
 
-    def start_delta(self, baseline, delta):
-        return None
+    def _start_from_trees(self, trees, files):
+        return StartResult.ok()
 
 
 class TestRegistryIntrospection:
@@ -180,7 +180,7 @@ class TestRegistryIntrospection:
         finally:
             del system_registry["lint-test-half-delta"]
         [finding] = report.findings
-        assert "_baseline_state" in finding.message
+        assert "_observable_state" in finding.message
         assert "_HalfDeltaSut" in finding.message
 
 

@@ -25,7 +25,8 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro.core.campaign import Campaign
 from repro.core.engine import InjectionEngine, _children_vetted
-from repro.core.infoset import ConfigNode
+from repro.core.infoset import ConfigNode, ConfigSet
+from repro.core.profile import InjectionOutcome
 from repro.core.spec import RESUME_IRRELEVANT_PATHS, ExecutionSpec
 from repro.core.templates.base import (
     DeleteOperation,
@@ -35,7 +36,7 @@ from repro.core.templates.base import (
     NodeAddress,
     PermuteChildrenOperation,
 )
-from repro.errors import TemplateError
+from repro.errors import ConfErrError, TemplateError
 from repro.parsers.base import available_dialects, get_dialect
 from repro.plugins import (
     DnsSemanticErrorsPlugin,
@@ -44,6 +45,7 @@ from repro.plugins import (
     StructuralVariationsPlugin,
 )
 from repro.sut.apache import SimulatedApache
+from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest, TestResult
 from repro.sut.dns import SimulatedBIND, SimulatedDjbdns
 from repro.sut.incremental import (
     INCREMENTAL_STATS,
@@ -547,6 +549,102 @@ class TestFallbackRouting:
             tree="no-such.conf", path=(0,), kind="directive", name="x", value="1"
         )
         assert engine.sut.start_delta(prepared, ScenarioDelta((change,))) is None
+
+
+# ------------------------------------------------------------ delta protocol
+class _CountingCheck(FunctionalTest):
+    name = "counting-check"
+
+    def __init__(self, runs):
+        self.runs = runs
+
+    def run(self, sut):
+        self.runs.append(sut.is_running())
+        return TestResult(self.name, passed=True)
+
+
+class _WalkOnlySut(SystemUnderTest):
+    """A tree walk without ``_observable_state``: deltas are never no-ops."""
+
+    name = "walk-only"
+
+    def __init__(self):
+        self.runs = []
+        self._running = False
+
+    def default_configuration(self):
+        return {"toy.ini": "# toy\n[main]\nkey = 1\nother = two\n"}
+
+    def dialect_for(self, filename):
+        return "ini"
+
+    def start(self, files):
+        self.stop()
+        try:
+            tree = get_dialect("ini").parse(files["toy.ini"], filename="toy.ini")
+        except ConfErrError as exc:
+            return StartResult.failed(str(exc))
+        return self._start_from_trees(ConfigSet([tree]), files)
+
+    def _start_from_trees(self, trees, files):
+        self._running = True
+        return StartResult.ok()
+
+    def stop(self):
+        self._running = False
+
+    def is_running(self):
+        return self._running
+
+    def functional_tests(self):
+        return [_CountingCheck(self.runs)]
+
+
+class TestDeltaProtocol:
+    """``SystemUnderTest.start_delta``: one protocol, two hooks per family."""
+
+    @pytest.mark.parametrize(
+        "sut_class", [SimulatedMySQL, SimulatedPostgres], ids=lambda c: c.name
+    )
+    def test_unobservable_structural_delta_is_a_noop(self, sut_class):
+        """Deleting the leading comment walks the patched tree and, since the
+        admission limit is unchanged, returns the baseline result itself."""
+        sut = sut_class()
+        prepared = sut.prepare(sut.default_configuration())
+        name = sut.config_filename
+        tree = prepared.trees.get(name)
+        assert tree.root.children[0].kind == "comment"
+        keep = tuple(range(1, len(tree.root.children)))
+        delta = ScenarioDelta((), (ChildrenChange(name, (), keep),))
+
+        assert sut.start_delta(prepared, delta) is prepared.result
+        assert sut.is_running()
+        patched = patched_trees(prepared.trees, delta).get(name)
+        mutated = get_dialect(tree.dialect).serialize(patched)
+        full = sut_class()
+        assert full.start({name: mutated}).started
+        assert sut.effective_settings == full.effective_settings
+
+    def test_walk_without_observable_state_never_reuses_outcomes(self):
+        engine = InjectionEngine(_WalkOnlySut(), SpellingMistakesPlugin(), seed=5)
+        profile = engine.run()
+        stats = INCREMENTAL_STATS.snapshot()
+        assert stats["delta_starts"] > 0
+        assert stats["noop_reuses"] == 0
+        started = [
+            r
+            for r in profile.records
+            if r.outcome in (InjectionOutcome.IGNORED, InjectionOutcome.DETECTED_BY_TESTS)
+        ]
+        # one pristine run in prepare, then one per started scenario
+        assert len(engine.sut.runs) == len(started) + 1
+        assert all(engine.sut.runs)
+
+        # not even an empty delta counts as a no-op
+        sut = _WalkOnlySut()
+        prepared = sut.prepare(sut.default_configuration())
+        result = sut.start_delta(prepared, ScenarioDelta(()))
+        assert result.started and result is not prepared.result
 
 
 # ------------------------------------------------- counters and baseline cache
