@@ -5,10 +5,13 @@ ancestor's child list per level; addressing all N nodes of a wide tree that
 way is O(N^2).  :class:`AddressIndex` computes every address in one
 enumerate-driven walk -- O(N) -- which is what the plugins now use during
 scenario generation.  This benchmark proves the win on a wide flat tree (the
-shape of ``postgresql.conf`` and Apache's directive lists).
+shape of ``postgresql.conf`` and Apache's directive lists), by wall clock
+and by counting the node visits and sibling-list scans each way makes.
 """
 
+import functools
 import time
+from collections import Counter
 
 import pytest
 
@@ -55,6 +58,32 @@ def test_index_beats_per_node_addressing_on_wide_trees(wide_set):
     # O(N) vs O(N^2): on 2000 siblings the gap is orders of magnitude, so a
     # 3x bar keeps the assertion far from scheduler noise.
     assert indexed * 3 < legacy, f"AddressIndex {indexed:.4f}s vs per-node {legacy:.4f}s"
+
+
+def test_index_does_linear_work_and_the_upwalk_quadratic(wide_set, monkeypatch):
+    """Count the work behind the timing above: the index walks each node once
+    and never scans a sibling list; the up-walk scans one per node."""
+    counts: Counter = Counter()
+
+    def counted(name):
+        original = getattr(ConfigNode, name)
+
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ConfigNode, name, wrapper)
+
+    counted("index_in_parent")
+    counted("walk_with_paths")
+    _address_all_via_index(wide_set)
+    # walk_with_paths recurses through the class attribute: one call per node
+    assert counts == Counter(walk_with_paths=WIDTH + 1)
+
+    counts.clear()
+    _address_all_via_upwalk(wide_set)
+    assert counts == Counter(index_in_parent=WIDTH)
 
 
 def test_bulk_addressing_benchmark(wide_set, benchmark):

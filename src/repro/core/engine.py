@@ -496,6 +496,19 @@ class InjectionEngine:
                 duration_seconds=time.perf_counter() - started_at,
             )
 
+        def diagnosed(warnings, outcomes) -> InjectionRecord:
+            """Fold ``(passed, name, detail)`` diagnosis outcomes into a record."""
+            failed = []
+            messages = list(warnings)
+            for passed, name, detail in outcomes:
+                if not passed:
+                    failed.append(name)
+                    if detail:
+                        messages.append(f"{name}: {detail}")
+            if failed:
+                return record(InjectionOutcome.DETECTED_BY_TESTS, messages=messages, failed_tests=failed)
+            return record(InjectionOutcome.IGNORED, messages=messages)
+
         start_result = None
         if incremental is not None:
             start_result = self._attempt_delta(scenario, view_set, incremental)
@@ -505,18 +518,7 @@ class InjectionEngine:
                 # baseline functional outcomes are the suite's outcomes
                 INCREMENTAL_STATS.noop_reuses += 1
                 self._safe_stop()
-                failed = []
-                messages = list(start_result.warnings)
-                for passed, name, detail in incremental.functional:
-                    if not passed:
-                        failed.append(name)
-                        if detail:
-                            messages.append(f"{name}: {detail}")
-                if failed:
-                    return record(
-                        InjectionOutcome.DETECTED_BY_TESTS, messages=messages, failed_tests=failed
-                    )
-                return record(InjectionOutcome.IGNORED, messages=messages)
+                return diagnosed(start_result.warnings, incremental.functional)
 
         if start_result is None:
             try:
@@ -546,17 +548,11 @@ class InjectionEngine:
             return record(InjectionOutcome.DETECTED_AT_STARTUP, messages=start_result.errors)
 
         try:
-            failed = []
-            messages = list(start_result.warnings)
-            for test in self.sut.functional_tests():
-                result = test.run(self.sut)
-                if not result.passed:
-                    failed.append(result.name)
-                    if result.detail:
-                        messages.append(f"{result.name}: {result.detail}")
-            if failed:
-                return record(InjectionOutcome.DETECTED_BY_TESTS, messages=messages, failed_tests=failed)
-            return record(InjectionOutcome.IGNORED, messages=messages)
+            results = (test.run(self.sut) for test in self.sut.functional_tests())
+            return diagnosed(
+                start_result.warnings,
+                ((result.passed, result.name, result.detail) for result in results),
+            )
         except Exception as exc:
             # like a crashing start(), a crashing diagnosis test must not
             # abort the campaign

@@ -125,7 +125,8 @@ class SystemUnderTest(ABC):
         Returns a :class:`~repro.sut.incremental.BaselineValidation` holding
         the parsed trees, the full-start result and, when the pristine
         system started, a copy of its :meth:`_observable_state` plus the
-        SUT-specific reusable index from :meth:`_baseline_state`.  Baselines
+        splice index from :meth:`_baseline_state` (None except for
+        :class:`~repro.sut.database.SimulatedDatabase`).  Baselines
         are cached per (SUT class, content hash of the files), so
         consecutive plugin runs -- and suite cells -- over the same system
         reuse one prepared baseline.
@@ -214,9 +215,10 @@ class SystemUnderTest(ABC):
         """Reusable validation index built while the pristine system runs.
 
         Called by :meth:`prepare` with the parsed pristine trees after a
-        successful full start and before the stop.  Only SUTs that override
-        :meth:`start_delta` to splice field edits (MySQL, Postgres) need
-        one; the default is None.
+        successful full start and before the stop.  Only
+        :class:`~repro.sut.database.SimulatedDatabase`, whose
+        :meth:`start_delta` splices field edits into it, builds one; the
+        default is None.
         """
         return None
 

@@ -167,7 +167,8 @@ class ScenarioDelta:
     """All changes of one scenario: in-place field edits and child lists.
 
     The two kinds stay in separate tuples so a SUT that splices field edits
-    by path (MySQL, Postgres) can never mistake a structural edit for one.
+    by path (``SimulatedDatabase``) can never mistake a structural edit for
+    one.
     """
 
     changes: tuple[NodeChange, ...]
@@ -187,8 +188,9 @@ class BaselineValidation:
 
     ``trees`` are the files parsed with the SUT's own dialects; ``result``
     is the full ``start()`` outcome on the pristine files; ``state`` is the
-    SUT-specific reusable index built by ``_baseline_state`` while the
-    pristine system was running (``None`` for SUTs that do not splice);
+    positional index ``SimulatedDatabase._baseline_state`` builds while the
+    pristine system runs, for its field-delta splice (``None`` for every
+    other SUT);
     ``observable`` is a copy of the pristine system's ``_observable_state``,
     which a delta must reproduce to count as a no-op; ``functional`` records
     the diagnosis suite's outcomes on the pristine system as ``(passed,

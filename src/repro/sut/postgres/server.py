@@ -15,18 +15,12 @@ Postgres 8.2 server the paper studied:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from repro.core.infoset import ConfigSet
-from repro.errors import ParseError
-from repro.parsers.base import get_dialect
-from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
-from repro.sut.functional import database_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta
+from repro.core.infoset import ConfigNode, ConfigTree
+from repro.sut.database import Directive, SimulatedDatabase
 from repro.sut.options import OptionSpec
 from repro.sut.postgres.options import CROSS_CONSTRAINTS, DEFAULT_POSTGRESQL_CONF, POSTGRES_OPTIONS
-from repro.sut.storage import Connection, MiniSqlEngine
 
 __all__ = ["SimulatedPostgres", "parse_postgres_value", "PostgresValueError"]
 
@@ -93,231 +87,36 @@ def parse_postgres_value(text: str, spec: OptionSpec) -> object:
     return value
 
 
-@dataclass
-class _PostgresDeltaState:
-    """Reusable index of one fully validated pristine ``postgresql.conf``.
-
-    Mirrors the MySQL delta index, minus warnings (Postgres aborts instead
-    of warning): ``roles`` maps every root-child path to its document-order
-    directive position or ``"ignored"`` (comments, blanks); ``entries``
-    records each directive's isolated effect ``(error, assignment)``;
-    ``assignments`` indexes assignments per canonical key for
-    last-write-wins splicing.
-    """
-
-    roles: dict[tuple[int, ...], object]
-    entries: list[tuple[str | None, tuple[str, object] | None]]
-    assignments: dict[str, list[tuple[int, object]]]
-    defaults: dict[str, object]
-    final_settings: dict[str, object]
+#: The server's built-in settings, before the configuration file is read.
+_POSTGRES_DEFAULTS = {
+    spec.canonical_name(): parse_postgres_value(spec.default, spec) if spec.default is not None else None
+    for spec in POSTGRES_OPTIONS
+}
 
 
-class SimulatedPostgres(SystemUnderTest):
+class SimulatedPostgres(SimulatedDatabase):
     """Simulated PostgreSQL database server driven by ``postgresql.conf``."""
 
     name = "Postgres"
     config_filename = "postgresql.conf"
+    config_dialect = "pgconf"
+    default_text = DEFAULT_POSTGRESQL_CONF
+    missing_file_error = "configuration file {filename} is missing"
+    parse_error = "syntax error in configuration file: {error}"
+    process_name = "postgres"
 
-    def __init__(self, default_config: str | None = None):
-        self._default_config = (
-            default_config if default_config is not None else DEFAULT_POSTGRESQL_CONF
-        )
-        self._engine: MiniSqlEngine | None = None
-        self.effective_settings: dict[str, object] = {}
+    def _defaults(self) -> Mapping[str, object]:
+        return _POSTGRES_DEFAULTS
 
-    # --------------------------------------------------------------- interface
-    def default_configuration(self) -> dict[str, str]:
-        return {self.config_filename: self._default_config}
+    def _read_nodes(self, tree: ConfigTree) -> Iterator[ConfigNode]:
+        # the file is flat: every directive counts, and a section is an error
+        return (node for node in tree.walk() if node.kind in ("directive", "section"))
 
-    def dialect_for(self, filename: str) -> str:
-        return "pgconf"
-
-    def functional_tests(self) -> list[FunctionalTest]:
-        return database_suite()
-
-    def is_running(self) -> bool:
-        return self._engine is not None
-
-    def stop(self) -> None:
-        self._engine = None
-
-    def connect(self) -> Connection:
-        """Open a client connection (used by the database functional suite)."""
-        if self._engine is None:
-            raise RuntimeError("postgres is not running")
-        return self._engine.connect()
-
-    # ------------------------------------------------------------------ start
-    def start(self, files: Mapping[str, str]) -> StartResult:
-        self.stop()
-        text = files.get(self.config_filename)
-        if text is None:
-            return StartResult.failed(f"configuration file {self.config_filename} is missing")
-        try:
-            tree = get_dialect("pgconf").parse(text, filename=self.config_filename)
-        except ParseError as exc:
-            return StartResult.failed(f"syntax error in configuration file: {exc}")
-        return self._start_from_trees(ConfigSet([tree]), files)
-
-    def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
-        """Validate and bring up the server from the parsed ``postgresql.conf``."""
-        tree = trees.get(self.config_filename)
-        settings: dict[str, object] = {}
-        for spec in POSTGRES_OPTIONS:
-            try:
-                settings[spec.canonical_name()] = (
-                    parse_postgres_value(spec.default, spec) if spec.default is not None else None
-                )
-            except PostgresValueError:  # pragma: no cover - defaults are valid
-                settings[spec.canonical_name()] = spec.default
-
-        for node in tree.walk():
-            if node.kind == "directive":
-                error = self._apply_directive(node.name or "", node.value, settings)
-                if error is not None:
-                    return StartResult.failed(error)
-            elif node.kind == "section":
-                return StartResult.failed(
-                    f'syntax error in configuration file: unexpected section "{node.name}"'
-                )
-
-        constraint_error = self._check_constraints(settings)
-        if constraint_error is not None:
-            return StartResult.failed(constraint_error)
-
-        self.effective_settings = settings
-        max_connections = int(settings.get("max_connections") or 1)
-        self._engine = MiniSqlEngine(max_connections=max(1, max_connections))
-        return StartResult.ok()
-
-    # ------------------------------------------------------------ delta start
-    def _observable_state(self) -> int:
-        # the diagnosis suite sees the server only through its admission limit
-        return int(self.effective_settings.get("max_connections") or 1)
-
-    def _baseline_state(self, trees: ConfigSet) -> _PostgresDeltaState | None:
-        """Index the pristine configuration for last-write-wins splicing."""
-        if self.config_filename not in trees:
-            return None
-        tree = trees.get(self.config_filename)
-        roles: dict[tuple[int, ...], object] = {}
-        entries: list[tuple[str | None, tuple[str, object] | None]] = []
-        for index, node in enumerate(tree.root.children):
-            if node.kind != "directive":
-                # comments and blank lines: the server never interprets them
-                roles[(index,)] = "ignored"
-                continue
-            probe: dict[str, object] = {}
-            error = self._apply_directive(node.name or "", node.value, probe)
-            roles[(index,)] = len(entries)
-            entries.append((error, next(iter(probe.items()), None)))
-        assignments: dict[str, list[tuple[int, object]]] = {}
-        for position, (_error, assignment) in enumerate(entries):
-            if assignment is not None:
-                assignments.setdefault(assignment[0], []).append((position, assignment[1]))
-        defaults: dict[str, object] = {}
-        for spec in POSTGRES_OPTIONS:
-            try:
-                defaults[spec.canonical_name()] = (
-                    parse_postgres_value(spec.default, spec) if spec.default is not None else None
-                )
-            except PostgresValueError:  # pragma: no cover - defaults are valid
-                defaults[spec.canonical_name()] = spec.default
-        final_settings = dict(defaults)
-        for _error, assignment in entries:
-            if assignment is not None:
-                final_settings[assignment[0]] = assignment[1]
-        return _PostgresDeltaState(
-            roles=roles,
-            entries=entries,
-            assignments=assignments,
-            defaults=defaults,
-            final_settings=final_settings,
-        )
-
-    def start_delta(
-        self, baseline: BaselineValidation, delta: ScenarioDelta
-    ) -> StartResult | None:
-        """Revalidate only the changed parameters, splicing their effects.
-
-        Each changed directive is re-parsed in isolation (Postgres directive
-        errors never depend on earlier lines) and substituted at its document
-        position; touched keys are re-resolved last-write-wins and the
-        cross-parameter constraints re-checked on the spliced settings.
-        Structural edits move document positions, so those take the shared
-        protocol (the walk over the patched tree) instead of splicing.
-        """
-        if delta.children_changes:
-            return super().start_delta(baseline, delta)
-        state: _PostgresDeltaState = baseline.state
-        overrides: dict[int, tuple[str, str | None]] = {}
-        for change in delta.changes:
-            if change.tree != self.config_filename:
-                return None
-            role = state.roles.get(change.path)
-            if role == "ignored":
-                continue
-            if not isinstance(role, int):
-                return None
-            overrides[role] = (change.name or "", change.value)
-
-        self.stop()
-        if not overrides:
-            # every changed node is one the server never reads: pristine state
-            self.effective_settings = dict(state.final_settings)
-            max_connections = int(state.final_settings.get("max_connections") or 1)
-            self._engine = MiniSqlEngine(max_connections=max(1, max_connections))
-            return baseline.result
-
-        effects: dict[int, tuple[str | None, tuple[str, object] | None]] = {}
-        for position, (name, value) in overrides.items():
-            probe: dict[str, object] = {}
-            error = self._apply_directive(name, value, probe)
-            effects[position] = (error, next(iter(probe.items()), None))
-
-        # the full walk aborts on the first erroring directive in file order
-        failing = [position for position, effect in effects.items() if effect[0] is not None]
-        if failing:
-            return StartResult.failed(effects[min(failing)][0])
-
-        settings = dict(state.final_settings)
-        affected: set[str] = set()
-        for position in overrides:
-            old = state.entries[position][1]
-            if old is not None:
-                affected.add(old[0])
-            new = effects[position][1]
-            if new is not None:
-                affected.add(new[0])
-        for key in affected:
-            candidates = [
-                (position, value)
-                for position, value in state.assignments.get(key, [])
-                if position not in overrides
-            ]
-            candidates.extend(
-                (position, effect[1][1])
-                for position, effect in effects.items()
-                if effect[1] is not None and effect[1][0] == key
-            )
-            settings[key] = max(candidates)[1] if candidates else state.defaults[key]
-
-        constraint_error = self._check_constraints(settings)
-        if constraint_error is not None:
-            return StartResult.failed(constraint_error)
-
-        self.effective_settings = settings
-        max_connections = int(settings.get("max_connections") or 1)
-        self._engine = MiniSqlEngine(max_connections=max(1, max_connections))
-        if self._observable_state() == baseline.observable:
-            # a successful Postgres start carries no warnings
-            return baseline.result
-        return StartResult.ok()
-
-    # ----------------------------------------------------------------- helpers
-    def _apply_directive(
-        self, directive_name: str, value: str | None, settings: dict[str, object]
-    ) -> str | None:
+    def _apply(self, node: Directive, settings: dict[str, object], warnings: list[str]) -> str | None:
+        if node.kind == "section":
+            return f'syntax error in configuration file: unexpected section "{node.name}"'
+        directive_name = node.name or ""
+        value = node.value
         spec = POSTGRES_OPTIONS.resolve(directive_name, allow_prefix=False, case_sensitive=False)
         if spec is None:
             return f'unrecognized configuration parameter "{directive_name}"'
@@ -329,8 +128,7 @@ class SimulatedPostgres(SystemUnderTest):
             return f"FATAL: {exc}"
         return None
 
-    @staticmethod
-    def _check_constraints(settings: dict[str, object]) -> str | None:
+    def _check_settings(self, settings: Mapping[str, object]) -> str | None:
         for constraint in CROSS_CONSTRAINTS:
             value = settings.get(constraint.parameter)
             related = settings.get(constraint.related)

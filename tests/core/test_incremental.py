@@ -45,7 +45,8 @@ from repro.plugins import (
     StructuralVariationsPlugin,
 )
 from repro.sut.apache import SimulatedApache
-from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest, TestResult
+from repro.registry import get_system
+from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest, TestResult, split_sut
 from repro.sut.dns import SimulatedBIND, SimulatedDjbdns
 from repro.sut.incremental import (
     INCREMENTAL_STATS,
@@ -56,9 +57,9 @@ from repro.sut.incremental import (
     patch_tree,
     patched_trees,
 )
-from repro.sut.mysql import SimulatedMySQL
+from repro.sut.mysql import MYSQLD_OPTIONS, SimulatedMySQL
 from repro.sut.nginx import SimulatedNginx
-from repro.sut.postgres import SimulatedPostgres
+from repro.sut.postgres import POSTGRES_OPTIONS, SimulatedPostgres
 from repro.sut.sshd import SimulatedSshd
 
 ALL_SUTS = [
@@ -645,6 +646,79 @@ class TestDeltaProtocol:
         prepared = sut.prepare(sut.default_configuration())
         result = sut.start_delta(prepared, ScenarioDelta(()))
         assert result.started and result is not prepared.result
+
+
+# ------------------------------------------------------- field-delta splice
+#: Names a typo can write: every option either database knows, or garbage.
+_OPTION_NAMES = sorted({spec.name for spec in MYSQLD_OPTIONS} | {spec.name for spec in POSTGRES_OPTIONS})
+_TYPO_NAMES = st.one_of(
+    st.sampled_from(_OPTION_NAMES),
+    st.builds(
+        lambda name, cut, typo: name[:cut] + typo + name[cut:],
+        st.sampled_from(_OPTION_NAMES),
+        st.integers(0, 30),
+        st.text("abcdefghijklmnopqrstuvwxyzABCZ_-", max_size=2),
+    ),
+    st.text("abcdefghijklmnopqrstuvwxyz_-", min_size=1, max_size=12),
+)
+_TYPO_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from(["", "0", "1", "7", "on", "off", "100", "1M0", "M16", "33o6", "16MB", "-5", "99999999"]),
+    st.text("abcdefghijklmnopqrstuvwxyzKMGB0123456789._- ", max_size=10),
+)
+
+
+class TestFieldSplice:
+    """The databases' field-delta splice agrees with the shared walk over the
+    patched trees and with a full start of the serialised patched file."""
+
+    @pytest.fixture(
+        scope="class",
+        params=["mysql", "mysql-full-directives", "postgres", "postgres-full-directives"],
+    )
+    def database(self, request):
+        factory = lambda: split_sut(get_system(request.param))[0]  # noqa: E731
+        sut = factory()
+        prepared = sut.prepare(sut.default_configuration())
+        assert prepared is not None and prepared.result.started
+        engine = InjectionEngine(sut, SpellingMistakesPlugin(), seed=1)
+        return factory, engine, prepared
+
+    @given(pick=st.integers(0, 10**6), name=_TYPO_NAMES, value=_TYPO_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_splice_walk_and_full_start_agree(self, database, pick, name, value):
+        factory, engine, prepared = database
+        sut = engine.sut
+        filename = sut.config_filename
+        tree = prepared.trees.get(filename)
+        # every node the server reads or ignores; sections always fall back
+        members = [
+            (path, node)
+            for node, path in tree.root.walk_with_paths()
+            if path and node.kind != "section"
+        ]
+        path, node = members[pick % len(members)]
+        change = NodeChange(
+            tree=filename, path=path, kind=node.kind, name=name, value=value, attrs=dict(node.attrs)
+        )
+        vetted = engine._vet_change(change, prepared.trees)
+        if vetted is None:
+            return  # guard fallback: the full pass handles it
+        delta = ScenarioDelta((vetted,))
+
+        spliced = sut.start_delta(prepared, delta)
+        walker = factory()
+        walked = SystemUnderTest.start_delta(walker, prepared, delta)
+        dialect = get_dialect(tree.dialect)
+        full = factory()
+        started = full.start({filename: dialect.serialize(patched_trees(prepared.trees, delta).get(filename))})
+
+        event(f"started={started.started} noop={walked is prepared.result}")
+        outcomes = [(r.started, r.errors, r.warnings) for r in (spliced, walked, started)]
+        assert outcomes[0] == outcomes[1] == outcomes[2], outcomes
+        if started.started:
+            assert sut.effective_settings == walker.effective_settings == full.effective_settings
+        assert (spliced is prepared.result) == (walked is prepared.result)
 
 
 # ------------------------------------------------- counters and baseline cache
