@@ -63,12 +63,16 @@ class KeyboardLayout:
         self.name = name
         self._keys: dict[str, Key] = {}
         self._char_index: dict[str, tuple[Key, frozenset[str]]] = {}
+        #: ``neighbour_characters`` answers by (character, max_distance,
+        #: keep_modifiers); geometry is constant until the next ``add_key``.
+        self._neighbour_table: dict[tuple[str, float, bool], tuple[str, ...]] = {}
         for key in keys:
             self.add_key(key)
 
     def add_key(self, key: Key) -> Key:
         """Register ``key`` and index every character it can produce."""
         self._keys[key.key_id] = key
+        self._neighbour_table.clear()
         for modifiers, character in key.outputs.items():
             # first registration wins so base characters stay canonical
             self._char_index.setdefault(character, (key, modifiers))
@@ -125,19 +129,25 @@ class KeyboardLayout:
         characters produced by neighbouring keys.  When ``keep_modifiers`` is
         true (the paper's model) the same modifier combination is applied to
         the neighbouring keys; neighbours that produce nothing under those
-        modifiers are skipped.
+        modifiers are skipped.  Answers come from a per-layout table filled
+        on first use, so the key scan runs once per question; each call
+        returns a fresh list.
         """
-        located = self.locate(character)
-        if located is None:
-            return []
-        key, modifiers = located
-        wanted = modifiers if keep_modifiers else NO_MODIFIERS
-        outputs = []
-        for neighbour in self.neighbours(key, max_distance):
-            produced = neighbour.character(wanted)
-            if produced is not None and produced != character:
-                outputs.append(produced)
-        return outputs
+        table_key = (character, max_distance, keep_modifiers)
+        answer = self._neighbour_table.get(table_key)
+        if answer is None:
+            located = self.locate(character)
+            if located is None:
+                return []
+            key, modifiers = located
+            wanted = modifiers if keep_modifiers else NO_MODIFIERS
+            outputs = []
+            for neighbour in self.neighbours(key, max_distance):
+                produced = neighbour.character(wanted)
+                if produced is not None and produced != character:
+                    outputs.append(produced)
+            answer = self._neighbour_table[table_key] = tuple(outputs)
+        return list(answer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KeyboardLayout({self.name!r}, keys={len(self._keys)})"

@@ -122,18 +122,20 @@ class SystemUnderTest(ABC):
     def prepare(self, files: Mapping[str, str]) -> BaselineValidation | None:
         """Parse and fully validate the pristine ``files`` once, for reuse.
 
-        Returns a :class:`~repro.sut.incremental.BaselineValidation` holding
-        the parsed trees, the full-start result and, when the pristine
-        system started, a copy of its :meth:`_observable_state` plus the
-        splice index from :meth:`_baseline_state` (None except for
-        :class:`~repro.sut.database.SimulatedDatabase`).  Baselines
-        are cached per (SUT class, content hash of the files), so
-        consecutive plugin runs -- and suite cells -- over the same system
-        reuse one prepared baseline.
+        Each file is parsed once, and the family's walk
+        (:meth:`_start_from_trees`) validates those trees, exactly as a full
+        ``start()`` would.  Returns a
+        :class:`~repro.sut.incremental.BaselineValidation` holding the parsed
+        trees, the walk's result and, when the pristine system started, a
+        copy of its :meth:`_observable_state` plus the reusable index from
+        :meth:`_baseline_state`.  Baselines are cached per (SUT class,
+        content hash of the files), so consecutive plugin runs -- and suite
+        cells -- over the same system reuse one prepared baseline.
 
         The system is stopped before this returns; ``start_delta`` restores
         the running state itself.  Returns None when a file fails to parse
-        (the full path classifies such sets per scenario).
+        (the full path classifies such sets per scenario).  ``files`` is a
+        default configuration, so it holds every file the walk starts from.
         """
         key = content_key(files)
         sut_key = type(self).__qualname__
@@ -153,7 +155,8 @@ class SystemUnderTest(ABC):
         from repro.core.infoset import ConfigSet
 
         tree_set = ConfigSet(trees)
-        result = self.start(files)
+        self.stop()
+        result = self._start_from_trees(tree_set, files)
         state = observable = None
         functional: tuple[tuple[bool, str, str], ...] | None = None
         try:
@@ -214,11 +217,12 @@ class SystemUnderTest(ABC):
     def _baseline_state(self, trees: Any) -> Any:
         """Reusable validation index built while the pristine system runs.
 
-        Called by :meth:`prepare` with the parsed pristine trees after a
-        successful full start and before the stop.  Only
-        :class:`~repro.sut.database.SimulatedDatabase`, whose
-        :meth:`start_delta` splices field edits into it, builds one; the
-        default is None.
+        Called by :meth:`prepare` with the parsed pristine trees after the
+        pristine walk started the system, and before the stop.  Two
+        families build one: :class:`~repro.sut.database.SimulatedDatabase`
+        a positional index its :meth:`start_delta` splices field edits into,
+        and :class:`~repro.sut.apache.server.SimulatedApache` the table of
+        directive effects its walk replays.  The default is None.
         """
         return None
 

@@ -7,8 +7,8 @@ delta protocol:
 
 * :class:`BaselineValidation` -- the result of fully validating the pristine
   file set once per ``(worker, plugin run)``, including the parsed trees,
-  the pristine observable state and, for SUTs that splice field edits, an
-  opaque per-SUT reusable index.
+  the pristine observable state and an opaque per-SUT reusable index (a
+  splice index or a table of directive effects).
 * :class:`ScenarioDelta` -- a scenario reduced to detached change records
   addressing baseline nodes, in two kinds kept apart: :class:`NodeChange`
   (the new fields of one node, edited in place) and
@@ -187,10 +187,11 @@ class BaselineValidation:
     """One fully validated pristine configuration set, ready for deltas.
 
     ``trees`` are the files parsed with the SUT's own dialects; ``result``
-    is the full ``start()`` outcome on the pristine files; ``state`` is the
-    positional index ``SimulatedDatabase._baseline_state`` builds while the
-    pristine system runs, for its field-delta splice (``None`` for every
-    other SUT);
+    is the pristine walk's outcome, the one a full ``start()`` returns;
+    ``state`` is what the family's ``_baseline_state`` builds while the
+    pristine system runs: ``SimulatedDatabase``'s positional index for its
+    field-delta splice, ``SimulatedApache``'s table of directive effects
+    for its walk to replay, ``None`` for every other SUT;
     ``observable`` is a copy of the pristine system's ``_observable_state``,
     which a delta must reproduce to count as a no-op; ``functional`` records
     the diagnosis suite's outcomes on the pristine system as ``(passed,

@@ -15,6 +15,10 @@ fallback machinery that makes the contract hold:
 * fallback routing: newline smuggling, kind-changing typos and mutated
   include arguments all take the full path (or resolve identically
   through it),
+* what the delta path skips stays skipped without changing answers:
+  ``prepare`` parses each pristine file once, the databases' splice and
+  Apache's baseline directive table agree with the walk that reuses
+  nothing, and Apache evaluates only directives its table lacks,
 * the content-hash baseline cache, counters and the spec/CLI knob.
 """
 
@@ -37,15 +41,15 @@ from repro.core.templates.base import (
     PermuteChildrenOperation,
 )
 from repro.errors import ConfErrError, TemplateError
-from repro.parsers.base import available_dialects, get_dialect
+from repro.parsers.base import ConfigDialect, available_dialects, get_dialect
 from repro.plugins import (
     DnsSemanticErrorsPlugin,
     SpellingMistakesPlugin,
     StructuralErrorsPlugin,
     StructuralVariationsPlugin,
 )
-from repro.sut.apache import SimulatedApache
-from repro.registry import get_system
+from repro.sut.apache import APACHE_DIRECTIVES, DEFAULT_HTTPD_CONF, SimulatedApache
+from repro.registry import available_systems, get_system
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest, TestResult, split_sut
 from repro.sut.dns import SimulatedBIND, SimulatedDjbdns
 from repro.sut.incremental import (
@@ -54,6 +58,7 @@ from repro.sut.incremental import (
     NodeChange,
     ScenarioDelta,
     clear_baseline_cache,
+    node_at,
     patch_tree,
     patched_trees,
 )
@@ -296,18 +301,59 @@ def _containers(tree):
     ]
 
 
+def _draw_structural_scenario(data, tree):
+    """A scenario of one random structural operation on ``tree``."""
+    members = [path for _node, path in tree.root.walk_with_paths() if path]
+    containers = _containers(tree)
+    index = st.one_of(st.none(), st.integers(-3, 110))
+
+    def address(path):
+        return NodeAddress(tree.name, path)
+
+    kind = data.draw(st.sampled_from(["delete", "insert", "move", "permute"]))
+    if kind == "delete":
+        operation = DeleteOperation(address(data.draw(st.sampled_from(members))))
+    elif kind == "insert":
+        _node, parent = data.draw(st.sampled_from(containers))
+        operation = InsertOperation(
+            address(parent), data.draw(_inserted_nodes(tree)), data.draw(index)
+        )
+    elif kind == "move":
+        _node, parent = data.draw(st.sampled_from(containers))
+        operation = MoveOperation(
+            address(data.draw(st.sampled_from(members))), address(parent), data.draw(index)
+        )
+    else:
+        node, parent = data.draw(st.sampled_from(containers))
+        length = data.draw(st.integers(0, len(node.children)))
+        permutation = data.draw(st.permutations(range(length)))
+        operation = PermuteChildrenOperation(address(parent), tuple(permutation))
+    return kind, FaultScenario("property", "property", "property", operations=(operation,))
+
+
+def _structural_changes(engine, scenario, view_set, prepared):
+    """The scenario's vetted changes; None when the guard refuses one."""
+    with scenario.applied_to(view_set) as mutated:
+        changes = engine.plugin.view.scenario_changes(scenario, mutated, prepared.trees)
+    assert changes is not None, "a lone structural operation must be expressible"
+    vetted = [engine._vet_change(change, prepared.trees) for change in changes]
+    return None if any(change is None for change in vetted) else vetted
+
+
+@pytest.fixture(scope="module")
+def apache_structural():
+    """An Apache structural engine with its trees and prepared baseline."""
+    clear_baseline_cache()
+    engine = InjectionEngine(SimulatedApache(), StructuralErrorsPlugin(), seed=1)
+    config_set, view_set, _ = engine.generate_scenarios()
+    prepared = engine.prepare_incremental(config_set, view_set)
+    assert prepared is not None
+    return engine, config_set, view_set, prepared
+
+
 class TestStructuralGuard:
     """A lone structural operation is admitted only if the patched tree
     means exactly what a full parse of the materialised file would read."""
-
-    @pytest.fixture(scope="class")
-    def apache(self):
-        clear_baseline_cache()
-        engine = InjectionEngine(SimulatedApache(), StructuralErrorsPlugin(), seed=1)
-        config_set, view_set, _ = engine.generate_scenarios()
-        prepared = engine.prepare_incremental(config_set, view_set)
-        assert prepared is not None
-        return engine, config_set, view_set, prepared
 
     @given(data=st.data())
     @settings(
@@ -315,44 +361,14 @@ class TestStructuralGuard:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_admitted_changes_match_a_full_start(self, apache, data):
-        engine, config_set, view_set, prepared = apache
-        tree = prepared.trees.get("httpd.conf")
-        members = [path for _node, path in tree.root.walk_with_paths() if path]
-        containers = _containers(tree)
-        index = st.one_of(st.none(), st.integers(-3, 110))
-
-        def address(path):
-            return NodeAddress("httpd.conf", path)
-
-        kind = data.draw(st.sampled_from(["delete", "insert", "move", "permute"]))
-        if kind == "delete":
-            operation = DeleteOperation(address(data.draw(st.sampled_from(members))))
-        elif kind == "insert":
-            _node, parent = data.draw(st.sampled_from(containers))
-            operation = InsertOperation(
-                address(parent), data.draw(_inserted_nodes(tree)), data.draw(index)
-            )
-        elif kind == "move":
-            _node, parent = data.draw(st.sampled_from(containers))
-            operation = MoveOperation(
-                address(data.draw(st.sampled_from(members))), address(parent), data.draw(index)
-            )
-        else:
-            node, parent = data.draw(st.sampled_from(containers))
-            length = data.draw(st.integers(0, len(node.children)))
-            permutation = data.draw(st.permutations(range(length)))
-            operation = PermuteChildrenOperation(address(parent), tuple(permutation))
-        scenario = FaultScenario("property", "property", "property", operations=(operation,))
-
+    def test_admitted_changes_match_a_full_start(self, apache_structural, data):
+        engine, config_set, view_set, prepared = apache_structural
+        kind, scenario = _draw_structural_scenario(data, prepared.trees.get("httpd.conf"))
         try:
-            with scenario.applied_to(view_set) as mutated:
-                changes = engine.plugin.view.scenario_changes(scenario, mutated, prepared.trees)
+            vetted = _structural_changes(engine, scenario, view_set, prepared)
         except TemplateError:
             return  # an impossible operation, e.g. a move into its own subtree
-        assert changes is not None, "a lone structural operation must be expressible"
-        vetted = [engine._vet_change(change, prepared.trees) for change in changes]
-        if any(change is None for change in vetted):
+        if vetted is None:
             event("guard fallback")
             return  # the full pass handles it
         event(f"admitted {kind}")
@@ -719,6 +735,267 @@ class TestFieldSplice:
         if started.started:
             assert sut.effective_settings == walker.effective_settings == full.effective_settings
         assert (spliced is prepared.result) == (walked is prepared.result)
+
+
+# ------------------------------------------------------ prepare parses once
+_DELTA_SYSTEMS = [
+    name for name in available_systems() if split_sut(get_system(name))[0].supports_delta()
+]
+
+
+@pytest.mark.parametrize("system", _DELTA_SYSTEMS)
+def test_prepare_parses_once_and_matches_a_full_start(system, monkeypatch):
+    """``prepare`` walks the trees it parsed: one parse per pristine file,
+    and the same result and observable state as a full ``start``."""
+    parsed = []
+    original_parse = ConfigDialect.parse
+
+    def counting_parse(self, text, filename="<string>"):
+        parsed.append(filename)
+        return original_parse(self, text, filename)
+
+    monkeypatch.setattr(ConfigDialect, "parse", counting_parse)
+    sut = split_sut(get_system(system))[0]
+    files = sut.default_configuration()
+    prepared = sut.prepare(files)
+    assert sorted(parsed) == sorted(files)
+    assert not sut.is_running()
+
+    full = split_sut(get_system(system))[0]
+    result = full.start(files)
+    assert (prepared.result.started, prepared.result.errors, prepared.result.warnings) == (
+        result.started,
+        result.errors,
+        result.warnings,
+    )
+    assert result.started and prepared.observable == full._observable_state()
+
+
+# ------------------------------------------------ Apache's directive table
+_HTTPD_TREE = get_dialect("apache").parse(DEFAULT_HTTPD_CONF, filename="httpd.conf")
+_HTTPD_NAMES = sorted(
+    {spec.name for spec in APACHE_DIRECTIVES.values()}
+    | {node.name for node in _HTTPD_TREE.walk() if node.name}
+)
+#: Values a typo can leave: the file's own, and module names that flip
+#: ``<IfModule>`` guards either way (``worker.c`` is not loaded).
+_HTTPD_VALUES = sorted(
+    {node.value for node in _HTTPD_TREE.walk() if node.value}
+    | {"worker.c", "!worker.c", "!prefork.c", "mod_mime.c", "!mod_mime.c", "mime_module"}
+    | {"worker_module modules/worker.so", "mime_magic_module modules/mod_mime_magic.so"}
+    | {"", "0", "8080", "On", "x"}
+)
+
+
+def _typo_of(words):
+    """A word from ``words``, or one with characters dropped or inserted."""
+    return st.one_of(
+        st.sampled_from(words),
+        st.builds(
+            lambda word, cut, drop, typo: word[:cut] + typo + word[cut + drop:],
+            st.sampled_from(words),
+            st.integers(0, 40),
+            st.integers(0, 2),
+            st.text("abcdeklmnorstuvwxyz.!_/: 0189", max_size=2),
+        ),
+    )
+
+
+class TestApacheEffectTable:
+    """Apache's delta walk replays the directive effects and the module set
+    its baseline recorded.  It must answer exactly what the walk that
+    records nothing and a full start of the materialised file answer, and
+    evaluate only directives the table lacks."""
+
+    @given(data=st.data())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_table_walk_empty_walk_and_full_start_agree(self, apache_structural, data):
+        engine, _config_set, view_set, prepared = apache_structural
+        tree = prepared.trees.get("httpd.conf")
+        if data.draw(st.booleans()):
+            members = [(path, node) for node, path in tree.root.walk_with_paths() if path]
+            guards = [
+                (path, node)
+                for path, node in members
+                if (node.name or "").lower() in ("loadmodule", "ifmodule")
+            ]
+            path, node = data.draw(st.one_of(st.sampled_from(members), st.sampled_from(guards)))
+            name = data.draw(st.one_of(st.just(node.name), _typo_of(_HTTPD_NAMES)))
+            value = data.draw(st.one_of(st.none(), _typo_of(_HTTPD_VALUES)))
+            change = NodeChange("httpd.conf", path, node.kind, name, value, dict(node.attrs))
+            vetted = [engine._vet_change(change, prepared.trees)]
+            kind = f"field {(node.name or node.kind).lower()}"
+        else:
+            kind, scenario = _draw_structural_scenario(data, tree)
+            try:
+                vetted = _structural_changes(engine, scenario, view_set, prepared)
+            except TemplateError:
+                return  # an impossible operation, e.g. a move into its own subtree
+        if vetted is None or None in vetted:
+            event("guard fallback")
+            return  # the full pass handles it
+        delta = ScenarioDelta(
+            tuple(change for change in vetted if isinstance(change, NodeChange)),
+            tuple(change for change in vetted if isinstance(change, ChildrenChange)),
+        )
+
+        table = SimulatedApache()
+        by_table = table.start_delta(prepared, delta)
+        empty = SimulatedApache()
+        by_walk = SystemUnderTest.start_delta(empty, prepared, delta)
+        full = SimulatedApache()
+        patched = patched_trees(prepared.trees, delta).get("httpd.conf")
+        by_start = full.start({"httpd.conf": get_dialect("apache").serialize(patched)})
+
+        event(f"{kind}: started={by_start.started} noop={by_walk is prepared.result}")
+        outcomes = [(r.started, r.errors, r.warnings) for r in (by_table, by_walk, by_start)]
+        assert outcomes[0] == outcomes[1] == outcomes[2], outcomes
+        assert table._observable_state() == empty._observable_state() == full._observable_state()
+        assert (by_table is prepared.result) == (by_walk is prepared.result)
+
+    def test_module_set_follows_every_kind_of_edit(self):
+        """Guards that test a loaded module open and close with the edit,
+        whichever kind it is; the default file has no such guard."""
+        conf = (
+            "LoadModule mime_module modules/mod_mime.so\n"
+            "Listen 80\n"
+            "<IfModule mod_mime.c>\n    Listen 81\n</IfModule>\n"
+            "<IfModule worker.c>\n    Listen 82\n</IfModule>\n"
+            "ServerAdmin root\n"
+        )
+        sut = SimulatedApache(conf)
+        prepared = sut.prepare(sut.default_configuration())
+        assert prepared.result.started and sut.listen_ports == [80, 81]
+        tree = prepared.trees.get("httpd.conf")
+        worker = get_dialect("apache").parse(
+            "LoadModule worker_module modules/worker.so\n", filename="httpd.conf"
+        ).root.children[0]
+        deltas = {
+            "delete": ScenarioDelta((), (ChildrenChange("httpd.conf", (), (1, 2, 3, 4)),)),
+            "insert": ScenarioDelta((), (ChildrenChange("httpd.conf", (), (0, 1, 2, 3, 4, worker)),)),
+            "move": ScenarioDelta(
+                (),
+                (
+                    ChildrenChange("httpd.conf", (), (1, 2, 3, 4)),
+                    ChildrenChange("httpd.conf", (3,), (0, (0,))),
+                ),
+            ),
+            "typo": self._field_delta(tree, (0,), value="mime_module modules/mod_mim.so"),
+            "guard": self._field_delta(tree, (2,), value="mod_mim.c"),
+            "guard-on": self._field_delta(tree, (3,), value="!worker.c"),
+            "rename": self._field_delta(
+                tree, (4,), name="LoadModule", value="worker_module modules/worker.so"
+            ),
+        }
+        expected = {
+            "delete": [80],
+            "insert": [80, 81, 82],
+            "move": [80, 81],
+            "typo": [80],
+            "guard": [80],
+            "guard-on": [80, 81, 82],
+            "rename": [80, 81, 82],
+        }
+        for kind, delta in deltas.items():
+            by_table = SimulatedApache(conf)
+            by_table.start_delta(prepared, delta)
+            by_walk = SimulatedApache(conf)
+            SystemUnderTest.start_delta(by_walk, prepared, delta)
+            patched = patched_trees(prepared.trees, delta).get("httpd.conf")
+            full = SimulatedApache(conf)
+            assert full.start({"httpd.conf": get_dialect("apache").serialize(patched)}).started
+            assert by_table.listen_ports == by_walk.listen_ports == full.listen_ports, kind
+            assert full.listen_ports == expected[kind], kind
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Every directive evaluation and module-set scan, as they happen."""
+        effects, scans = [], []
+        original_effect = SimulatedApache._directive_effect
+        original_scan = SimulatedApache._available_modules
+
+        def counting_effect(cls, name, value):
+            effects.append((name, value))
+            return original_effect(name, value)
+
+        def counting_scan(tree):
+            scans.append(tree)
+            return original_scan(tree)
+
+        monkeypatch.setattr(SimulatedApache, "_directive_effect", classmethod(counting_effect))
+        monkeypatch.setattr(SimulatedApache, "_available_modules", staticmethod(counting_scan))
+        return effects, scans
+
+    @staticmethod
+    def _field_delta(tree, path, **fields):
+        node = node_at(tree, path)
+        change = dict(name=node.name, value=node.value) | fields
+        return ScenarioDelta(
+            (NodeChange(tree.name, path, node.kind, attrs=dict(node.attrs), **change),)
+        )
+
+    def test_only_unrecorded_directives_are_evaluated(self, counted):
+        effects, scans = counted
+        sut = SimulatedApache()
+        prepared = sut.prepare(sut.default_configuration())
+        tree = prepared.trees.get("httpd.conf")
+        table = prepared.state.effects
+
+        # the pristine walk evaluates each directive it reaches once; the
+        # blocks of unloaded modules are never parsed, so never recorded
+        skipped = [
+            node
+            for node in tree.root.children
+            if node.kind == "section" and node.value in ("worker.c", "mod_mime_magic.c")
+        ]
+        assert len(skipped) == 2 and all(section.children for section in skipped)
+        hidden = {id(child) for section in skipped for child in section.walk()}
+        reached = {
+            (node.name, node.value)
+            for node in tree.walk()
+            if node.kind == "directive" and id(node) not in hidden
+        }
+        assert sorted(effects) == sorted(reached) == sorted(table)
+        recorded = len(table)
+
+        deltas = []
+        for index, node in enumerate(tree.root.children):
+            if node.kind == "directive":
+                deltas.append(self._field_delta(tree, (index,), value=(node.value or "") + "0"))
+                deltas.append(self._field_delta(tree, (index,), name=(node.name or "") + "s"))
+            keep = tuple(position for position in range(len(tree.root.children)) if position != index)
+            deltas.append(ScenarioDelta((), (ChildrenChange("httpd.conf", (), keep),)))
+        for section in skipped:
+            index = tree.root.children.index(section)
+            deltas.append(self._field_delta(tree, (index,), value="!" + section.value))
+
+        flipped = 0
+        for delta in deltas:
+            effects.clear()
+            scans.clear()
+            sut.start_delta(prepared, delta)
+            patched = patched_trees(prepared.trees, delta).get("httpd.conf")
+            unrecorded = {
+                (node.name, node.value)
+                for node in patched.walk()
+                if node.kind == "directive" and (node.name, node.value) not in table
+            }
+            # at most once per changed or baseline-unrecorded directive
+            assert len(effects) == len(set(effects)) and set(effects) <= unrecorded
+            if delta.children_changes:
+                assert not effects  # a deletion brings nothing new to evaluate
+            touched = [node_at(tree, change.path) for change in delta.changes]
+            if delta.children_changes or any(node.name == "LoadModule" for node in touched):
+                assert len(scans) <= 1
+            else:
+                assert not scans  # the baseline module set stands
+            flipped += any(node.kind == "section" for node in touched) and bool(effects)
+        assert flipped == len(skipped), "a flipped guard evaluates the block it opens"
+        assert len(prepared.state.effects) == recorded, "the table never grows per scenario"
 
 
 # ------------------------------------------------- counters and baseline cache

@@ -49,6 +49,54 @@ class TestLayoutModel:
         assert qwerty_us().neighbour_characters("€") == []
 
 
+def _recomputed(layout, character, reach, keep_modifiers):
+    """``neighbour_characters`` derived straight from the key geometry."""
+    key, modifiers = layout.locate(character)
+    wanted = modifiers if keep_modifiers else NO_MODIFIERS
+    produced = (neighbour.character(wanted) for neighbour in layout.neighbours(key, reach))
+    return [output for output in produced if output is not None and output != character]
+
+
+class TestNeighbourTable:
+    """``neighbour_characters`` answers from a per-layout table; the answers
+    must be the geometric ones, in the same order, whatever was asked before."""
+
+    @pytest.mark.parametrize("name", ["qwerty-us", "azerty-fr", "dvorak"])
+    def test_every_answer_matches_the_geometry(self, name):
+        layout = get_layout(name)
+        for character in sorted(layout.supported_characters()):
+            for reach in (1.0, 1.5, 2.0):
+                for keep_modifiers in (True, False):
+                    expected = _recomputed(layout, character, reach, keep_modifiers)
+                    for _asked_again in range(2):
+                        assert layout.neighbour_characters(
+                            character, max_distance=reach, keep_modifiers=keep_modifiers
+                        ) == expected, (character, reach, keep_modifiers)
+
+    def test_answers_are_fresh_lists(self):
+        layout = qwerty_us()
+        first = layout.neighbour_characters("g")
+        expected = list(first)
+        first.append("!")
+        first.clear()
+        assert layout.neighbour_characters("g") == expected
+
+    def test_a_key_added_after_a_lookup_is_seen(self):
+        layout = build_rows("tiny", [(0, 0.0, "ab", "AB")])
+        assert layout.neighbour_characters("a") == ["b"]
+        assert layout.neighbour_characters("A") == ["B"]
+        layout.add_key(Key("c", 1, 0.0, outputs={NO_MODIFIERS: "c", SHIFT_ONLY: "C"}))
+        # "b" and "c" are both one unit from "a": ties go by key id
+        assert layout.neighbour_characters("a") == ["b", "c"]
+        assert layout.neighbour_characters("A") == ["B", "C"]
+        assert layout.neighbour_characters("c") == ["a", "b"]
+
+    def test_extra_keys_join_the_neighbours(self):
+        """``build_rows(extra_keys=...)`` registers its keys through ``add_key``."""
+        assert " " in qwerty_us().neighbour_characters("v")
+        assert " " in qwerty_us().neighbour_characters("V")
+
+
 class TestBundledLayouts:
     def test_available_layout_names(self):
         assert set(available_layouts()) == {"qwerty-us", "azerty-fr", "dvorak"}
