@@ -103,7 +103,8 @@ class DnsRecordView(View):
             }
             if rtype == "MX":
                 parts = rdata.split(None, 1)
-                priority = int(parts[0]) if parts and parts[0].isdigit() else 0
+                digits = parts[0] if parts else ""
+                priority = int(digits) if digits.isascii() and digits.isdigit() else 0
                 exchanger = normalize_name(parts[1], origin) if len(parts) > 1 else ""
                 attrs["priority"] = priority
                 root.append(ConfigNode("dns-record", name=owner, value=exchanger, attrs=attrs))
@@ -389,7 +390,7 @@ def _looks_like_ip(value: str | None) -> bool:
     if not value:
         return False
     parts = value.split(".")
-    return len(parts) == 4 and all(part.isdigit() for part in parts)
+    return len(parts) == 4 and all(part.isascii() and part.isdigit() for part in parts)
 
 
 def _tinydns_line(prefix: str, fqdn: str | None, fields: list) -> ConfigNode:

@@ -45,7 +45,9 @@ def reverse_pointer_name(ip_address: str) -> str:
     '10.2.0.192.in-addr.arpa'
     """
     octets = ip_address.strip().split(".")
-    if len(octets) != 4 or not all(part.isdigit() and 0 <= int(part) <= 255 for part in octets):
+    if len(octets) != 4 or not all(
+        part.isascii() and part.isdigit() and 0 <= int(part) <= 255 for part in octets
+    ):
         raise ValueError(f"not an IPv4 address: {ip_address!r}")
     return ".".join(reversed(octets)) + "." + _REVERSE_SUFFIX
 
@@ -61,7 +63,7 @@ def ip_from_reverse_name(name: str) -> str:
         raise ValueError(f"not a reverse-zone name: {name!r}")
     prefix = normalized[: -len(_REVERSE_SUFFIX)].rstrip(".")
     octets = prefix.split(".") if prefix else []
-    if len(octets) != 4 or not all(part.isdigit() for part in octets):
+    if len(octets) != 4 or not all(part.isascii() and part.isdigit() for part in octets):
         raise ValueError(f"reverse-zone name does not encode a full IPv4 address: {name!r}")
     return ".".join(reversed(octets))
 

@@ -20,8 +20,6 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from repro.core.infoset import ConfigNode, ConfigSet
-from repro.errors import ParseError
-from repro.parsers.base import get_dialect
 from repro.sut.apache.directives import APACHE_DIRECTIVES, DEFAULT_HTTPD_CONF, SECTION_TAGS, DirectiveSpec
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import web_suite
@@ -69,6 +67,7 @@ class SimulatedApache(SystemUnderTest):
 
     name = "Apache"
     config_filename = "httpd.conf"
+    parse_error = "Syntax error: {error}"
 
     def __init__(self, default_config: str | None = None):
         self._default_config = default_config if default_config is not None else DEFAULT_HTTPD_CONF
@@ -77,7 +76,6 @@ class SimulatedApache(SystemUnderTest):
         self.document_roots: list[str] = []
         self.virtual_hosts: list[dict[str, str]] = []
         self.effective_directives: dict[str, str] = {}
-        self.last_warnings: list[str] = []
         #: What the walk replays: the baseline's during ``start_delta``,
         #: nothing otherwise.
         self._replay = _NOTHING_KNOWN
@@ -101,17 +99,6 @@ class SimulatedApache(SystemUnderTest):
         self._running = False
 
     # ------------------------------------------------------------------ start
-    def start(self, files: Mapping[str, str]) -> StartResult:
-        self.stop()
-        text = files.get(self.config_filename)
-        if text is None:
-            return StartResult.failed(f"configuration file {self.config_filename} is missing")
-        try:
-            tree = get_dialect("apache").parse(text, filename=self.config_filename)
-        except ParseError as exc:
-            return StartResult.failed(f"Syntax error: {exc}")
-        return self._start_from_trees(ConfigSet([tree]), files)
-
     def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
         """Validate and bring up the server from the parsed ``httpd.conf``.
 
@@ -147,7 +134,6 @@ class SimulatedApache(SystemUnderTest):
                 "NameVirtualHost-based virtual host has no ServerName; using the default"
             )
 
-        self.last_warnings = warnings
         self._running = True
         return StartResult.ok(warnings)
 
@@ -321,12 +307,13 @@ class SimulatedApache(SystemUnderTest):
         if kind in ("args",) and len(words) < spec.min_args:
             return f"{spec.name} takes at least {spec.min_args} arguments"
         if kind == "number":
-            if not words[0].lstrip("-").isdigit():
+            digits = words[0].lstrip("-")
+            if not (digits.isascii() and digits.isdigit()):
                 return f"{spec.name}: '{words[0]}' is not a valid number"
             return None
         if kind == "port":
             port_text = words[0].rsplit(":", 1)[-1]
-            if not port_text.isdigit() or not 0 < int(port_text) <= 65535:
+            if not (port_text.isascii() and port_text.isdigit()) or not 0 < int(port_text) <= 65535:
                 return f"{spec.name}: could not parse port '{words[0]}'"
             return None
         if kind == "onoff":

@@ -7,7 +7,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import ConfErrError
+from repro.core.infoset import ConfigSet
+from repro.errors import ConfErrError, ParseError
+from repro.parsers.base import get_dialect
 from repro.sut.incremental import (
     INCREMENTAL_STATS,
     BaselineValidation,
@@ -80,15 +82,24 @@ class SystemUnderTest(ABC):
     ``start(files)`` with the (possibly faulty) configuration files, then the
     functional tests, then ``stop()``.
 
-    A family opts into incremental revalidation with two hooks: its
-    validation walk over parsed trees (:meth:`_start_from_trees`, which
-    ``start()`` calls after parsing) and the state its diagnosis suite can
-    observe (:meth:`_observable_state`).  :meth:`start_delta` implements
-    the rest of the delta protocol once, for every family.
+    A tree-walking family sets :attr:`config_filename` and
+    :attr:`parse_error` and writes its validation walk over parsed trees,
+    :meth:`_start_from_trees`; it then gets :meth:`start`, which parses the
+    entry file and enters the walk.  With :meth:`_observable_state`, the
+    state its diagnosis suite can observe, the walk also opts the family
+    into incremental revalidation: :meth:`start_delta` implements the rest
+    of the delta protocol once, for every family.  A system that does not
+    walk parsed trees overrides :meth:`start` instead.
     """
 
     #: Human-readable system name used in profiles and reports.
     name: str = "system"
+    #: The entry file :meth:`start` parses before entering the walk.
+    config_filename: str
+    #: Start-failure wording for a missing entry file (``{filename}``) and
+    #: for one that does not parse (``{error}``).
+    missing_file_error: str = "configuration file {filename} is missing"
+    parse_error: str
 
     @abstractmethod
     def default_configuration(self) -> dict[str, str]:
@@ -98,9 +109,23 @@ class SystemUnderTest(ABC):
     def dialect_for(self, filename: str) -> str:
         """Name of the configuration dialect used to parse ``filename``."""
 
-    @abstractmethod
     def start(self, files: Mapping[str, str]) -> StartResult:
-        """(Re)start the system with the given configuration files."""
+        """(Re)start the system with the given configuration files.
+
+        Stops the system, parses the entry file :attr:`config_filename` and
+        enters :meth:`_start_from_trees` with it; the walk resolves any
+        other file it needs from ``files``.
+        """
+        self.stop()
+        text = files.get(self.config_filename)
+        if text is None:
+            return StartResult.failed(self.missing_file_error.format(filename=self.config_filename))
+        dialect = get_dialect(self.dialect_for(self.config_filename))
+        try:
+            tree = dialect.parse(text, filename=self.config_filename)
+        except ParseError as exc:
+            return StartResult.failed(self.parse_error.format(error=exc))
+        return self._start_from_trees(ConfigSet([tree]), files)
 
     @abstractmethod
     def stop(self) -> None:
@@ -143,8 +168,6 @@ class SystemUnderTest(ABC):
         if cached is not None:
             INCREMENTAL_STATS.cache_hits += 1
             return cached
-        from repro.parsers.base import get_dialect
-
         trees = []
         try:
             for filename, text in files.items():
@@ -152,8 +175,6 @@ class SystemUnderTest(ABC):
                 trees.append(dialect.parse(text, filename=filename))
         except ConfErrError:
             return None
-        from repro.core.infoset import ConfigSet
-
         tree_set = ConfigSet(trees)
         self.stop()
         result = self._start_from_trees(tree_set, files)
@@ -192,12 +213,14 @@ class SystemUnderTest(ABC):
         """Validate and bring up the system from already parsed ``trees``.
 
         The family's validation walk, and the single source of truth for
-        its configuration semantics: ``start()`` enters it after parsing
-        ``files``, :meth:`start_delta` with the patched baseline
-        :class:`~repro.core.infoset.ConfigSet`, so both paths run literally
+        its configuration semantics: :meth:`start` enters it with the parsed
+        entry file :attr:`config_filename`, :meth:`prepare` with every
+        pristine file and :meth:`start_delta` with the patched baseline
+        :class:`~repro.core.infoset.ConfigSet`, so all paths run literally
         the same code.  ``files`` resolves any file a walk needs that
         ``trees`` lacks (an include or zone file the full start has not
-        parsed yet).  Overriding it is what enables the delta path.
+        parsed yet).  Writing it is what gives a family :meth:`start` and
+        enables the delta path.
         """
         raise NotImplementedError(f"{type(self).__name__} has no tree walk")
 

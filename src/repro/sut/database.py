@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
-from repro.errors import ParseError
-from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import database_suite
 from repro.sut.incremental import BaselineValidation, NodeChange, ScenarioDelta
@@ -65,15 +63,10 @@ class _SpliceIndex:
 class SimulatedDatabase(SystemUnderTest):
     """A simulated database server driven by one option file."""
 
-    #: The option file the server reads, and its dialect.
-    config_filename: str
+    #: The dialect of the option file ``config_filename``.
     config_dialect: str
     #: The option file used when the constructor is given none.
     default_text: str
-    #: Start-failure wording for a missing file (``{filename}``) and for a
-    #: parse error (``{error}``).
-    missing_file_error: str
-    parse_error: str
     #: Server process named by :meth:`connect` while stopped.
     process_name: str
 
@@ -82,8 +75,6 @@ class SimulatedDatabase(SystemUnderTest):
         self._engine: MiniSqlEngine | None = None
         #: Effective settings after the last successful start.
         self.effective_settings: dict[str, object] = {}
-        #: Warnings emitted during the last successful start.
-        self.last_warnings: list[str] = []
 
     # ------------------------------------------------------------ family hooks
     @abstractmethod
@@ -125,17 +116,6 @@ class SimulatedDatabase(SystemUnderTest):
         return self._engine.connect()
 
     # ------------------------------------------------------------------ start
-    def start(self, files: Mapping[str, str]) -> StartResult:
-        self.stop()
-        text = files.get(self.config_filename)
-        if text is None:
-            return StartResult.failed(self.missing_file_error.format(filename=self.config_filename))
-        try:
-            tree = get_dialect(self.config_dialect).parse(text, filename=self.config_filename)
-        except ParseError as exc:
-            return StartResult.failed(self.parse_error.format(error=exc))
-        return self._start_from_trees(ConfigSet([tree]), files)
-
     def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
         """Apply each read node in file order; the first error aborts startup."""
         settings = dict(self._defaults())
@@ -152,7 +132,6 @@ class SimulatedDatabase(SystemUnderTest):
         if error is not None:
             return StartResult.failed(error)
         self.effective_settings = settings
-        self.last_warnings = warnings
         self._engine = MiniSqlEngine(max_connections=max(1, self._observable_state()))
         return StartResult.ok(warnings)
 

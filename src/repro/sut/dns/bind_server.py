@@ -21,13 +21,12 @@ from typing import Mapping
 
 from repro.core.infoset import ConfigSet
 from repro.dns.names import normalize_name
-from repro.dns.records import DnsRecord, RecordSet
-from repro.dns.resolver import ResolutionError, Resolver
+from repro.dns.records import RecordSet
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
-from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
+from repro.sut.base import StartResult
+from repro.sut.dns.nameserver import SimulatedNameServer
 from repro.sut.dns.zonedata import RecordDataError, config_set_to_records
-from repro.sut.functional import dns_suite
 
 __all__ = ["SimulatedBIND", "DEFAULT_NAMED_CONF", "DEFAULT_FORWARD_ZONE", "DEFAULT_REVERSE_ZONE"]
 
@@ -80,57 +79,39 @@ $ORIGIN 2.0.192.in-addr.arpa.
 """
 
 
-class SimulatedBIND(SystemUnderTest):
+class SimulatedBIND(SimulatedNameServer):
     """Simulated BIND 9-style authoritative name server."""
 
     name = "BIND"
+    config_filename = "named.conf"
+    missing_file_error = "{filename} is missing"
+    parse_error = "named.conf parse failure: {error}"
+    process_name = "named"
 
     def __init__(
         self,
         named_conf: str = DEFAULT_NAMED_CONF,
         zone_files: Mapping[str, str] | None = None,
     ):
+        super().__init__()
         self._named_conf = named_conf
         self._zone_files = dict(zone_files) if zone_files is not None else {
             "example.com.zone": DEFAULT_FORWARD_ZONE,
             "192.0.2.rev": DEFAULT_REVERSE_ZONE,
         }
-        self._records: RecordSet | None = None
-        self._resolver: Resolver | None = None
         #: Zones declared in named.conf after the last successful start.
         self.zones: dict[str, str] = {}
 
     # --------------------------------------------------------------- interface
     def default_configuration(self) -> dict[str, str]:
-        files = {"named.conf": self._named_conf}
+        files = {self.config_filename: self._named_conf}
         files.update(self._zone_files)
         return files
 
     def dialect_for(self, filename: str) -> str:
-        return "namedconf" if filename == "named.conf" else "bindzone"
-
-    def functional_tests(self) -> list[FunctionalTest]:
-        return dns_suite("example.com", "2.0.192.in-addr.arpa")
-
-    def is_running(self) -> bool:
-        return self._resolver is not None
-
-    def stop(self) -> None:
-        self._records = None
-        self._resolver = None
+        return "namedconf" if filename == self.config_filename else "bindzone"
 
     # ------------------------------------------------------------------ start
-    def start(self, files: Mapping[str, str]) -> StartResult:
-        self.stop()
-        named_conf_text = files.get("named.conf")
-        if named_conf_text is None:
-            return StartResult.failed("named.conf is missing")
-        try:
-            named_conf = get_dialect("namedconf").parse(named_conf_text, filename="named.conf")
-        except ParseError as exc:
-            return StartResult.failed(f"named.conf parse failure: {exc}")
-        return self._start_from_trees(ConfigSet([named_conf]), files)
-
     def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
         """Load zones from the parsed ``named.conf`` in ``trees``.
 
@@ -139,7 +120,7 @@ class SimulatedBIND(SystemUnderTest):
         ``named.conf`` (zone name, file directive) re-resolves zone files
         through the same lookup a full start performs.
         """
-        named_conf = trees.get("named.conf")
+        named_conf = trees.get(self.config_filename)
         zones: dict[str, str] = {}
         for section in named_conf.root.children_of_kind("section"):
             if (section.name or "").lower() != "zone":
@@ -177,10 +158,8 @@ class SimulatedBIND(SystemUnderTest):
         if errors:
             return StartResult.failed(*errors)
 
-        self._records = records
-        self._resolver = Resolver(records)
         self.zones = zones
-        return StartResult.ok()
+        return self._publish(records)
 
     def _observable_state(self) -> tuple:
         return (self.zones, list(self._records))
@@ -215,18 +194,3 @@ class SimulatedBIND(SystemUnderTest):
                     f"zone: {record.name}/{record.rtype} '{record.value}' is a CNAME (illegal)"
                 )
         return errors
-
-    # --------------------------------------------------------------- behaviour
-    def query(self, name: str, rtype: str) -> list[DnsRecord]:
-        """Answer a query against the loaded zones (empty list when unanswerable)."""
-        if self._resolver is None:
-            raise RuntimeError("named is not running")
-        try:
-            return list(self._resolver.resolve(name, rtype).records)
-        except ResolutionError:
-            return []
-
-    @property
-    def records(self) -> RecordSet:
-        """Records currently served (empty set when not running)."""
-        return self._records if self._records is not None else RecordSet()

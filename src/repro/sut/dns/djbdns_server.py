@@ -17,13 +17,10 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.infoset import ConfigSet
-from repro.dns.records import DnsRecord, RecordSet
-from repro.dns.resolver import ResolutionError, Resolver
-from repro.errors import ParseError
-from repro.parsers.base import get_dialect
-from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
+from repro.dns.records import DnsRecord
+from repro.sut.base import StartResult
+from repro.sut.dns.nameserver import SimulatedNameServer
 from repro.sut.dns.zonedata import RecordDataError, config_set_to_records
-from repro.sut.functional import dns_suite
 
 __all__ = ["SimulatedDjbdns", "DEFAULT_TINYDNS_DATA"]
 
@@ -51,21 +48,28 @@ Cdocs.example.com:www.example.com:86400
 """
 
 
+def _is_number(text: str) -> bool:
+    """Whether ``text`` is a plain decimal number (ASCII digits only)."""
+    return text.isascii() and text.isdigit()
+
+
 def _looks_like_ip(value: str) -> bool:
     parts = value.split(".")
-    return len(parts) == 4 and all(part.isdigit() and 0 <= int(part) <= 255 for part in parts)
+    return len(parts) == 4 and all(_is_number(part) and 0 <= int(part) <= 255 for part in parts)
 
 
-class SimulatedDjbdns(SystemUnderTest):
+class SimulatedDjbdns(SimulatedNameServer):
     """Simulated djbdns/tinydns authoritative server."""
 
     name = "djbdns"
     config_filename = "data"
+    missing_file_error = "{filename} file is missing"
+    parse_error = "tinydns-data: {error}"
+    process_name = "tinydns"
 
     def __init__(self, data_file: str = DEFAULT_TINYDNS_DATA):
+        super().__init__()
         self._data_file = data_file
-        self._records: RecordSet | None = None
-        self._resolver: Resolver | None = None
 
     # --------------------------------------------------------------- interface
     def default_configuration(self) -> dict[str, str]:
@@ -74,28 +78,7 @@ class SimulatedDjbdns(SystemUnderTest):
     def dialect_for(self, filename: str) -> str:
         return "tinydns"
 
-    def functional_tests(self) -> list[FunctionalTest]:
-        return dns_suite("example.com", "2.0.192.in-addr.arpa")
-
-    def is_running(self) -> bool:
-        return self._resolver is not None
-
-    def stop(self) -> None:
-        self._records = None
-        self._resolver = None
-
     # ------------------------------------------------------------------ start
-    def start(self, files: Mapping[str, str]) -> StartResult:
-        self.stop()
-        text = files.get(self.config_filename)
-        if text is None:
-            return StartResult.failed("data file is missing")
-        try:
-            tree = get_dialect("tinydns").parse(text, filename=self.config_filename)
-        except ParseError as exc:
-            return StartResult.failed(f"tinydns-data: {exc}")
-        return self._start_from_trees(ConfigSet([tree]), files)
-
     def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
         """Validate and publish from the parsed ``data`` file."""
         tree = trees.get(self.config_filename)
@@ -108,11 +91,11 @@ class SimulatedDjbdns(SystemUnderTest):
                 return StartResult.failed(
                     f"tinydns-data: unable to parse IP address '{fields[0]}' in line for {node.name}"
                 )
-            if prefix == "@" and len(fields) > 2 and fields[2] and not fields[2].isdigit():
+            if prefix == "@" and len(fields) > 2 and fields[2] and not _is_number(fields[2]):
                 return StartResult.failed(
                     f"tinydns-data: MX distance '{fields[2]}' is not a number in line for {node.name}"
                 )
-            if prefix == ":" and fields and fields[0] and not fields[0].isdigit():
+            if prefix == ":" and fields and fields[0] and not _is_number(fields[0]):
                 return StartResult.failed(
                     f"tinydns-data: generic record type '{fields[0]}' is not a number"
                 )
@@ -121,24 +104,7 @@ class SimulatedDjbdns(SystemUnderTest):
             records = config_set_to_records(ConfigSet([tree]))
         except RecordDataError as exc:
             return StartResult.failed(f"tinydns-data: {exc}")
-        self._records = records
-        self._resolver = Resolver(records)
-        return StartResult.ok()
+        return self._publish(records)
 
     def _observable_state(self) -> list[DnsRecord]:
         return list(self._records)
-
-    # --------------------------------------------------------------- behaviour
-    def query(self, name: str, rtype: str) -> list[DnsRecord]:
-        """Answer a query against the published records (empty when unanswerable)."""
-        if self._resolver is None:
-            raise RuntimeError("tinydns is not running")
-        try:
-            return list(self._resolver.resolve(name, rtype).records)
-        except ResolutionError:
-            return []
-
-    @property
-    def records(self) -> RecordSet:
-        """Records currently served (empty set when not running)."""
-        return self._records if self._records is not None else RecordSet()

@@ -37,9 +37,13 @@ def config_set_to_records(config_set: ConfigSet) -> RecordSet:
     """Convert parsed zone/data file trees into a :class:`RecordSet`.
 
     Raises :class:`RecordDataError` for data a real server would refuse to
-    load (non-numeric TTLs or priorities).
+    load (non-numeric TTLs or priorities) and for a record the view cannot
+    build (a ``=`` line without an address has no reverse name).
     """
-    view = DnsRecordView().transform(config_set)
+    try:
+        view = DnsRecordView().transform(config_set)
+    except ValueError as exc:
+        raise RecordDataError(str(exc)) from None
     record_set = RecordSet()
     for node in view.get(VIEW_TREE_NAME).root.children_of_kind("dns-record"):
         priority = node.get("priority")

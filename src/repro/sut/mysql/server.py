@@ -18,6 +18,7 @@ The simulation reproduces the configuration-handling behaviour of the MySQL
 
 from __future__ import annotations
 
+import string
 from typing import Iterator, Mapping
 
 from repro.core.infoset import ConfigNode, ConfigTree
@@ -61,7 +62,7 @@ def parse_mysql_numeric(text: str, spec: OptionSpec) -> tuple[int | None, list[s
     if index < len(stripped) and stripped[index] in "+-":
         index += 1
     digits_start = index
-    while index < len(stripped) and stripped[index].isdigit():
+    while index < len(stripped) and stripped[index] in string.digits:
         index += 1
     if index == digits_start:
         # No leading digits at all ("M16", "abc"): the value is silently

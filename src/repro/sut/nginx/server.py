@@ -47,6 +47,7 @@ class SimulatedNginx(SystemUnderTest):
 
     name = "nginx"
     config_filename = "nginx.conf"
+    parse_error = "nginx: [emerg] {error}"
     mime_filename = "mime.types"
 
     def __init__(self, default_config: str | None = None, mime_types: str | None = None):
@@ -59,7 +60,6 @@ class SimulatedNginx(SystemUnderTest):
         self.server_roots: list[str] = []
         self.mime_map: dict[str, str] = {}
         self.effective_directives: dict[str, str] = {}
-        self.last_warnings: list[str] = []
 
     # --------------------------------------------------------------- interface
     def default_configuration(self) -> dict[str, str]:
@@ -78,17 +78,6 @@ class SimulatedNginx(SystemUnderTest):
         self._running = False
 
     # ------------------------------------------------------------------ start
-    def start(self, files: Mapping[str, str]) -> StartResult:
-        self.stop()
-        text = files.get(self.config_filename)
-        if text is None:
-            return StartResult.failed(f"configuration file {self.config_filename} is missing")
-        try:
-            tree = get_dialect("nginxconf").parse(text, filename=self.config_filename)
-        except ParseError as exc:
-            return StartResult.failed(f"nginx: [emerg] {exc}")
-        return self._start_from_trees(ConfigSet([tree]), files)
-
     def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
         """Validate and bring up the server from the parsed ``nginx.conf``.
 
@@ -116,7 +105,6 @@ class SimulatedNginx(SystemUnderTest):
         if not self._has_events:
             return StartResult.failed('nginx: [emerg] no "events" section in configuration')
 
-        self.last_warnings = warnings
         self._running = True
         return StartResult.ok(warnings)
 
@@ -221,11 +209,11 @@ class SimulatedNginx(SystemUnderTest):
         kind = spec.kind
         word = value.split()[0]
         if kind == "number":
-            if not word.isdigit():
+            if not (word.isascii() and word.isdigit()):
                 return f'nginx: [emerg] invalid value "{word}" in "{spec.name}" directive'
             return None
         if kind == "number_or_auto":
-            if word != "auto" and not word.isdigit():
+            if word != "auto" and not (word.isascii() and word.isdigit()):
                 return f'nginx: [emerg] invalid value "{word}" in "{spec.name}" directive'
             return None
         if kind == "onoff":
@@ -237,12 +225,12 @@ class SimulatedNginx(SystemUnderTest):
             return None
         if kind == "size":
             body = word[:-1] if word and word[-1].lower() in _SIZE_SUFFIXES else word
-            if not body.isdigit():
+            if not (body.isascii() and body.isdigit()):
                 return f'nginx: [emerg] "{spec.name}" directive invalid value'
             return None
         if kind == "listen":
             port_text = word.rsplit(":", 1)[-1]
-            if not port_text.isdigit() or not 0 < int(port_text) <= 65535:
+            if not (port_text.isascii() and port_text.isdigit()) or not 0 < int(port_text) <= 65535:
                 return f'nginx: [emerg] invalid port in "{word}" of the "listen" directive'
             return None
         if kind == "include":

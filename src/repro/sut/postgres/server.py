@@ -101,7 +101,6 @@ class SimulatedPostgres(SimulatedDatabase):
     config_filename = "postgresql.conf"
     config_dialect = "pgconf"
     default_text = DEFAULT_POSTGRESQL_CONF
-    missing_file_error = "configuration file {filename} is missing"
     parse_error = "syntax error in configuration file: {error}"
     process_name = "postgres"
 

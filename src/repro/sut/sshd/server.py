@@ -28,8 +28,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.infoset import ConfigNode, ConfigSet
-from repro.errors import ParseError
-from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import ssh_suite
 from repro.sut.options import OptionSpec
@@ -51,6 +49,7 @@ class SimulatedSshd(SystemUnderTest):
 
     name = "sshd"
     config_filename = "sshd_config"
+    parse_error = "sshd_config: {error}"
 
     def __init__(self, default_config: str | None = None):
         self._default_config = default_config if default_config is not None else DEFAULT_SSHD_CONFIG
@@ -61,7 +60,6 @@ class SimulatedSshd(SystemUnderTest):
         self.match_blocks: list[tuple[dict[str, str], dict[str, object]]] = []
         self.listen_ports: list[int] = []
         self.host_keys: list[str] = []
-        self.last_warnings: list[str] = []
 
     # --------------------------------------------------------------- interface
     def default_configuration(self) -> dict[str, str]:
@@ -80,17 +78,6 @@ class SimulatedSshd(SystemUnderTest):
         self._running = False
 
     # ------------------------------------------------------------------ start
-    def start(self, files: Mapping[str, str]) -> StartResult:
-        self.stop()
-        text = files.get(self.config_filename)
-        if text is None:
-            return StartResult.failed(f"configuration file {self.config_filename} is missing")
-        try:
-            tree = get_dialect("sshdconf").parse(text, filename=self.config_filename)
-        except ParseError as exc:
-            return StartResult.failed(f"{self.config_filename}: {exc}")
-        return self._start_from_trees(ConfigSet([tree]), files)
-
     def _start_from_trees(self, trees: ConfigSet, files: Mapping[str, str]) -> StartResult:
         """Validate and bring up the daemon from the parsed ``sshd_config``."""
         tree = trees.get(self.config_filename)
@@ -101,7 +88,6 @@ class SimulatedSshd(SystemUnderTest):
         host_keys: list[str] = []
         accumulated: dict[str, list[str]] = {}
         assigned: set[str] = set()
-        warnings: list[str] = []
 
         for node in tree.root.children:
             if node.kind == "section":
@@ -150,9 +136,8 @@ class SimulatedSshd(SystemUnderTest):
         self.match_blocks = match_blocks
         self.listen_ports = ports or [22]
         self.host_keys = host_keys
-        self.last_warnings = warnings
         self._running = True
-        return StartResult.ok(warnings)
+        return StartResult.ok()
 
     def _observable_state(self) -> tuple:
         return (self.effective_settings, self.match_blocks, self.listen_ports, self.host_keys)
@@ -185,7 +170,7 @@ class SimulatedSshd(SystemUnderTest):
             return f"{self.config_filename}: {spec.name}: missing argument."
 
         if key == "port":
-            if not value.isdigit() or not 1 <= int(value) <= 65535:
+            if not (value.isascii() and value.isdigit()) or not 1 <= int(value) <= 65535:
                 return f"{self.config_filename}: Badly formatted port number."
             ports.append(int(value))
             return None
@@ -208,7 +193,8 @@ class SimulatedSshd(SystemUnderTest):
     def _parse_value(self, spec: OptionSpec, value: str) -> tuple[object, str | None]:
         if spec.kind == "int":
             body = value.strip()
-            if not (body.lstrip("-").isdigit()):
+            digits = body.lstrip("-")
+            if not (digits.isascii() and digits.isdigit()):
                 return None, f"{self.config_filename}: {spec.name}: integer expected."
             number = int(body)
             if spec.minimum is not None and number < spec.minimum:
