@@ -53,11 +53,10 @@ def _reparse_alone(node: ConfigNode, filename: str, dialect) -> ConfigNode | Non
     """The single node ``node`` reads back as when serialised on its own.
 
     None when the text does not parse or parses to anything but exactly
-    one node.  ``node`` is not re-parented: the snippet root lists it
-    without adopting it, so shared and snapshot nodes stay untouched.
+    one node.  ``node`` itself is only read, so shared and snapshot nodes
+    stay untouched.
     """
-    root = ConfigNode("file", name=filename)
-    root.children = [node]
+    root = ConfigNode("file", name=filename, children=[node])
     snippet = ConfigTree(filename, root, dialect=dialect.name)
     try:
         reparsed = dialect.parse(dialect.serialize(snippet), filename=filename)

@@ -15,6 +15,11 @@ A :class:`ConfigNode` is a mutable tree node with
   comments, original spelling, ...),
 * ``children`` -- ordered child nodes.
 
+A node holds no link to its parent, so every tree is acyclic: dropping the
+last reference to a tree frees it at once, without the cycle collector.  Code
+that needs a node's position carries its index path from the root
+(:class:`~repro.core.templates.base.NodeAddress`).
+
 A :class:`ConfigTree` wraps a root node together with the logical name of the
 configuration file it came from, so multi-file configurations can be handled
 as sets of trees (the paper injects cross-file errors, Section 3.1).
@@ -28,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 class ConfigNode:
     """One information item in a configuration tree."""
 
-    __slots__ = ("kind", "name", "value", "attrs", "children", "parent")
+    __slots__ = ("kind", "name", "value", "attrs", "children")
 
     def __init__(
         self,
@@ -42,56 +47,18 @@ class ConfigNode:
         self.name = name
         self.value = value
         self.attrs: dict[str, Any] = dict(attrs) if attrs else {}
-        self.children: list[ConfigNode] = []
-        self.parent: ConfigNode | None = None
-        if children:
-            for child in children:
-                self.append(child)
+        self.children: list[ConfigNode] = list(children) if children else []
 
     # ------------------------------------------------------------------ tree
     def append(self, child: "ConfigNode") -> "ConfigNode":
         """Append ``child`` as the last child and return it."""
-        child.parent = self
         self.children.append(child)
         return child
 
     def insert(self, index: int, child: "ConfigNode") -> "ConfigNode":
         """Insert ``child`` at position ``index`` and return it."""
-        child.parent = self
         self.children.insert(index, child)
         return child
-
-    def remove(self, child: "ConfigNode") -> "ConfigNode":
-        """Remove ``child`` from this node's children and return it."""
-        self.children.remove(child)
-        child.parent = None
-        return child
-
-    def detach(self) -> "ConfigNode":
-        """Remove this node from its parent (no-op for roots) and return it."""
-        if self.parent is not None:
-            self.parent.remove(self)
-        return self
-
-    def index_in_parent(self) -> int:
-        """Position of this node among its siblings.
-
-        Raises ``ValueError`` for root nodes.
-        """
-        if self.parent is None:
-            raise ValueError("node has no parent")
-        return self.parent.children.index(self)
-
-    def replace_with(self, other: "ConfigNode") -> "ConfigNode":
-        """Replace this node with ``other`` in the parent's child list."""
-        if self.parent is None:
-            raise ValueError("cannot replace a root node")
-        parent = self.parent
-        idx = self.index_in_parent()
-        parent.children[idx] = other
-        other.parent = parent
-        self.parent = None
-        return other
 
     # ------------------------------------------------------------- traversal
     def walk(self) -> Iterator["ConfigNode"]:
@@ -106,9 +73,9 @@ class ConfigNode:
         """Yield ``(node, index_path)`` pairs in document order.
 
         The index path is the sequence of child indices from this node down to
-        the yielded node (this node itself has path ``prefix``).  Computing
-        paths during the walk is O(total nodes); deriving them per node with
-        :meth:`index_in_parent` would cost O(depth x sibling count) each.
+        the yielded node (this node itself has path ``prefix``).  Nodes keep
+        no pointer to their parent, so a path is only known from a walk that
+        comes down from the root; computing it here costs O(total nodes).
         """
         yield self, prefix
         for index, child in enumerate(self.children):
@@ -118,13 +85,6 @@ class ConfigNode:
         """Yield all descendants (excluding this node) in document order."""
         for child in self.children:
             yield from child.walk()
-
-    def ancestors(self) -> Iterator["ConfigNode"]:
-        """Yield the parent chain from the immediate parent up to the root."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
     def find_all(self, predicate: Callable[["ConfigNode"], bool]) -> list["ConfigNode"]:
         """Return every node in this subtree matching ``predicate``."""
@@ -148,17 +108,6 @@ class ConfigNode:
                 return child
         return None
 
-    def path_from_root(self) -> list["ConfigNode"]:
-        """Return the chain of nodes from the root down to (including) self."""
-        chain = list(self.ancestors())
-        chain.reverse()
-        chain.append(self)
-        return chain
-
-    def depth(self) -> int:
-        """Distance from the root (a root has depth 0)."""
-        return sum(1 for _ in self.ancestors())
-
     # ----------------------------------------------------------------- value
     def get(self, key: str, default: Any = None) -> Any:
         """Return attribute ``key`` or ``default``."""
@@ -171,7 +120,7 @@ class ConfigNode:
 
     # ------------------------------------------------------------------ copy
     def clone(self) -> "ConfigNode":
-        """Deep-copy this subtree (parent pointer of the copy is ``None``)."""
+        """Deep-copy this subtree; the copy shares no node with the original."""
         copy = ConfigNode(self.kind, self.name, self.value, dict(self.attrs))
         for child in self.children:
             copy.append(child.clone())

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.core.infoset import ConfigNode
 from repro.errors import PathSyntaxError
 
-__all__ = ["select", "select_one", "matches", "parse_path", "PathExpr"]
+__all__ = ["select", "select_one", "parse_path", "PathExpr"]
 
 
 # --------------------------------------------------------------------------- model
@@ -124,13 +124,6 @@ class PathExpr:
                         next_nodes.append(match)
             current = next_nodes
         return current
-
-    def matches(self, node: ConfigNode) -> bool:
-        """True when ``node`` is selected by this expression from its root."""
-        root = node
-        while root.parent is not None:
-            root = root.parent
-        return any(candidate is node for candidate in self.select(root))
 
     def __str__(self) -> str:
         return self.text
@@ -240,9 +233,3 @@ def select_one(root: ConfigNode, path: str | PathExpr) -> ConfigNode | None:
     """Return the first node matched by ``path`` (document order), or None."""
     results = select(root, path)
     return results[0] if results else None
-
-
-def matches(node: ConfigNode, path: str | PathExpr) -> bool:
-    """True when ``node`` would be selected by ``path`` evaluated from its root."""
-    expr = path if isinstance(path, PathExpr) else parse_path(path)
-    return expr.matches(node)

@@ -19,7 +19,6 @@ from repro.core.templates.base import (
     MoveOperation,
     SetFieldOperation,
     Template,
-    address_of,
     resolve_address,
 )
 from repro.core.templates.primitives import (
@@ -46,7 +45,6 @@ __all__ = [
     "MoveOperation",
     "SetFieldOperation",
     "Template",
-    "address_of",
     "resolve_address",
     "DeleteTemplate",
     "DuplicateTemplate",

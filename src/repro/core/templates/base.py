@@ -21,7 +21,6 @@ from repro.errors import TemplateError
 __all__ = [
     "NodeAddress",
     "AddressIndex",
-    "address_of",
     "resolve_address",
     "Operation",
     "UndoUnsupported",
@@ -61,32 +60,14 @@ class NodeAddress:
         return f"{self.tree}:{'/'.join(str(i) for i in self.path) or '.'}"
 
 
-def address_of(config_set: ConfigSet, node: ConfigNode) -> NodeAddress:
-    """Compute the :class:`NodeAddress` of ``node`` within ``config_set``.
-
-    Raises :class:`~repro.errors.TemplateError` when the node does not belong
-    to any tree in the set.
-    """
-    indices: list[int] = []
-    current = node
-    while current.parent is not None:
-        indices.append(current.index_in_parent())
-        current = current.parent
-    indices.reverse()
-    for tree in config_set:
-        if tree.root is current:
-            return NodeAddress(tree.name, tuple(indices))
-    raise TemplateError("node does not belong to the given configuration set")
-
-
 class AddressIndex:
     """Addresses of every node in a :class:`ConfigSet`, built in one walk.
 
-    :func:`address_of` costs O(depth x sibling count) per node because each
-    ancestor step scans the parent's child list; templates that address many
-    nodes of a wide tree pay that quadratically.  The index instead walks the
-    whole set once with :meth:`ConfigNode.walk_with_paths`, so computing the
-    addresses of all N nodes is O(N) total.
+    A node does not know its parent, so its address can only be found on the
+    way down from a root.  The index walks the whole set once with
+    :meth:`ConfigNode.walk_with_paths`, so computing the addresses of all N
+    nodes is O(N) total, and templates that select nodes by path expression
+    look their addresses up here.
 
     The index is a snapshot: it is valid as long as the set's tree structure
     is unchanged.  Node references are kept alive by the index, so ``id()``
@@ -130,6 +111,30 @@ def resolve_address(config_set: ConfigSet, address: NodeAddress) -> ConfigNode:
             raise TemplateError(f"address {address} does not exist in the configuration set")
         node = node.children[index]
     return node
+
+
+def _resolve_slot(config_set: ConfigSet, address: NodeAddress) -> tuple[ConfigNode, int] | None:
+    """``(parent, index)`` of the node at ``address``, or None for a root.
+
+    Raises :class:`~repro.errors.TemplateError` when the address does not
+    exist.
+    """
+    if not address.path:
+        resolve_address(config_set, address)
+        return None
+    parent = resolve_address(config_set, address.parent())
+    index = address.path[-1]
+    if index >= len(parent.children):
+        raise TemplateError(f"address {address} does not exist in the configuration set")
+    return parent, index
+
+
+def _place(parent: ConfigNode, index: int | None, node: ConfigNode) -> None:
+    """Insert ``node`` under ``parent`` at ``index``, appending when None or past the end."""
+    if index is None or index >= len(parent.children):
+        parent.append(node)
+    else:
+        parent.insert(index, node)
 
 
 # ------------------------------------------------------------------ operations
@@ -182,18 +187,14 @@ class DeleteOperation(Operation):
     target: NodeAddress
 
     def apply(self, config_set: ConfigSet) -> None:
-        node = resolve_address(config_set, self.target)
-        if node.parent is None:
-            raise TemplateError("cannot delete the root of a configuration tree")
-        node.detach()
+        self.apply_with_undo(config_set)
 
     def apply_with_undo(self, config_set: ConfigSet) -> Callable[[], None]:
-        node = resolve_address(config_set, self.target)
-        parent = node.parent
-        if parent is None:
+        slot = _resolve_slot(config_set, self.target)
+        if slot is None:
             raise TemplateError("cannot delete the root of a configuration tree")
-        index = node.index_in_parent()
-        node.detach()
+        parent, index = slot
+        node = parent.children.pop(index)
 
         def undo() -> None:
             parent.insert(index, node)
@@ -220,23 +221,15 @@ class InsertOperation(Operation):
     index: int | None = None
 
     def apply(self, config_set: ConfigSet) -> None:
-        parent = resolve_address(config_set, self.parent)
-        copy = self.node.clone()
-        if self.index is None or self.index >= len(parent.children):
-            parent.append(copy)
-        else:
-            parent.insert(self.index, copy)
+        self.apply_with_undo(config_set)
 
     def apply_with_undo(self, config_set: ConfigSet) -> Callable[[], None]:
         parent = resolve_address(config_set, self.parent)
         copy = self.node.clone()
-        if self.index is None or self.index >= len(parent.children):
-            parent.append(copy)
-        else:
-            parent.insert(self.index, copy)
+        _place(parent, self.index, copy)
 
         def undo() -> None:
-            copy.detach()
+            parent.children.remove(copy)
 
         return undo
 
@@ -250,44 +243,46 @@ class InsertOperation(Operation):
 
 @dataclass(frozen=True)
 class MoveOperation(Operation):
-    """Detach the addressed node and re-attach it under a new parent."""
+    """Detach the addressed node and re-attach it under a new parent.
+
+    Moving a tree's root attaches it under the new parent and leaves it the
+    root of its own tree too; :meth:`apply_with_undo` refuses that case.
+    """
 
     target: NodeAddress
     new_parent: NodeAddress
     index: int | None = None
 
     def apply(self, config_set: ConfigSet) -> None:
+        if self.target.path:
+            self.apply_with_undo(config_set)
+            return
         node = resolve_address(config_set, self.target)
-        parent = resolve_address(config_set, self.new_parent)
-        if node is parent or any(ancestor is node for ancestor in parent.ancestors()):
-            raise TemplateError("cannot move a node into its own subtree")
-        node.detach()
-        if self.index is None or self.index >= len(parent.children):
-            parent.append(node)
-        else:
-            parent.insert(self.index, node)
+        _place(self._destination(config_set), self.index, node)
 
     def apply_with_undo(self, config_set: ConfigSet) -> Callable[[], None]:
-        node = resolve_address(config_set, self.target)
-        parent = resolve_address(config_set, self.new_parent)
-        if node is parent or any(ancestor is node for ancestor in parent.ancestors()):
-            raise TemplateError("cannot move a node into its own subtree")
-        old_parent = node.parent
-        if old_parent is None:
+        slot = _resolve_slot(config_set, self.target)
+        new_parent = self._destination(config_set)
+        if slot is None:
             # apply() tolerates re-parenting a root; keep that via the fallback.
             raise UndoUnsupported("moving a root node is not undoable")
-        old_index = node.index_in_parent()
-        node.detach()
-        if self.index is None or self.index >= len(parent.children):
-            parent.append(node)
-        else:
-            parent.insert(self.index, node)
+        old_parent, old_index = slot
+        node = old_parent.children.pop(old_index)
+        _place(new_parent, self.index, node)
 
         def undo() -> None:
-            node.detach()
+            new_parent.children.remove(node)
             old_parent.insert(old_index, node)
 
         return undo
+
+    def _destination(self, config_set: ConfigSet) -> ConfigNode:
+        """The resolved new parent; TemplateError when it lies in the moved subtree."""
+        new_parent = resolve_address(config_set, self.new_parent)
+        target, destination = self.target, self.new_parent
+        if target.tree == destination.tree and destination.path[: len(target.path)] == target.path:
+            raise TemplateError("cannot move a node into its own subtree")
+        return new_parent
 
     def touched_trees(self) -> frozenset[str]:
         return frozenset({self.target.tree, self.new_parent.tree})

@@ -23,6 +23,7 @@ from repro.core.templates.base import (
     NodeAddress,
     SetFieldOperation,
     Template,
+    resolve_address,
 )
 from repro.errors import TemplateError
 
@@ -119,7 +120,9 @@ class DuplicateTemplate(TargetedTemplate):
         addresses = AddressIndex(config_set)
         for node, address in self.select_targets(config_set, addresses):
             if self.destination is None:
-                destinations = [(node.parent, address.parent())] if node.parent else []
+                # a root has no parent to paste the copy into
+                parents = [address.parent()] if address.path else []
+                destinations = [(resolve_address(config_set, p), p) for p in parents]
             else:
                 destinations = [
                     (dest, addresses.address_of(dest))
@@ -175,11 +178,12 @@ class MoveTemplate(TargetedTemplate):
         for node, address in self.select_targets(config_set, addresses):
             for tree in config_set:
                 for dest in self.destination.select(tree.root):
-                    if dest is node or any(a is node for a in dest.ancestors()):
-                        continue
-                    if not self.include_current_parent and dest is node.parent:
-                        continue
                     dest_address = addresses.address_of(dest)
+                    if dest_address.tree == address.tree:
+                        if dest_address.path[: len(address.path)] == address.path:
+                            continue  # the node itself or its own subtree
+                        if not self.include_current_parent and dest_address.path == address.path[:-1]:
+                            continue
                     scenarios.append(
                         FaultScenario(
                             scenario_id=f"move-{ordinal}-{_node_label(node)}",

@@ -17,7 +17,8 @@ contains one ``dns-record`` node per published record:
 * ``name``  -- canonical owner name,
 * ``value`` -- primary datum (address, target name, text),
 * ``attrs['rtype']``    -- record type,
-* ``attrs['priority']`` -- MX priority (when applicable),
+* ``attrs['priority']`` -- MX priority (when applicable; a non-numeric one
+  from a BIND zone keeps its text, so that loading the records refuses it),
 * ``attrs['source_file']`` / ``attrs['combined_group']`` /
   ``attrs['combined_role']`` -- provenance used by the reverse transform.
 """
@@ -104,9 +105,9 @@ class DnsRecordView(View):
             if rtype == "MX":
                 parts = rdata.split(None, 1)
                 digits = parts[0] if parts else ""
-                priority = int(digits) if digits.isascii() and digits.isdigit() else 0
+                # a non-numeric priority keeps its text: loading the records refuses it
+                attrs["priority"] = int(digits) if digits.isascii() and digits.isdigit() else digits
                 exchanger = normalize_name(parts[1], origin) if len(parts) > 1 else ""
-                attrs["priority"] = priority
                 root.append(ConfigNode("dns-record", name=owner, value=exchanger, attrs=attrs))
             elif rtype == "SOA":
                 attrs["soa_rdata"] = rdata

@@ -80,8 +80,8 @@ class TokenView(View):
         view_trees = []
         for tree in config_set:
             view_root = ConfigNode("token-file", name=tree.name)
-            # walk_with_paths computes every source path in one walk; deriving
-            # paths per node via index_in_parent is quadratic on wide trees.
+            # Nodes do not know their parents: the source path of each node
+            # comes from this one walk down from the root.
             for node, path in tree.root.walk_with_paths():
                 if node.kind not in _TOKENISABLE_KINDS:
                     continue

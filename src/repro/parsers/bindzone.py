@@ -146,7 +146,7 @@ class BindZoneDialect(ConfigDialect):
             if upper in _CLASSES and record_class is None:
                 record_class = upper
                 tokens.pop(0)
-            elif token.isdigit() and ttl is None:
+            elif token.isascii() and token.isdigit() and ttl is None:
                 ttl = token
                 tokens.pop(0)
             else:

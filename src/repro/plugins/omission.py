@@ -252,15 +252,16 @@ class OmissionDuplicationPlugin(ErrorGeneratorPlugin):
         ordinal = 0
         for tree in view_set:
             for node in tree.walk():
-                if node.kind != "directive" or node.parent is None:
+                if node.kind != "directive" or node.value is None or not node.value.strip():
                     continue
-                if node.value is None or not node.value.strip():
+                address = addresses.address_of(node)
+                if not address.path:
                     continue
                 conflicted = conflicting_value(node.value, rng)
                 copy = node.clone()
                 copy.value = conflicted
-                parent_address = addresses.address_of(node.parent)
-                index = node.index_in_parent() + 1
+                parent_address = address.parent()
+                index = address.path[-1] + 1
                 scenarios.append(
                     FaultScenario(
                         scenario_id=f"duplicate-conflict-{ordinal}-{self._label(node)}",
@@ -271,7 +272,7 @@ class OmissionDuplicationPlugin(ErrorGeneratorPlugin):
                         category="duplicate-conflict",
                         operations=(InsertOperation(parent_address, copy, index=index),),
                         metadata={
-                            "target": str(parent_address.child(index - 1)),
+                            "target": str(address),
                             "node": self._label(node),
                             "directive": node.name,
                             "original": node.value,

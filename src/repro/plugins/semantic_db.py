@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.infoset import ConfigNode, ConfigSet
-from repro.core.templates.base import FaultScenario, SetFieldOperation, address_of
+from repro.core.templates.base import FaultScenario, NodeAddress, SetFieldOperation
 from repro.core.views.structure_view import StructureView
 from repro.errors import PluginError, SpecError
 from repro.plugins.base import ErrorGeneratorPlugin, register_plugin, string_list_param
@@ -178,12 +178,12 @@ def default_constraints(system: str | None = None) -> tuple[ConstraintSpec, ...]
     return MYSQL_CONSTRAINTS + POSTGRES_CONSTRAINTS
 
 
-def _find_directive(view_set: ConfigSet, name: str) -> tuple[ConfigNode, object] | None:
+def _find_directive(view_set: ConfigSet, name: str) -> tuple[ConfigNode, NodeAddress] | None:
     lowered = name.lower()
     for tree in view_set:
-        for node in tree.walk():
+        for node, path in tree.root.walk_with_paths():
             if node.kind == "directive" and (node.name or "").lower() == lowered:
-                return node, address_of(view_set, node)
+                return node, NodeAddress(tree.name, path)
     return None
 
 

@@ -268,11 +268,11 @@ class StructuralVariationsPlugin(ErrorGeneratorPlugin):
     def _build_section_order(self, view_set, rng, variant_index) -> FaultScenario | None:
         operations = []
         for tree in view_set:
-            sections = tree.root.children_of_kind("section")
-            if len(sections) < 2:
+            section_positions = [
+                index for index, child in enumerate(tree.root.children) if child.kind == "section"
+            ]
+            if len(section_positions) < 2:
                 continue
-            indices = [child.index_in_parent() for child in tree.root.children]
-            section_positions = [node.index_in_parent() for node in sections]
             shuffled = section_positions[:]
             rng.shuffle(shuffled)
             permutation = list(range(len(tree.root.children)))
@@ -283,7 +283,6 @@ class StructuralVariationsPlugin(ErrorGeneratorPlugin):
                     NodeAddress(tree.name, ()), tuple(permutation)
                 )
             )
-            del indices
         if not operations:
             return None
         return FaultScenario(

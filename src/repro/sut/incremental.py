@@ -149,7 +149,7 @@ class ChildrenChange:
     a ``tuple`` entry the baseline path of a node moved in from elsewhere
     in the same tree: both are shared with the baseline.  A
     :class:`~repro.core.infoset.ConfigNode` entry is a detached snapshot
-    the scenario inserts; it is read, never mutated or re-parented.
+    the scenario inserts; it is read, never mutated.
 
     One record per touched container expresses every structural operation:
     a deletion omits an index, an insertion (or duplication) adds a
@@ -263,8 +263,8 @@ def node_from_change(change: NodeChange, baseline_node: ConfigNode | None) -> Co
     """Build the post-mutation node a change describes.
 
     Children are taken from the baseline node (shared, not cloned: patched
-    trees are read-only revalidation inputs and nothing in the SUT
-    validators follows ``parent`` pointers).
+    trees are read-only revalidation inputs, and a node holds no link to
+    its parent, so sharing a subtree between two trees is safe).
     """
     node = ConfigNode(change.kind, name=change.name, value=change.value, attrs=change.attrs)
     if baseline_node is not None and baseline_node.children:

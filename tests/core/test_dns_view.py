@@ -132,7 +132,7 @@ class TestTinydnsTransform:
             r for r in records_of(view_set)
             if r.get("rtype") == "PTR" and r.value == "www.example.com"
         )
-        target.detach()
+        view_set.get(VIEW_TREE_NAME).root.children.remove(target)
         with pytest.raises(SerializationError):
             view.untransform(view_set, original)
 

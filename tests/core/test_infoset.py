@@ -1,7 +1,5 @@
 """Unit tests for the configuration infoset model."""
 
-import pytest
-
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
 
 
@@ -26,52 +24,15 @@ def sample_tree() -> ConfigTree:
 
 
 class TestConfigNode:
-    def test_append_sets_parent(self):
+    def test_append_returns_the_child(self):
         parent = ConfigNode("file")
         child = parent.append(ConfigNode("directive", "port"))
-        assert child.parent is parent
         assert parent.children == [child]
 
     def test_insert_at_position(self):
         parent = ConfigNode("file", children=[ConfigNode("directive", "a"), ConfigNode("directive", "c")])
         parent.insert(1, ConfigNode("directive", "b"))
         assert [c.name for c in parent.children] == ["a", "b", "c"]
-
-    def test_remove_clears_parent(self):
-        parent = ConfigNode("file")
-        child = parent.append(ConfigNode("directive", "a"))
-        parent.remove(child)
-        assert child.parent is None
-        assert parent.children == []
-
-    def test_detach_is_noop_for_root(self):
-        root = ConfigNode("file")
-        assert root.detach() is root
-
-    def test_detach_removes_from_parent(self):
-        parent = ConfigNode("file")
-        child = parent.append(ConfigNode("directive", "a"))
-        child.detach()
-        assert parent.children == []
-
-    def test_index_in_parent(self):
-        parent = ConfigNode("file", children=[ConfigNode("directive", "a"), ConfigNode("directive", "b")])
-        assert parent.children[1].index_in_parent() == 1
-
-    def test_index_in_parent_raises_for_root(self):
-        with pytest.raises(ValueError):
-            ConfigNode("file").index_in_parent()
-
-    def test_replace_with(self):
-        parent = ConfigNode("file", children=[ConfigNode("directive", "a")])
-        replacement = ConfigNode("directive", "b")
-        parent.children[0].replace_with(replacement)
-        assert parent.children[0] is replacement
-        assert replacement.parent is parent
-
-    def test_replace_with_raises_for_root(self):
-        with pytest.raises(ValueError):
-            ConfigNode("file").replace_with(ConfigNode("file"))
 
     def test_walk_document_order(self):
         tree = sample_tree()
@@ -80,15 +41,20 @@ class TestConfigNode:
         assert kinds.count("directive") == 3
         assert kinds.count("section") == 2
 
+    def test_walk_with_paths_yields_each_node_with_its_index_path(self):
+        tree = sample_tree()
+        pairs = list(tree.root.walk_with_paths())
+        assert [node for node, _ in pairs] == list(tree.root.walk())
+        assert pairs[0][1] == () and pairs[-1][1] == (2, 0)
+        for node, path in pairs:
+            reached = tree.root
+            for index in path:
+                reached = reached.children[index]
+            assert reached is node
+
     def test_descendants_excludes_self(self):
         tree = sample_tree()
         assert all(node is not tree.root for node in tree.root.descendants())
-
-    def test_ancestors_chain(self):
-        tree = sample_tree()
-        directive = tree.root.children[1].children[0]
-        ancestors = list(directive.ancestors())
-        assert [a.kind for a in ancestors] == ["section", "file"]
 
     def test_find_all_and_first(self):
         tree = sample_tree()
@@ -109,13 +75,6 @@ class TestConfigNode:
         assert tree.root.child_named("mysqld", kind="section") is tree.root.children[1]
         assert tree.root.child_named("mysqld", kind="directive") is None
 
-    def test_path_from_root_and_depth(self):
-        tree = sample_tree()
-        directive = tree.root.children[1].children[1]
-        chain = directive.path_from_root()
-        assert chain[0] is tree.root and chain[-1] is directive
-        assert directive.depth() == 2
-
     def test_attrs_get_set(self):
         node = ConfigNode("directive", "port")
         assert node.get("separator", "=") == "="
@@ -129,9 +88,10 @@ class TestConfigNode:
         copy.children[1].children[0].value = "9999"
         assert tree.root.children[1].children[0].value == "3306"
 
-    def test_clone_has_no_parent(self):
+    def test_clone_shares_no_node(self):
         tree = sample_tree()
-        assert tree.root.children[1].clone().parent is None
+        originals = {id(node) for node in tree.root.walk()}
+        assert not originals & {id(node) for node in tree.root.clone().walk()}
 
     def test_structural_equality_detects_differences(self):
         a = sample_tree().root

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.infoset import ConfigNode
-from repro.core.path import matches, parse_path, select, select_one
+from repro.core.path import parse_path, select, select_one
 from repro.errors import PathSyntaxError
 
 
@@ -111,11 +111,6 @@ class TestSelection:
     def test_select_one(self, root):
         assert select_one(root, "//directive[@name='Listen']").value == "80"
         assert select_one(root, "//directive[@name='Missing']") is None
-
-    def test_matches(self, root):
-        inner = select_one(root, "//directive[@name='Options']")
-        assert matches(inner, "//directive")
-        assert not matches(inner, "/file/directive")
 
     def test_descendant_first_step_matches_root_itself(self):
         lone = ConfigNode("directive", "port")

@@ -18,9 +18,9 @@ from repro.core.templates import (
     NodeAddress,
     SetFieldOperation,
     SetValueTemplate,
-    address_of,
     resolve_address,
 )
+from repro.core.templates.base import AddressIndex
 from repro.errors import TemplateError
 
 
@@ -58,17 +58,19 @@ def rng() -> random.Random:
 class TestAddressing:
     def test_address_of_and_resolve(self, config_set):
         node = config_set.get("app.conf").root.children[0].children[1]
-        address = address_of(config_set, node)
+        address = AddressIndex(config_set).address_of(node)
         assert address == NodeAddress("app.conf", (0, 1))
         assert resolve_address(config_set, address) is node
 
     def test_address_of_root(self, config_set):
         root = config_set.get("app.conf").root
-        assert address_of(config_set, root).path == ()
+        assert AddressIndex(config_set).address_of(root).path == ()
 
     def test_address_of_foreign_node_raises(self, config_set):
+        index = AddressIndex(config_set)
+        assert ConfigNode("directive", "x") not in index
         with pytest.raises(TemplateError):
-            address_of(config_set, ConfigNode("directive", "x"))
+            index.address_of(ConfigNode("directive", "x"))
 
     def test_resolve_unknown_tree_raises(self, config_set):
         with pytest.raises(TemplateError):
@@ -98,9 +100,12 @@ class TestOperations:
         assert [c.name for c in section.children] == ["workers"]
         assert "delete" in op.describe()
 
-    def test_delete_root_raises(self, config_set):
-        with pytest.raises(TemplateError):
-            DeleteOperation(NodeAddress("app.conf", ())).apply(config_set)
+    @pytest.mark.parametrize("apply", ["apply", "apply_with_undo"])
+    def test_delete_root_raises(self, config_set, apply):
+        operation = DeleteOperation(NodeAddress("app.conf", ()))
+        with pytest.raises(TemplateError, match="cannot delete the root"):
+            getattr(operation, apply)(config_set)
+        assert config_set.structurally_equal(build_set())
 
     def test_insert_operation_appends_clone(self, config_set):
         new_node = ConfigNode("directive", "timeout", "30")
@@ -124,9 +129,17 @@ class TestOperations:
         assert [c.name for c in root.children[0].children] == ["workers"]
         assert [c.name for c in root.children[1].children] == ["level", "port"]
 
-    def test_move_into_own_subtree_raises(self, config_set):
-        with pytest.raises(TemplateError):
-            MoveOperation(NodeAddress("app.conf", (0,)), NodeAddress("app.conf", (0, 0))).apply(config_set)
+    @pytest.mark.parametrize("apply", ["apply", "apply_with_undo"])
+    @pytest.mark.parametrize(
+        "target, destination",
+        [((0,), (0, 0)), ((0,), (0,)), ((), (1,))],
+        ids=["into-child", "into-itself", "root-into-child"],
+    )
+    def test_move_into_own_subtree_raises(self, config_set, apply, target, destination):
+        operation = MoveOperation(NodeAddress("app.conf", target), NodeAddress("app.conf", destination))
+        with pytest.raises(TemplateError, match="own subtree"):
+            getattr(operation, apply)(config_set)
+        assert config_set.structurally_equal(build_set())
 
     def test_set_field_operation_variants(self, config_set):
         SetFieldOperation(NodeAddress("app.conf", (0, 0)), "value", "9090").apply(config_set)
@@ -196,6 +209,9 @@ class TestPrimitiveTemplates:
         ports = mutated.get("app.conf").root.find_all(lambda n: n.name == "port")
         assert len(ports) == 2
 
+    def test_duplicate_template_skips_a_root(self, config_set, rng):
+        assert DuplicateTemplate("/file").generate(config_set, rng) == []
+
     def test_duplicate_template_explicit_destination(self, config_set, rng):
         template = DuplicateTemplate("//directive[@name='port']", destination="//section[@name='logging']")
         mutated = template.generate(config_set, rng)[0].apply(config_set)
@@ -207,6 +223,18 @@ class TestPrimitiveTemplates:
         assert len(scenarios) == 1  # only the logging section is a valid destination
         mutated = scenarios[0].apply(config_set)
         assert any(c.name == "port" for c in mutated.get("app.conf").root.children[1].children)
+
+    def test_move_template_excludes_own_subtree(self, config_set, rng):
+        scenarios = MoveTemplate("//section", "//*").generate(config_set, rng)
+        pairs = {(s.metadata["target"], s.metadata["destination"]) for s in scenarios}
+        # neither section moves into itself, its directives or the file root
+        assert pairs == {
+            ("app.conf:0", "app.conf:1"),
+            ("app.conf:0", "app.conf:1/0"),
+            ("app.conf:1", "app.conf:0"),
+            ("app.conf:1", "app.conf:0/0"),
+            ("app.conf:1", "app.conf:0/1"),
+        }
 
     def test_move_template_can_include_current_parent(self, config_set, rng):
         scenarios = MoveTemplate(

@@ -171,19 +171,28 @@ class TestScenarioAppliedTo:
         with scenario.applied_to(config_set) as mutated:
             assert mutated.structurally_equal(reference)
 
-    def test_cow_fallback_for_opaque_operation(self):
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            OpaqueOperation(NodeAddress("app.conf", (0, 0))),
+            # apply() re-parents a root but apply_with_undo() refuses it
+            MoveOperation(NodeAddress("extra.conf", ()), NodeAddress("app.conf", (0,))),
+        ],
+        ids=lambda op: op.describe(),
+    )
+    def test_cow_fallback_for_operation_without_inverse(self, operation):
         config_set = build_set()
         pristine = snapshot(config_set)
-        scenario = FaultScenario(
-            "s4", "no inverse", "test",
-            operations=(OpaqueOperation(NodeAddress("app.conf", (0, 0))),),
-        )
+        scenario = FaultScenario("s4", "no inverse", "test", operations=(operation,))
+        reference = scenario.apply(build_set())
         with scenario.applied_to(config_set) as mutated:
             assert mutated is not config_set
             assert config_set.structurally_equal(pristine)  # input untouched
-            assert resolve_address(mutated, NodeAddress("app.conf", (0, 0))).value == "mutated"
-            # copy-on-write: the untouched tree is shared, not cloned
-            assert mutated.get("extra.conf") is config_set.get("extra.conf")
+            assert mutated.structurally_equal(reference)
+            # copy-on-write: untouched trees are shared, not cloned
+            for name in config_set.names():
+                if name not in operation.touched_trees():
+                    assert mutated.get(name) is config_set.get(name)
         assert config_set.structurally_equal(pristine)
 
     def test_failed_application_rolls_back_applied_prefix(self):

@@ -46,14 +46,9 @@ class _ScriptedPlugin(ErrorGeneratorPlugin):
         for tree in view_set:
             if tree.name != self.tree_name:
                 continue
-            for node in tree.walk():
+            for node, path in tree.root.walk_with_paths():
                 if node.kind == "directive" and node.name == self.directive:
-                    indices = []
-                    current = node
-                    while current.parent is not None:
-                        indices.append(current.index_in_parent())
-                        current = current.parent
-                    address = NodeAddress(tree.name, tuple(reversed(indices)))
+                    address = NodeAddress(tree.name, path)
                     return [
                         FaultScenario(
                             scenario_id=f"scripted-{self.directive}",

@@ -133,8 +133,8 @@ class TestSshdConfDialect:
     def test_moving_a_directive_into_a_match_block_is_expressible(self):
         text = "Port 22\nMatch User a\n    X11Forwarding no\n"
         tree = self.dialect.parse(text, "s")
-        port = tree.root.children[0]
-        tree.root.children[1].append(port.detach())
+        port = tree.root.children.pop(0)
+        tree.root.children[0].append(port)
         out = self.dialect.serialize(tree)
         reparsed = self.dialect.parse(out, "s")
         match = reparsed.root.children[0]

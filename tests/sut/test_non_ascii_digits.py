@@ -75,7 +75,7 @@ def test_nginx_rejects_the_port():
     )
 
 
-def test_dns_view_reads_the_mx_priority_as_no_number():
+def test_dns_view_keeps_the_mx_priority_text():
     zone = DEFAULT_FORWARD_ZONE.replace("MX\t10 ", "MX\t²10 ")
     tree = get_dialect("bindzone").parse(zone, filename="example.com.zone")
     view = DnsRecordView().transform(ConfigSet([tree]))
@@ -84,12 +84,27 @@ def test_dns_view_reads_the_mx_priority_as_no_number():
         for node in view.get(VIEW_TREE_NAME).root.children_of_kind("dns-record")
         if node.get("rtype") == "MX"
     ]
-    assert [node.get("priority") for node in mx] == [0]
+    assert [node.get("priority") for node in mx] == ["²10"]
+    with pytest.raises(RecordDataError, match="priority '²10' of record 'example.com'"):
+        config_set_to_records(ConfigSet([tree]))
 
 
-def test_bind_serves_the_mx_record():
-    result = _start(SimulatedBIND(), "example.com.zone", "MX\t10 ", "MX\t²10 ")
-    assert result.started
+@pytest.mark.parametrize("typo", ["x10", "²10"])
+def test_bind_rejects_the_mx_priority(typo):
+    result = _start(SimulatedBIND(), "example.com.zone", "MX\t10 ", f"MX\t{typo} ")
+    assert (result.started, result.errors) == (
+        False,
+        [f"zone data rejected: priority '{typo}' of record 'example.com' is not a number"],
+    )
+
+
+@pytest.mark.parametrize("typo", ["x", "²"])
+def test_bind_reads_a_ttl_typo_as_a_record_type(typo):
+    result = _start(SimulatedBIND(), "example.com.zone", "ns1\tIN\tA", f"ns1\t{typo}\tIN\tA")
+    assert (result.started, result.errors) == (
+        False,
+        [f"zone 'example.com': example.com.zone:7: unknown record type {typo.upper()!r}"],
+    )
 
 
 def test_djbdns_rejects_a_host_line_without_an_address():

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
 from repro.core.profile import DETECTION_BINS, detection_bin
-from repro.core.templates import DeleteTemplate, address_of, resolve_address
+from repro.core.templates import DeleteTemplate, resolve_address
+from repro.core.templates.base import AddressIndex
 from repro.core.views.token_view import TokenView
 from repro.keyboard import Typist
 from repro.parsers.base import get_dialect
@@ -177,8 +178,9 @@ class TestScenarioProperties:
     def test_addresses_survive_cloning(self, tree):
         config_set = ConfigSet([tree])
         clone = config_set.clone()
+        addresses = AddressIndex(config_set)
         for node in tree.walk():
-            address = address_of(config_set, node)
+            address = addresses.address_of(node)
             resolved = resolve_address(clone, address)
             assert resolved.kind == node.kind and resolved.name == node.name
 
