@@ -12,13 +12,15 @@ Two things are asserted:
 
 * **>= 5x scenarios/sec at jobs=1** for the incremental engine over the
   ``incremental=False`` engine on the same pre-generated scenario stream
-  (min-of-3 runs per mode, so scheduler noise cannot manufacture or destroy
-  the speedup).
+  (min-of-5 runs per mode, the modes alternating round by round, so
+  scheduler noise cannot manufacture or destroy the speedup).
 * **Identical profiles** -- the speedup must not change a single outcome.
 
 Beside each wall-clock ratio, one more untimed rerun counts the work the
 ratio rests on (full starts, tree walks, parses), so a pass cannot come
-from host noise alone.
+from host noise alone; on mysql-full-directives the full starts and start
+parses of a fast rerun and of a full rerun are pinned at the benchmark
+seed.
 
 The measured numbers, the delta-path counter snapshot (fallback rate), and a
 per-SUT breakdown across all seven families are written to
@@ -44,6 +46,9 @@ from repro.sut.incremental import INCREMENTAL_STATS
 #: Minimum incremental-over-full throughput ratio on mysql-full-directives
 #: (observed ~5.5-8x; the floor leaves headroom for loaded CI workers).
 MIN_SPEEDUP = 5.0
+
+#: Timed reruns per mode; the modes alternate round by round.
+SPEEDUP_ROUNDS = 5
 
 #: All seven SUT families, for the per-SUT trajectory breakdown.
 FAMILIES = ("mysql", "postgres", "apache", "bind", "djbdns", "nginx", "sshd")
@@ -151,16 +156,22 @@ def _semantics(profile):
 
 
 class TestIncrementalSpeedup:
-    def test_mysql_full_directives_5x_at_jobs1(self, monkeypatch):
+    def test_mysql_full_directives_5x_at_jobs1(self):
         """Delta validation >= 5x full revalidation, with identical records."""
         fast_profile, scenarios, fast_rerun = _prepared_run(
             "mysql-full-directives", incremental=True
         )
-        fast_seconds = _best_of(fast_rerun, 3)
-        stats = INCREMENTAL_STATS.snapshot()
-        slow_profile, slow_scenarios, slow_seconds = _timed_run(
+        slow_profile, slow_scenarios, slow_rerun = _prepared_run(
             "mysql-full-directives", incremental=False
         )
+        # rounds alternate between the two modes, so a burst of host load
+        # slows both sides rather than only whichever ran during it
+        fast_seconds = slow_seconds = float("inf")
+        for _ in range(SPEEDUP_ROUNDS):
+            INCREMENTAL_STATS.reset()
+            fast_seconds = min(fast_seconds, fast_rerun())
+            stats = INCREMENTAL_STATS.snapshot()
+            slow_seconds = min(slow_seconds, slow_rerun())
 
         assert scenarios == slow_scenarios >= 100
         assert _semantics(fast_profile) == _semantics(slow_profile), (
@@ -213,19 +224,33 @@ class TestIncrementalSpeedup:
             outcomes = entry["delta_starts"] + entry["fallbacks"] + entry["errors"]
             assert outcomes == entry["scenarios"], (family, entry)
 
-        # the speedup rests on the splice: spelling scenarios are field-only
-        # deltas, and none of them may run the full walk (counted after every
-        # timed run, so the counters cost no measured time)
-        work = _count_work(monkeypatch, "mysql-full-directives")
-        INCREMENTAL_STATS.reset()
-        fast_rerun()
-        assert INCREMENTAL_STATS.delta_starts > 0
-        assert work["delta_walks"] == 0, work
-
         assert speedup >= MIN_SPEEDUP, (
             f"incremental path only {speedup:.2f}x full revalidation "
             f"({fast_sps:.0f} vs {slow_sps:.0f} scenarios/sec) -- floor is {MIN_SPEEDUP}x"
         )
+
+    def test_mysql_full_directives_work_counts(self, monkeypatch):
+        """The work the 5x rests on, counted on one rerun per mode.
+
+        Spelling scenarios are field-only deltas: the fast rerun does a full
+        start (and its parse) only for a scenario the delta path did not
+        take, and never runs the full walk.  Pinned at BENCH_SEED.
+        """
+        _, scenarios, fast_rerun = _prepared_run("mysql-full-directives", incremental=True)
+        _, _, slow_rerun = _prepared_run("mysql-full-directives", incremental=False)
+        keys = ("starts", "start_parses", "delta_walks")
+        work = _count_work(monkeypatch, "mysql-full-directives")
+        INCREMENTAL_STATS.reset()
+        fast_rerun()
+        fast_work = {key: work[key] for key in keys}
+        untaken = scenarios - INCREMENTAL_STATS.delta_starts
+        work.clear()
+        slow_rerun()
+        full_work = {key: work[key] for key in keys}
+
+        assert fast_work["starts"] == untaken, (fast_work, untaken)
+        assert fast_work == {"starts": 0, "start_parses": 0, "delta_walks": 0}
+        assert full_work == {"starts": 100, "start_parses": 100, "delta_walks": 0}
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_profits_or_breaks_even(self, family, monkeypatch):

@@ -20,7 +20,7 @@ Run with::
 
 import random
 
-from repro import Campaign
+from repro import CampaignSuite
 from repro.core.infoset import ConfigNode, ConfigSet
 from repro.core.templates import DeleteTemplate, FaultScenario, InsertTemplate
 from repro.core.views.structure_view import StructureView
@@ -113,8 +113,8 @@ class TinyKeyValueService(SystemUnderTest):
 
 
 def main() -> None:
-    campaign = Campaign(TinyKeyValueService(), [EnvironmentOverridePlugin()], seed=7)
-    profile = campaign.run().overall
+    suite = CampaignSuite({"kv": TinyKeyValueService}, [EnvironmentOverridePlugin()], seed=7)
+    profile = suite.run().overall("kv")
     print(profile.summary())
     print()
     for record in profile:

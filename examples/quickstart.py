@@ -11,7 +11,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import Campaign, SpellingMistakesPlugin
+from repro import CampaignSuite, SpellingMistakesPlugin
 from repro.core.profile import InjectionOutcome
 from repro.sut.mysql import SimulatedMySQL
 
@@ -20,10 +20,10 @@ def main() -> None:
     # One realistic typo per configuration token keeps the demo fast; drop the
     # limit to enumerate every possible single-keystroke error.
     plugin = SpellingMistakesPlugin(mutations_per_token=1)
-    campaign = Campaign(SimulatedMySQL(), [plugin], seed=2008)
+    suite = CampaignSuite({"mysql": SimulatedMySQL}, [plugin], seed=2008)
 
-    result = campaign.run()
-    profile = result.overall
+    result = suite.run()
+    profile = result.overall("mysql")
 
     print(profile.summary())
     print()

@@ -14,7 +14,7 @@ Run with::
     python examples/webserver_structural.py
 """
 
-from repro import Campaign
+from repro import CampaignSuite
 from repro.core.engine import InjectionEngine
 from repro.core.profile import InjectionOutcome
 from repro.plugins import StructuralErrorsPlugin, StructuralVariationsPlugin
@@ -38,8 +38,8 @@ def structural_mistakes() -> None:
         include=["omit-directive", "duplicate-directive", "misplace-directive"],
         max_scenarios_per_class=25,
     )
-    campaign = Campaign(SimulatedApache(), [plugin], seed=2008)
-    profile = campaign.run().overall
+    suite = CampaignSuite({"apache": SimulatedApache}, [plugin], seed=2008)
+    profile = suite.run().overall("apache")
     for category, sub_profile in sorted(profile.by_category().items()):
         print(
             f"  {category:<28} injected={sub_profile.injected_count():<3} "

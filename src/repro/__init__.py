@@ -7,12 +7,12 @@ system's reaction and produces a *resilience profile*.
 
 Typical usage::
 
-    from repro import Campaign, SpellingMistakesPlugin
+    from repro import CampaignSuite, SpellingMistakesPlugin
     from repro.sut.mysql import SimulatedMySQL
 
-    campaign = Campaign(SimulatedMySQL(), [SpellingMistakesPlugin()], seed=42)
-    result = campaign.run()
-    print(result.overall.summary())
+    suite = CampaignSuite({"mysql": SimulatedMySQL}, [SpellingMistakesPlugin()], seed=42)
+    result = suite.run()
+    print(result.overall("mysql").summary())
 
 The public surface is re-exported here; see the subpackages for details:
 
@@ -25,10 +25,10 @@ The public surface is re-exported here; see the subpackages for details:
 * :mod:`repro.bench`    -- the paper's tables and figures as spec builders plus renderers
 """
 
-from repro.core.campaign import Campaign, CampaignResult
 from repro.core.engine import InjectionEngine
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
 from repro.core.profile import InjectionOutcome, InjectionRecord, ResilienceProfile
+from repro.core.suite import CampaignSuite, SuiteResult
 from repro.core.templates import FaultScenario
 from repro.errors import ConfErrError
 from repro.plugins import (
@@ -42,8 +42,8 @@ from repro.plugins import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Campaign",
-    "CampaignResult",
+    "CampaignSuite",
+    "SuiteResult",
     "InjectionEngine",
     "ConfigNode",
     "ConfigSet",

@@ -7,6 +7,7 @@ fail only at runtime -- or worse, not at all:
 * determinism: no unseeded randomness or wall-clock reads in
   record-producing code (the byte-identity contract behind resume,
   incremental revalidation and store verify);
+* durability: no truncating file writes where the durable files live;
 * process-pool safety: exceptions that cross executor boundaries must
   unpickle, and should be :mod:`repro.errors` types;
 * registry contracts: the ``param_names``/``from_params``/
@@ -61,6 +62,10 @@ _GLOBAL_RNG_FUNCS = frozenset(
 #: service layer timestamps jobs operationally and produces no records.
 _WALL_CLOCK_EXEMPT_DIRS = frozenset({"service"})
 
+#: Top-level package directories whose file writes must be atomic: the
+#: result store and the campaign service own every durable file.
+_ATOMIC_WRITE_DIRS = frozenset({"core", "service"})
+
 
 class SourceModule:
     """One parsed Python source file under self-lint."""
@@ -86,6 +91,17 @@ class SourceModule:
             self.tree = ast.parse(text, filename=str(path))
         except SyntaxError as exc:
             self.parse_error = f"{exc.msg} (line {exc.lineno})"
+
+    def package_dir(self) -> str:
+        """Top-level package directory of this file (``core``, ``service``...).
+
+        The same whether the lint root is the package (``src/repro``) or the
+        directory holding it (``src``).
+        """
+        parts = self.rel.replace("\\", "/").split("/")
+        if parts[0] == "repro" and len(parts) > 1:
+            parts = parts[1:]
+        return parts[0]
 
     # ------------------------------------------------------------- name maps
     def import_map(self) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
@@ -217,8 +233,7 @@ def check_wall_clock(ctx: SelfLintContext) -> Iterator[Diagnostic]:
     for module in ctx.modules:
         if module.tree is None:
             continue
-        top = module.rel.replace("\\", "/").split("/")[0]
-        if top in _WALL_CLOCK_EXEMPT_DIRS:
+        if module.package_dir() in _WALL_CLOCK_EXEMPT_DIRS:
             continue
         modules, names = module.import_map()
         for node in ast.walk(module.tree):
@@ -260,6 +275,55 @@ def check_wall_clock(ctx: SelfLintContext) -> Iterator[Diagnostic]:
                         file=str(module.path),
                         line=node.lineno,
                     )
+
+
+def _open_mode(node: ast.Call) -> str:
+    """The literal mode of an ``open()`` call ("" when not a literal)."""
+    mode = node.args[1] if len(node.args) > 1 else None
+    for keyword in node.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return mode.value
+    return ""
+
+
+@rule("harness/non-atomic-write", Severity.ERROR, "self")
+def check_non_atomic_write(ctx: SelfLintContext) -> Iterator[Diagnostic]:
+    """A truncating file write in the store or service layers.
+
+    ``Path.write_text``/``write_bytes`` and ``open(..., "w")`` truncate
+    the target before writing it, so a kill mid-write leaves a torn or
+    empty file.  Durable files there go through
+    :func:`repro.core.durable.write_atomic` (temp file, fsync, rename);
+    appends are not flagged.
+    """
+    for module in ctx.modules:
+        if module.tree is None:
+            continue
+        if module.package_dir() not in _ATOMIC_WRITE_DIRS:
+            continue
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in {"write_text", "write_bytes"}:
+                call = f"{func.attr}()"
+            elif isinstance(func, ast.Name) and func.id == "open" and "w" in _open_mode(node):
+                call = f"open(..., {_open_mode(node)!r})"
+            else:
+                continue
+            yield Diagnostic(
+                code="harness/non-atomic-write",
+                message=(
+                    f"{call} truncates the file before writing it; a kill "
+                    "mid-write leaves it torn -- use "
+                    "repro.core.durable.write_atomic"
+                ),
+                severity=Severity.ERROR,
+                file=str(module.path),
+                line=node.lineno,
+            )
 
 
 # ------------------------------------------------------- exception-class rules

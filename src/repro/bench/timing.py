@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.campaign import Campaign
 from repro.core.executor import WorkerContext, WorkerSpec
+from repro.core.suite import CampaignSuite
 from repro.plugins.base import ErrorGeneratorPlugin
 from repro.plugins.spelling import SpellingMistakesPlugin
 from repro.sut.base import SystemUnderTest, split_sut
@@ -87,14 +87,15 @@ def campaign_throughput(
     block_size: int | None = None,
     check_baseline: bool = False,
 ) -> ThroughputResult:
-    """Run one campaign and measure its scenarios/second.
+    """Run a one-system campaign suite and measure its scenarios/second.
 
     The clock covers the whole campaign -- scenario generation, injection,
     SUT lifecycle and merging -- because that is the quantity an operator
     sizing a profiling run cares about.
     """
-    campaign = Campaign(
-        sut,
+    key = "system"
+    suite = CampaignSuite(
+        {key: sut},
         list(plugins),
         seed=seed,
         check_baseline=check_baseline,
@@ -103,9 +104,8 @@ def campaign_throughput(
         block_size=block_size,
     )
     started = time.perf_counter()
-    result = campaign.run()
+    overall = suite.run().overall(key)
     elapsed = time.perf_counter() - started
-    overall = result.overall
     return ThroughputResult(
         system_name=overall.system_name,
         scenarios=len(overall),

@@ -14,19 +14,19 @@ paper:
 ``views``
     Bidirectional mappings between the system-specific tree and the
     representations required by each error-generator plugin.
-``engine`` / ``campaign`` / ``profile`` / ``report``
+``engine`` / ``profile`` / ``report``
     Orchestration of injection experiments and aggregation of outcomes into
     resilience profiles.
 ``suite`` / ``store``
-    Whole multi-system, multi-plugin evaluations as one durable run: the
-    suite fans campaigns out and the store appends every record to disk so
-    an interrupted suite can be resumed.
+    Campaigns -- one or more systems crossed with one or more plugins --
+    as one durable run: the suite drives an engine per (system, plugin)
+    cell and the store appends every record to disk so an interrupted
+    suite can be resumed.
 """
 
 from repro.core.infoset import ConfigNode, ConfigTree
 from repro.core.profile import InjectionOutcome, InjectionRecord, ResilienceProfile
 from repro.core.engine import InjectionEngine
-from repro.core.campaign import Campaign, CampaignResult
 from repro.core.executor import (
     ProcessPoolCampaignExecutor,
     SerialExecutor,
@@ -43,8 +43,6 @@ __all__ = [
     "InjectionRecord",
     "ResilienceProfile",
     "InjectionEngine",
-    "Campaign",
-    "CampaignResult",
     "SerialExecutor",
     "ThreadPoolCampaignExecutor",
     "ProcessPoolCampaignExecutor",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.core.campaign import Campaign
+from repro.core.engine import InjectionEngine
 from repro.core.faults import FaultPolicy
 from repro.core.profile import InjectionRecord, ResilienceProfile
 from repro.core.report import resilience_matrix_table, typo_resilience_table
@@ -122,7 +122,8 @@ class CampaignSuite:
     ----------
     systems:
         Mapping of system key (used for store file names and seed
-        derivation) to a zero-argument SUT factory.
+        derivation) to a zero-argument SUT factory, or to a live instance
+        for a serial run.  One instance serves all of a system's plugins.
     plugins:
         The error-generator plugins to run against every system.  Plugin
         names must be unique: they key the per-campaign records in the
@@ -134,7 +135,9 @@ class CampaignSuite:
         Keyboard-layout name recorded in the manifest (informational; the
         spelling plugin itself carries the layout used for generation).
     jobs / executor / block_size:
-        Worker fan-out per campaign, as in :class:`~repro.core.campaign.Campaign`.
+        Worker fan-out of every (system, plugin) cell, handed to its
+        :class:`~repro.core.engine.InjectionEngine`; ``jobs > 1`` needs
+        factories, not live instances.
     policy:
         Optional :class:`~repro.core.faults.FaultPolicy` opting every
         campaign into the fault-tolerance layer.  Scenarios it gives up on
@@ -167,7 +170,7 @@ class CampaignSuite:
 
     def __init__(
         self,
-        systems: Mapping[str, Callable[[], SystemUnderTest]],
+        systems: Mapping[str, SystemUnderTest | Callable[[], SystemUnderTest]],
         plugins: Sequence[ErrorGeneratorPlugin],
         *,
         seed: int = 2008,
@@ -328,37 +331,39 @@ class CampaignSuite:
                     # would make the store unfinishable
                     completed |= store.quarantined_ids(system_key)
 
-            campaign = Campaign(
-                factory,
-                self.plugins,
-                seed=self.seed,
-                check_baseline=self.check_baseline,
-                jobs=self.jobs,
-                executor=self.executor,
-                block_size=self.block_size,
-                policy=self.policy,
-                incremental=self.incremental,
-                seed_for=lambda plugin, _index, key=system_key: self.campaign_seed(
-                    key, plugin.name
-                ),
-                scenario_filter=(
-                    (lambda name, scenario: (name, scenario.scenario_id) not in completed)
-                    if completed
-                    else None
-                ),
-                plugin_observer=self._cell_observer(system_key, store),
-            )
-            campaign_result = campaign.run()
-
             display = result.system_names[system_key]
-            merged: dict[str, ResilienceProfile] = {}
-            for plugin in self.plugins:
-                records = list(prior.get(plugin.name, []))
-                records.extend(campaign_result.per_plugin[plugin.name].records)
-                merged[plugin.name] = ResilienceProfile(display, records)
-            result.profiles[system_key] = merged
-            result.executed[system_key] = dict(campaign_result.executed)
-            result.skipped[system_key] = dict(campaign_result.skipped)
+            profiles = result.profiles[system_key] = {}
+            executed = result.executed[system_key] = {}
+            skipped = result.skipped[system_key] = {}
+            # one SUT instance serves every plugin of the system
+            sut, sut_factory = split_sut(factory)
+            for index, plugin in enumerate(self.plugins):
+                engine = InjectionEngine(
+                    sut,
+                    plugin,
+                    seed=self.campaign_seed(system_key, plugin.name),
+                    observer=self._cell_observer(system_key, plugin.name, store),
+                    sut_factory=sut_factory,
+                    jobs=self.jobs,
+                    executor=self.executor,
+                    block_size=self.block_size,
+                    policy=self.policy,
+                    incremental=self.incremental,
+                )
+                if self.check_baseline and index == 0:
+                    problems = engine.baseline_check()
+                    if problems:
+                        raise CampaignError(
+                            "the unmodified configuration is not healthy: " + "; ".join(problems)
+                        )
+                config_set, view_set, scenarios = engine.generate_scenarios()
+                kept = [s for s in scenarios if (plugin.name, s.scenario_id) not in completed]
+                profile = engine.run(kept, config_set=config_set, view_set=view_set)
+                profiles[plugin.name] = ResilienceProfile(
+                    display, prior.get(plugin.name, []) + profile.records
+                )
+                executed[plugin.name] = len(profile)
+                skipped[plugin.name] = len(scenarios) - len(kept)
         return result
 
     def _check_cancelled(self) -> None:
@@ -369,9 +374,9 @@ class CampaignSuite:
             )
 
     def _cell_observer(
-        self, system_key: str, store: ResultStore | None
-    ) -> Callable[[str, InjectionRecord], None] | None:
-        """Per-record callback for one system's campaign: persist, then report.
+        self, system_key: str, plugin_name: str, store: ResultStore | None
+    ) -> Callable[[InjectionRecord], None] | None:
+        """Per-record callback for one (system, plugin) cell: persist, then report.
 
         The store append runs first so that by the time a progress observer
         announces a record it is already durable on disk.  The cancellation
@@ -381,7 +386,7 @@ class CampaignSuite:
         if store is None and self.record_observer is None and self.cancel_check is None:
             return None
 
-        def observe(plugin_name: str, record: InjectionRecord) -> None:
+        def observe(record: InjectionRecord) -> None:
             self._check_cancelled()
             if store is not None:
                 store.append(system_key, plugin_name, record)

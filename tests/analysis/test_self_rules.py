@@ -18,6 +18,7 @@ AST_CODES = [
     "harness/parse-error",
     "harness/unseeded-rng",
     "harness/wall-clock",
+    "harness/non-atomic-write",
     "harness/unpickleable-error",
     "harness/foreign-exception",
     "harness/unfrozen-spec",
@@ -50,6 +51,26 @@ class TestFixtureTrees:
         # selfsrc_clean/service/jobs_like.py calls time.time() and stays clean
         report = lint_self([CLEAN_TREE])
         assert "harness/wall-clock" not in codes_of(report)
+
+    def test_non_atomic_write_flags_truncating_writes_in_store_and_service(self):
+        rules = select_rules("self", select=["harness/non-atomic-write"])
+        report = lint_self([BAD_TREE], rules)
+        flagged = sorted((Path(f.file).name, f.message.split(" ")[0]) for f in report.findings)
+        assert flagged == [
+            ("snapshot.py", "open(...,"),
+            ("writes.py", "open(...,"),
+            ("writes.py", "write_bytes()"),
+            ("writes.py", "write_text()"),
+        ]
+
+    def test_non_atomic_write_spares_appends_locks_and_other_layers(self):
+        # selfsrc_clean/core/writes.py appends, reads and writes a lock
+        # through os.fdopen; its pragma'd temp-file write is suppressed;
+        # bench/render_like.py calls write_text outside the store layers
+        rules = select_rules("self", select=["harness/non-atomic-write"])
+        report = lint_self([CLEAN_TREE], rules)
+        assert report.clean, report.render_text()
+        assert report.suppressed == 1
 
     def test_unseeded_rng_flags_both_global_and_constructor_forms(self):
         rules = select_rules("self", select=["harness/unseeded-rng"])
@@ -185,9 +206,12 @@ class TestRegistryIntrospection:
 
 
 class TestHarnessSource:
-    def test_the_harness_lints_clean(self):
-        report = lint_self([SRC_REPRO])
+    @pytest.mark.parametrize("root", [SRC_REPRO, SRC_REPRO.parent], ids=["src/repro", "src"])
+    def test_the_harness_lints_clean(self, root):
+        # directory-scoped rules see the same package layout from either root
+        report = lint_self([root])
         assert report.clean, report.render_text()
-        # the four intentionally-internal exception classes are pragma'd,
-        # not silently passed over
-        assert report.suppressed == 4
+        # the four intentionally-internal exception classes and
+        # write_atomic's own temp-file write are pragma'd, not silently
+        # passed over
+        assert report.suppressed == 5

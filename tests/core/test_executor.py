@@ -17,7 +17,6 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.cli import _sigterm_to_interrupt
-from repro.core.campaign import Campaign
 from repro.core.engine import InjectionEngine
 from repro.core.executor import (
     DEFAULT_MAX_BLOCK,
@@ -30,6 +29,7 @@ from repro.core.executor import (
     resolve_block_size,
     resolve_executor,
 )
+from repro.core.suite import CampaignSuite
 from repro.errors import CampaignError
 from repro.plugins import OmissionDuplicationPlugin, SpellingMistakesPlugin, StructuralErrorsPlugin
 from repro.registry import get_system
@@ -53,17 +53,17 @@ def _plugins_for(system: str):
     return plugins
 
 
-def _run(system: str, jobs: int, executor: str | None):
-    factory = get_system(system)
-    campaign = Campaign(
-        factory,
+def _run(system: str, jobs: int, executor: str | None, block_size: int | None = None):
+    suite = CampaignSuite(
+        {system: get_system(system)},
         _plugins_for(system),
         seed=SEED,
         check_baseline=False,
         jobs=jobs,
         executor=executor,
+        block_size=block_size,
     )
-    overall = campaign.run().overall
+    overall = suite.run().overall(system)
     return overall.summary(), [record.scenario_id for record in overall]
 
 
@@ -93,22 +93,9 @@ class TestDeterminismAcrossStrategies:
             assert _run("mysql", jobs=jobs, executor="thread") == baseline
 
     def test_block_size_does_not_change_profiles(self):
-        def run_with(block_size):
-            campaign = Campaign(
-                get_system("mysql"),
-                _plugins_for("mysql"),
-                seed=SEED,
-                check_baseline=False,
-                jobs=4,
-                executor="thread",
-                block_size=block_size,
-            )
-            overall = campaign.run().overall
-            return overall.summary(), [record.scenario_id for record in overall]
-
-        baseline = run_with(None)
+        baseline = _run("mysql", jobs=4, executor="thread")
         for block_size in (1, 3, 1000):
-            assert run_with(block_size) == baseline
+            assert _run("mysql", jobs=4, executor="thread", block_size=block_size) == baseline
 
 
 class TestStreaming:

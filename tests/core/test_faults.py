@@ -13,7 +13,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core.campaign import Campaign
 from repro.core.faults import (
     FaultPolicy,
     GuardedWorker,
@@ -157,7 +156,12 @@ class TestGuardedWorker:
 
 
 # ----------------------------------------------------- harness-level chaos
-def _chaos_campaign(jobs, executor, *, hang=0.0, crash=0.0, policy=FAST_POLICY):
+#: Share of scenarios the chaos wrapper hangs or crashes: at SEED it draws
+#: two of the 29 scenarios of the djbdns spelling cell.
+CHAOS_FRACTION = 0.2
+
+
+def _chaos_profile(jobs, executor, *, hang=0.0, crash=0.0, policy=FAST_POLICY):
     factory = ChaosFactory(
         get_system("djbdns"),
         hang_fraction=hang,
@@ -165,25 +169,22 @@ def _chaos_campaign(jobs, executor, *, hang=0.0, crash=0.0, policy=FAST_POLICY):
         seed=SEED,
         hang_seconds=30.0,
     )
-    return Campaign(
-        factory,
-        [SpellingMistakesPlugin(mutations_per_token=1)],
-        seed=SEED,
-        check_baseline=False,
-        jobs=jobs,
-        executor=executor,
-        policy=policy,
-    )
+    return _djbdns_profile(factory, jobs=jobs, executor=executor, policy=policy)
 
 
 def _plain_profile():
-    campaign = Campaign(
-        get_system("djbdns"),
+    return _djbdns_profile(get_system("djbdns"))
+
+
+def _djbdns_profile(factory, **execution):
+    suite = CampaignSuite(
+        {"djbdns": factory},
         [SpellingMistakesPlugin(mutations_per_token=1)],
         seed=SEED,
         check_baseline=False,
+        **execution,
     )
-    return campaign.run().overall
+    return suite.run().overall("djbdns")
 
 
 def _comparable(record):
@@ -204,7 +205,7 @@ class TestChaosTimeouts:
     )
     def test_hung_scenarios_time_out_everywhere(self, jobs, executor):
         plain = {r.scenario_id: r for r in _plain_profile().records}
-        profile = _chaos_campaign(jobs, executor, hang=0.12).run().overall
+        profile = _chaos_profile(jobs, executor, hang=CHAOS_FRACTION)
         assert len(profile) == len(plain)  # every scenario exactly once
         timeouts = [r for r in profile.records if r.outcome is InjectionOutcome.TIMEOUT]
         assert timeouts, "chaos seed must hang at least one scenario"
@@ -218,7 +219,7 @@ class TestChaosTimeouts:
             assert _comparable(record) == _comparable(untouched)
 
     def test_timeouts_do_not_skew_statistics(self):
-        profile = _chaos_campaign(1, None, hang=0.12).run().overall
+        profile = _chaos_profile(1, None, hang=CHAOS_FRACTION)
         counts = profile.outcome_counts()
         assert counts[InjectionOutcome.TIMEOUT] > 0
         # like harness errors, timeouts are excluded from the injected base
@@ -234,7 +235,7 @@ class TestChaosCrashes:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_killed_workers_quarantine_exactly_the_guilty(self, executor):
         plain = {r.scenario_id: r for r in _plain_profile().records}
-        profile = _chaos_campaign(4, executor, crash=0.12).run().overall
+        profile = _chaos_profile(4, executor, crash=CHAOS_FRACTION)
         assert len(profile) == len(plain)
         crashed = {
             r.scenario_id
@@ -267,14 +268,14 @@ class TestChaosCrashes:
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", racy_submit)
         plain = _plain_profile().records
-        profile = _chaos_campaign(4, "process").run().overall
+        profile = _chaos_profile(4, "process")
         assert len(submits) > 2
         assert [_comparable(r) for r in profile.records] == [_comparable(r) for r in plain]
 
     def test_blame_is_identical_across_executors(self):
         by_executor = {}
         for executor in ("thread", "process"):
-            profile = _chaos_campaign(4, executor, crash=0.12).run().overall
+            profile = _chaos_profile(4, executor, crash=CHAOS_FRACTION)
             by_executor[executor] = {
                 r.scenario_id
                 for r in profile.records
@@ -285,10 +286,8 @@ class TestChaosCrashes:
 
 # -------------------------------------------------- quarantine-then-resume
 def _chaos_suite(*, retry_quarantined=False):
-    # 0.2, not the 0.12 of the campaign tests: the suite derives different
-    # per-cell seeds, so its scenario stream draws different fates
     factory = ChaosFactory(
-        get_system("djbdns"), crash_fraction=0.2, seed=SEED, hang_seconds=30.0
+        get_system("djbdns"), crash_fraction=CHAOS_FRACTION, seed=SEED, hang_seconds=30.0
     )
     return CampaignSuite(
         {"djbdns": factory},

@@ -27,11 +27,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from repro.core.campaign import Campaign
 from repro.core.engine import InjectionEngine, _children_vetted
 from repro.core.infoset import ConfigNode, ConfigSet
 from repro.core.profile import InjectionOutcome
 from repro.core.spec import RESUME_IRRELEVANT_PATHS, ExecutionSpec
+from repro.core.suite import CampaignSuite
 from repro.core.templates.base import (
     DeleteOperation,
     FaultScenario,
@@ -1054,18 +1054,18 @@ class TestExecutorParity:
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_parallel_incremental_matches_serial_full(self, executor):
-        serial_full = Campaign(
-            SimulatedMySQL, [SpellingMistakesPlugin(mutations_per_token=2)], seed=5, incremental=False
-        ).run()
-        parallel_fast = Campaign(
-            SimulatedMySQL,
-            [SpellingMistakesPlugin(mutations_per_token=2)],
-            seed=5,
-            jobs=2,
-            executor=executor,
-            incremental=True,
-        ).run()
-        assert _semantics(parallel_fast.overall) == _semantics(serial_full.overall)
+        def overall(**execution):
+            suite = CampaignSuite(
+                {"mysql": SimulatedMySQL},
+                [SpellingMistakesPlugin(mutations_per_token=2)],
+                seed=5,
+                **execution,
+            )
+            return suite.run().overall("mysql")
+
+        serial_full = overall(incremental=False)
+        parallel_fast = overall(jobs=2, executor=executor, incremental=True)
+        assert _semantics(parallel_fast) == _semantics(serial_full)
 
 
 # --------------------------------------------------------------- spec and knob
@@ -1083,7 +1083,3 @@ class TestIncrementalKnob:
 
     def test_resume_may_flip_the_knob(self):
         assert "execution.incremental" in RESUME_IRRELEVANT_PATHS
-
-    def test_campaign_threads_the_knob_to_engines(self):
-        campaign = Campaign(SimulatedMySQL, [SpellingMistakesPlugin()], incremental=False)
-        assert campaign.incremental is False

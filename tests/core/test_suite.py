@@ -1,5 +1,7 @@
 """Tests for campaign suites: fan-out, seed derivation, persistence, resume."""
 
+import functools
+
 import pytest
 
 from repro.core.store import ResultStore
@@ -10,11 +12,15 @@ from repro.sut.mysql import SimulatedMySQL
 from repro.sut.postgres import SimulatedPostgres
 
 
-def small_suite(**kwargs) -> CampaignSuite:
+def small_suite(live: bool = False, **kwargs) -> CampaignSuite:
+    """Two systems x two plugins; ``live`` passes SUT instances, not factories."""
     defaults = dict(seed=11)
     defaults.update(kwargs)
+    systems = {"mysql": SimulatedMySQL, "postgres": SimulatedPostgres}
+    if live:
+        systems = {key: factory() for key, factory in systems.items()}
     return CampaignSuite(
-        {"mysql": SimulatedMySQL, "postgres": SimulatedPostgres},
+        systems,
         [
             SpellingMistakesPlugin(mutations_per_token=1),
             ConstraintViolationPlugin(),
@@ -39,8 +45,8 @@ class TestSeedDerivation:
         assert derive_seed(1, "mysql", "spelling") != derive_seed(2, "mysql", "spelling")
 
     def test_campaign_seed_is_independent_of_plugin_order(self):
-        # unlike Campaign's seed + index rule, a suite seed names the cell,
-        # so reordering plugins cannot silently change the scenario stream
+        # the seed names the cell, not its position, so reordering plugins
+        # cannot silently change the scenario stream
         suite = small_suite()
         assert suite.campaign_seed("mysql", "spelling") == derive_seed(11, "mysql", "spelling")
 
@@ -106,6 +112,47 @@ class TestRunWithoutStore:
         first = small_suite().run()
         second = small_suite().run()
         assert first.table1() == second.table1()
+
+    def test_live_instances_run_serially_like_factories(self):
+        # one instance serves every plugin of its system
+        assert small_suite(live=True).run().matrix() == small_suite().run().matrix()
+
+    def test_incremental_knob_reaches_every_cell(self, monkeypatch):
+        delta_starts: list[str] = []
+        for sut_class in (SimulatedMySQL, SimulatedPostgres):
+            original = sut_class.start_delta
+
+            def counting(sut, *args, _original=original, **kwargs):
+                delta_starts.append(sut.name)
+                return _original(sut, *args, **kwargs)
+
+            monkeypatch.setattr(sut_class, "start_delta", counting)
+        small_suite(incremental=False).run()
+        assert delta_starts == []
+        small_suite().run()
+        assert set(delta_starts) == {"MySQL", "Postgres"}
+
+
+class TestBaselineCheck:
+    def broken_suite(self, **kwargs) -> CampaignSuite:
+        broken = functools.partial(
+            SimulatedPostgres, default_config="max_connections = banana\n"
+        )
+        return CampaignSuite(
+            {"postgres": broken}, [SpellingMistakesPlugin(mutations_per_token=1)], **kwargs
+        )
+
+    def test_unhealthy_pristine_configuration_is_refused(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(CampaignError, match="not healthy"):
+            self.broken_suite().run(store=store)
+        assert list(store.iter_records("postgres")) == []
+
+    def test_disabled_check_runs_and_records(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        result = self.broken_suite(check_baseline=False).run(store=store)
+        assert result.total_executed() > 0
+        assert len(list(store.iter_records("postgres"))) == result.total_executed()
 
 
 class TestRunWithStore:
@@ -388,11 +435,12 @@ class TestRecordObserver:
             per_system[system] = per_system.get(system, 0) + 1
             assert on_disk >= per_system[system]
 
-    def test_record_observer_without_store_sees_scenario_order(self):
+    @pytest.mark.parametrize("jobs,executor", [(1, None), (4, "thread")])
+    def test_record_observer_without_store_sees_scenario_order(self, jobs, executor):
         observed: list[str] = []
         suite = small_suite(
-            jobs=4,
-            executor="thread",
+            jobs=jobs,
+            executor=executor,
             record_observer=lambda system, plugin, record: observed.append(record.scenario_id),
         )
         result = suite.run()

@@ -4,7 +4,7 @@ through the injection engine rather than by poking the SUTs directly."""
 
 import pytest
 
-from repro import Campaign, SpellingMistakesPlugin
+from repro import CampaignSuite, SpellingMistakesPlugin
 from repro.core.engine import InjectionEngine
 from repro.core.profile import InjectionOutcome
 from repro.core.templates import FaultScenario, NodeAddress, SetFieldOperation
@@ -75,11 +75,15 @@ class TestBaselines:
         assert engine.baseline_check() == []
 
 
+def _overall(sut_class, plugin, seed):
+    """Profile of a one-system, one-plugin campaign suite."""
+    return CampaignSuite({"sut": sut_class}, [plugin], seed=seed).run().overall("sut")
+
+
 class TestFullCampaigns:
     @pytest.mark.parametrize("sut_class", [SimulatedMySQL, SimulatedPostgres, SimulatedApache])
     def test_typo_campaign_produces_consistent_profiles(self, sut_class):
-        campaign = Campaign(sut_class(), [SpellingMistakesPlugin(mutations_per_token=1)], seed=17)
-        profile = campaign.run().overall
+        profile = _overall(sut_class, SpellingMistakesPlugin(mutations_per_token=1), seed=17)
         assert profile.injected_count() > 10
         assert profile.injected_count() + len(
             profile.records_with(InjectionOutcome.INJECTION_IMPOSSIBLE)
@@ -88,12 +92,10 @@ class TestFullCampaigns:
 
     def test_structural_campaign_on_all_three_servers(self):
         for sut_class in (SimulatedMySQL, SimulatedPostgres, SimulatedApache):
-            campaign = Campaign(
-                sut_class(),
-                [StructuralErrorsPlugin(include=["omit-directive", "duplicate-directive"], max_scenarios_per_class=10)],
-                seed=5,
+            plugin = StructuralErrorsPlugin(
+                include=["omit-directive", "duplicate-directive"], max_scenarios_per_class=10
             )
-            profile = campaign.run().overall
+            profile = _overall(sut_class, plugin, seed=5)
             assert profile.injected_count() > 0
 
     def test_variation_campaign_is_seed_stable(self):
@@ -105,8 +107,7 @@ class TestFullCampaigns:
 
     @pytest.mark.parametrize("sut_class", [SimulatedBIND, SimulatedDjbdns])
     def test_semantic_dns_campaign(self, sut_class):
-        campaign = Campaign(sut_class(), [DnsSemanticErrorsPlugin(max_scenarios_per_class=2)], seed=3)
-        profile = campaign.run().overall
+        profile = _overall(sut_class, DnsSemanticErrorsPlugin(max_scenarios_per_class=2), seed=3)
         assert len(profile) > 0
         # every record is classified into one of the defined outcomes
         assert all(isinstance(record.outcome, InjectionOutcome) for record in profile)
