@@ -15,6 +15,8 @@ import difflib
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from repro.errors import SpecError
+
 
 @lru_cache(maxsize=1)
 def _typo_models():
@@ -54,3 +56,14 @@ def suggestion_suffix(typed: str, candidates: Iterable[str]) -> str:
     """``"; did you mean 'x'?"`` when a suggestion exists, else ``""``."""
     suggestion = did_you_mean(typed, candidates)
     return f"; did you mean {suggestion!r}?" if suggestion else ""
+
+
+def unknown_name_error(
+    where: str, kind: str, typed: str, available: Sequence[str], code: str = "spec/invalid-value"
+) -> SpecError:
+    """``<where>: unknown <kind> 'x'; available: a, b[; did you mean 'a'?]``."""
+    return SpecError(
+        f"{where}: unknown {kind} {typed!r}; available: {', '.join(available)}"
+        f"{suggestion_suffix(typed, available)}",
+        code,
+    )

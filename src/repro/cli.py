@@ -681,7 +681,7 @@ def _command_run_spec(args: argparse.Namespace) -> int:
     try:
         result, store = _run_spec(spec, resume=spec.store.resume if spec.store else False)
     except SpecError as exc:
-        raise SpecError(f"{args.spec_file}: {exc}") from None
+        raise SpecError(f"{args.spec_file}: {exc}", exc.code) from None
     _print_suite_result(result, store)
     return 0
 
@@ -693,13 +693,9 @@ def _command_validate(args: argparse.Namespace) -> int:
         # machine-readable: always exit through JSON (0 valid / 1 invalid),
         # never a traceback -- this document is also the service's 400 body
         try:
-            spec = ExperimentSpec.from_file(args.spec_file)
+            report = validation_report(ExperimentSpec.from_file(args.spec_file))
         except SpecError as exc:
-            from repro.core.spec import validation_error_entry
-
-            report = {"valid": False, "errors": [validation_error_entry(str(exc))]}
-        else:
-            report = validation_report(spec)
+            report = validation_report(exc, args.spec_file)
         print(json.dumps(report, indent=2))
         return 0 if report["valid"] else 1
     spec = ExperimentSpec.from_file(args.spec_file)
@@ -708,7 +704,7 @@ def _command_validate(args: argparse.Namespace) -> int:
     except SpecError as exc:
         # name the file: a script validating several specs must be able to
         # tell which one is broken
-        raise SpecError(f"{args.spec_file}: {exc}") from None
+        raise SpecError(f"{args.spec_file}: {exc}", exc.code) from None
     print(
         f"{args.spec_file}: OK "
         f"({len(spec.systems)} system(s) x {len(spec.plugins)} plugin(s), "

@@ -32,7 +32,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import SpecError
 
@@ -121,8 +121,14 @@ def _require_bool(value: Any, path: str) -> bool:
 def _reject_unknown_keys(data: Mapping[str, Any], known: tuple[str, ...], path: str) -> None:
     for key in data:
         if key not in known:
+            from repro.analysis.suggest import suggestion_suffix
+
             where = f"{path}.{key}" if path else str(key)
-            raise SpecError(f"{where}: unknown key (expected one of: {', '.join(known)})")
+            raise SpecError(
+                f"{where}: unknown key (expected one of: {', '.join(known)})"
+                f"{suggestion_suffix(str(key), known)}",
+                "spec/unknown-key",
+            )
 
 
 def _prune_nones(value: Any) -> Any:
@@ -337,28 +343,32 @@ class ExecutionSpec:
                 kwargs[key] = _require_number(data[key], f"{path}.{key}")
         return cls(**kwargs)
 
-    def validate(self, path: str = "execution") -> None:
+    def findings(self, path: str = "execution") -> Iterator[SpecError]:
+        """Every invalid value of the section, as coded errors."""
+        # did-you-mean support is imported only when a name is unknown:
+        # validating a good spec stays clear of the analysis package
         if self.jobs < 1:
-            raise SpecError(f"{path}.jobs: must be a positive integer, got {self.jobs}")
+            yield SpecError(f"{path}.jobs: must be a positive integer, got {self.jobs}")
         if self.executor is not None and self.executor not in EXECUTOR_CHOICES:
-            raise SpecError(
-                f"{path}.executor: unknown executor {self.executor!r}; "
-                f"available: {', '.join(EXECUTOR_CHOICES)}"
+            from repro.analysis.suggest import unknown_name_error
+
+            yield unknown_name_error(
+                f"{path}.executor", "executor", self.executor, EXECUTOR_CHOICES
             )
         for key in ("block_size", "mutations_per_token", "max_scenarios_per_class"):
             value = getattr(self, key)
             if value is not None and value < 1:
-                raise SpecError(f"{path}.{key}: must be a positive integer, got {value}")
+                yield SpecError(f"{path}.{key}: must be a positive integer, got {value}")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise SpecError(
+            yield SpecError(
                 f"{path}.timeout_seconds: must be positive, got {self.timeout_seconds}"
             )
         if self.max_retries is not None and self.max_retries < 0:
-            raise SpecError(
+            yield SpecError(
                 f"{path}.max_retries: must be zero or positive, got {self.max_retries}"
             )
         if self.retry_backoff_seconds is not None and self.retry_backoff_seconds < 0:
-            raise SpecError(
+            yield SpecError(
                 f"{path}.retry_backoff_seconds: must be zero or positive, "
                 f"got {self.retry_backoff_seconds}"
             )
@@ -368,10 +378,11 @@ class ExecutionSpec:
             try:
                 get_layout(self.layout)
             except KeyError:
-                raise SpecError(
-                    f"{path}.layout: unknown layout {self.layout!r}; "
-                    f"available: {', '.join(available_layouts())}"
-                ) from None
+                from repro.analysis.suggest import unknown_name_error
+
+                yield unknown_name_error(
+                    f"{path}.layout", "layout", self.layout, available_layouts()
+                )
 
 
 @dataclass(frozen=True)
@@ -480,7 +491,7 @@ class ExperimentSpec:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid JSON spec: {exc}") from exc
+            raise SpecError(f"invalid JSON spec: {exc}", "spec/parse-error") from exc
         return cls.from_dict(data)
 
     @classmethod
@@ -489,7 +500,7 @@ class ExperimentSpec:
         try:
             data = tomllib.loads(text)
         except tomllib.TOMLDecodeError as exc:
-            raise SpecError(f"invalid TOML spec: {exc}") from exc
+            raise SpecError(f"invalid TOML spec: {exc}", "spec/parse-error") from exc
         return cls.from_dict(data)
 
     @classmethod
@@ -499,7 +510,7 @@ class ExperimentSpec:
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
-            raise SpecError(f"cannot read spec file {path}: {exc}") from exc
+            raise SpecError(f"cannot read spec file {path}: {exc}", "spec/parse-error") from exc
         suffix = path.suffix.lower()
         if suffix == ".json" or (suffix != ".toml" and text.lstrip().startswith("{")):
             loader = cls.from_json
@@ -508,99 +519,139 @@ class ExperimentSpec:
         try:
             return loader(text)
         except SpecError as exc:
-            raise SpecError(f"{path}: {exc}") from None
+            raise SpecError(f"{path}: {exc}", exc.code) from None
 
     # -------------------------------------------------------------- validation
     def validate(self) -> "ExperimentSpec":
         """Check the spec against the registries; returns self when valid.
 
-        Every failure names the exact offending path, e.g.
+        Raises the first of :meth:`findings`, which names the exact
+        offending path, e.g.
         ``plugins[1].params.layout: unknown layout 'qwertz-xx'``.
         """
-        from repro.registry import available_systems, get_system
+        for error in self.findings():
+            raise error
+        return self
 
-        if not self.systems:
-            raise SpecError("systems: an experiment needs at least one system")
-        if not self.plugins:
-            raise SpecError("plugins: an experiment needs at least one plugin")
-        # execution first: its defaults are folded into the plugin params, so
-        # an invalid layout should be reported where the user wrote it
-        self.execution.validate()
+    def findings(self) -> Iterator[SpecError]:
+        """Every semantic failure of the spec, as coded :class:`SpecError` instances.
+
+        The one spec checker: :meth:`validate` raises the first finding,
+        ``validate --json`` and the campaign service report it, and
+        ``conferr lint`` reports them all.  Checks that depend on an
+        earlier failure (the display name of an unknown system) are
+        skipped rather than reported twice.
+        """
         from repro.core.store import filename_for
+        from repro.plugins.base import registered_plugins
+        from repro.registry import registered_systems
         from repro.sut.base import split_sut
 
+        if not self.systems:
+            yield SpecError("systems: an experiment needs at least one system")
+        if not self.plugins:
+            yield SpecError("plugins: an experiment needs at least one plugin")
+        execution_errors = list(self.execution.findings())
+        yield from execution_errors
+        factories = registered_systems()
         seen_systems: dict[str, int] = {}
         seen_files: dict[str, int] = {}
         seen_displays: dict[str, int] = {}
         for index, system in enumerate(self.systems):
-            try:
-                factory = get_system(system.name)
-            except SpecError:
-                raise SpecError(
-                    f"systems[{index}].name: unknown system {system.name!r}; "
-                    f"available: {', '.join(available_systems())}"
-                ) from None
-            if system.key in seen_systems:
-                raise SpecError(
-                    f"systems[{index}]: duplicate system {system.key!r} "
+            where = f"systems[{index}]"
+            factory = factories.get(system.name)
+            if factory is None:
+                from repro.analysis.suggest import unknown_name_error
+
+                yield unknown_name_error(
+                    f"{where}.name", "system", system.name, list(factories), "spec/unknown-system"
+                )
+            duplicate = system.key in seen_systems
+            if duplicate:
+                yield SpecError(
+                    f"{where}: duplicate system {system.key!r} "
                     f"(already listed at systems[{seen_systems[system.key]}]); "
-                    "list each system once, or give one a distinct label"
+                    "list each system once, or give one a distinct label",
+                    "spec/duplicate-label",
                 )
-            seen_systems[system.key] = index
-            # distinct keys may still sanitize to one store filename, which
-            # would interleave both systems' records in a single JSONL
-            filename = filename_for(system.key)
-            if filename in seen_files:
-                other = self.systems[seen_files[filename]].key
-                raise SpecError(
-                    f"systems[{index}]: label {system.key!r} shares the store "
-                    f"filename {filename!r} with {other!r} "
-                    f"(systems[{seen_files[filename]}]); give one a label that "
-                    "differs in [A-Za-z0-9._-] characters"
-                )
-            seen_files[filename] = index
+            else:
+                seen_systems[system.key] = index
+                # distinct keys may still sanitize to one store filename, which
+                # would interleave both systems' records in a single JSONL
+                filename = filename_for(system.key)
+                if filename in seen_files:
+                    other = self.systems[seen_files[filename]].key
+                    yield SpecError(
+                        f"{where}: label {system.key!r} shares the store "
+                        f"filename {filename!r} with {other!r} "
+                        f"(systems[{seen_files[filename]}]); give one a label that "
+                        "differs in [A-Za-z0-9._-] characters",
+                        "spec/store-filename-clash",
+                    )
+                else:
+                    seen_files[filename] = index
+            try:
+                system.validate_chaos(f"{where}.chaos")
+            except SpecError as exc:
+                yield exc
+            if factory is None or duplicate:
+                continue
             # mirror CampaignSuite.system_names(): two systems whose SUTs
             # share a display name would merge into one rendered table
             # column, so validate must refuse what run-spec would refuse
-            system.validate_chaos(f"systems[{index}].chaos")
             display = split_sut(factory)[0].name
             if display in seen_displays:
                 other = self.systems[seen_displays[display]].name
-                raise SpecError(
-                    f"systems[{index}]: system {system.name!r} and {other!r} "
+                yield SpecError(
+                    f"{where}: system {system.name!r} and {other!r} "
                     f"(systems[{seen_displays[display]}]) share the SUT display "
-                    f"name {display!r}; rendered tables would merge them"
+                    f"name {display!r}; rendered tables would merge them",
+                    "spec/duplicate-label",
                 )
-            seen_displays[display] = index
+            else:
+                seen_displays[display] = index
+        plugin_classes = registered_plugins()
         seen_plugins: dict[str, int] = {}
         for index, plugin in enumerate(self.plugins):
-            try:
-                from repro.plugins.base import available_plugins, get_plugin
+            where = f"plugins[{index}]"
+            plugin_class = plugin_classes.get(plugin.name)
+            if plugin_class is None:
+                from repro.analysis.suggest import unknown_name_error
 
-                plugin_class = get_plugin(plugin.name)
-            except KeyError:
-                raise SpecError(
-                    f"plugins[{index}].name: unknown plugin {plugin.name!r}; "
-                    f"available: {', '.join(available_plugins())}"
-                ) from None
-            if plugin.key in seen_plugins:
-                raise SpecError(
-                    f"plugins[{index}]: duplicate plugin {plugin.key!r} "
-                    f"(already listed at plugins[{seen_plugins[plugin.key]}]); "
-                    "give one of them a distinct label"
+                yield unknown_name_error(
+                    f"{where}.name", "plugin", plugin.name, sorted(plugin_classes),
+                    "spec/unknown-plugin",
                 )
-            seen_plugins[plugin.key] = index
-            try:
-                plugin_class.from_params(self._effective_params(plugin, plugin_class))
-            except SpecError as exc:
-                raise SpecError(f"plugins[{index}].params.{exc}") from None
-        return self
+            if plugin.key in seen_plugins:
+                yield SpecError(
+                    f"{where}: duplicate plugin {plugin.key!r} "
+                    f"(already listed at plugins[{seen_plugins[plugin.key]}]); "
+                    "give one of them a distinct label",
+                    "spec/duplicate-label",
+                )
+            else:
+                seen_plugins[plugin.key] = index
+            if plugin_class is None:
+                continue
+            # an invalid execution default is reported once, where the user
+            # wrote it, not again in every plugin it would be folded into
+            params = self._effective_params(plugin, plugin_class, not execution_errors)
+            errors = plugin_class.param_name_errors(params)
+            if not errors:
+                try:
+                    plugin_class.from_params(params)
+                except SpecError as exc:
+                    errors = [exc]
+            for exc in errors:
+                yield SpecError(f"{where}.params.{exc}", exc.code)
 
     # ------------------------------------------------------------ construction
-    def _effective_params(self, plugin: PluginSpec, plugin_class) -> dict[str, Any]:
+    def _effective_params(
+        self, plugin: PluginSpec, plugin_class, fold_defaults: bool = True
+    ) -> dict[str, Any]:
         """Plugin params with the execution-level defaults folded in."""
         params = {key: value for key, value in plugin.params.items() if value is not None}
-        for key in _PLUGIN_DEFAULT_KEYS:
+        for key in _PLUGIN_DEFAULT_KEYS if fold_defaults else ():
             value = getattr(self.execution, key)
             if value is not None and key in plugin_class.param_names and key not in params:
                 params[key] = value
@@ -657,69 +708,41 @@ class ExperimentSpec:
 
 
 # ------------------------------------------------------- validation as data
-def spec_error_code(message: str) -> str:
-    """Stable diagnostic code classifying a :class:`SpecError` message.
-
-    The codes are the spec-surface rule codes of :mod:`repro.analysis`
-    (see docs/LINTING.md), so ``validate --json``, the campaign
-    service's 400 bodies and ``conferr lint --json`` all speak the same
-    coded dialect.  Classification is by the stable phrasing of the
-    messages this module itself produces; anything unrecognized is the
-    catch-all ``spec/invalid-value``.
-    """
-    if (
-        message.startswith(("invalid JSON spec", "invalid TOML spec"))
-        or "cannot read spec file" in message
-    ):
-        return "spec/parse-error"
-    if "unknown key (expected one of" in message:
-        return "spec/unknown-key"
-    if "unknown system" in message:
-        return "spec/unknown-system"
-    if "unknown plugin " in message:
-        return "spec/unknown-plugin"
-    if "unknown parameter for plugin" in message:
-        return "spec/unknown-plugin-param"
-    if "duplicate system" in message or "duplicate plugin" in message:
-        return "spec/duplicate-label"
-    if "share the SUT display name" in message:
-        return "spec/duplicate-label"
-    if "shares the store filename" in message:
-        return "spec/store-filename-clash"
-    return "spec/invalid-value"
-
-
-def validation_error_entry(message: str) -> dict[str, Any]:
-    """One machine-readable validation error from a :class:`SpecError` message.
+def validation_error_entry(error: SpecError, file: str | Path | None = None) -> dict[str, Any]:
+    """One machine-readable validation error: ``{"code", "path", "message", "severity"}``.
 
     Spec errors are ``path: message`` strings with the exact offending path
     up front (``plugins[1].params.layout: unknown layout 'qwertz-xx'``);
-    this splits them into ``{"path", "message"}`` and attaches the
-    :func:`spec_error_code` diagnostic code (validation failures are all
-    ``"error"`` severity -- :meth:`ExperimentSpec.validate` has no notion
-    of warnings).  Messages without a leading path (paths never contain
-    spaces) get ``path: None``.
+    this splits off the path and takes the code the error carries
+    (validation failures are all ``"error"`` severity).  ``file`` drops
+    the ``<file>: `` prefix :meth:`ExperimentSpec.from_file` adds.
+    Messages without a leading path (paths never contain spaces) get
+    ``path: None``.
     """
-    code = spec_error_code(message)
+    message = str(error)
+    if file is not None:
+        message = message.removeprefix(f"{Path(file)}: ")
     head, sep, rest = message.partition(": ")
     if sep and head and " " not in head:
-        return {"code": code, "path": head, "message": rest, "severity": "error"}
-    return {"code": code, "path": None, "message": message, "severity": "error"}
+        return {"code": error.code, "path": head, "message": rest, "severity": "error"}
+    return {"code": error.code, "path": None, "message": message, "severity": "error"}
 
 
-def validation_report(spec: "ExperimentSpec") -> dict[str, Any]:
+def validation_report(
+    spec: "ExperimentSpec | SpecError", file: str | Path | None = None
+) -> dict[str, Any]:
     """Validate a spec into a JSON-native report: ``{"valid", "errors"}``.
 
     The exact document ``conferr validate --json`` prints and the campaign
     service returns as its 400 response body -- one shape, produced in one
-    place.  Validation stops at the first failure (as :meth:`validate`
-    does), so ``errors`` holds at most one entry.
+    place.  ``spec`` may instead be the error a loader raised (``file`` as
+    in :func:`validation_error_entry`).  The report holds the first
+    finding only, as :meth:`ExperimentSpec.validate` raises it.
     """
-    try:
-        spec.validate()
-    except SpecError as exc:
-        return {"valid": False, "errors": [validation_error_entry(str(exc))]}
-    return {"valid": True, "errors": []}
+    error = spec if isinstance(spec, SpecError) else next(spec.findings(), None)
+    if error is None:
+        return {"valid": True, "errors": []}
+    return {"valid": False, "errors": [validation_error_entry(error, file)]}
 
 
 # ------------------------------------------------------------------ spec diffing

@@ -248,23 +248,20 @@ class CampaignSuite:
         by display name, so two systems sharing one would silently collapse
         into a single column.
         """
-        names = {key: split_sut(factory)[0].name for key, factory in self.systems.items()}
-        seen: dict[str, str] = {}
-        for key, name in names.items():
-            if name in seen:
-                raise CampaignError(
-                    f"systems {seen[name]!r} and {key!r} share the display name {name!r}; "
-                    "rendered tables would merge them -- give one a distinguishable SUT name"
-                )
-            seen[name] = key
-        return names
+        return _display_names(
+            {key: split_sut(factory)[0] for key, factory in self.systems.items()}
+        )
 
-    def manifest(self) -> dict[str, Any]:
-        """The run manifest persisted alongside the records."""
+    def manifest(self, system_names: dict[str, str] | None = None) -> dict[str, Any]:
+        """The run manifest persisted alongside the records.
+
+        ``system_names`` spares a caller that already holds the SUT
+        instances a second round of factory calls.
+        """
         manifest: dict[str, Any] = {
             "kind": "suite",
             "seed": self.seed,
-            "systems": self.system_names(),
+            "systems": self.system_names() if system_names is None else system_names,
             "plugins": [
                 {"name": plugin.name, "params": plugin.manifest_params()}
                 for plugin in self.plugins
@@ -300,7 +297,10 @@ class CampaignSuite:
         """
         if resume and store is None:
             raise CampaignError("resuming needs a result store")
-        manifest = self.manifest()
+        # one SUT instance per system serves its display name and every
+        # plugin's campaign
+        split = {key: split_sut(factory) for key, factory in self.systems.items()}
+        manifest = self.manifest(_display_names({key: pair[0] for key, pair in split.items()}))
         if store is not None:
             if store.exists():
                 if not resume:
@@ -313,8 +313,9 @@ class CampaignSuite:
                 store.write_manifest(manifest)
 
         result = SuiteResult(system_names=dict(manifest["systems"]))
-        for system_key, factory in self.systems.items():
+        for system_key in self.systems:
             self._check_cancelled()
+            sut, sut_factory = split.pop(system_key)  # released once its cells ran
             prior: dict[str, list[InjectionRecord]] = {}
             completed: set[tuple[str, str]] = set()
             if store is not None and resume:
@@ -335,8 +336,6 @@ class CampaignSuite:
             profiles = result.profiles[system_key] = {}
             executed = result.executed[system_key] = {}
             skipped = result.skipped[system_key] = {}
-            # one SUT instance serves every plugin of the system
-            sut, sut_factory = split_sut(factory)
             for index, plugin in enumerate(self.plugins):
                 engine = InjectionEngine(
                     sut,
@@ -394,3 +393,17 @@ class CampaignSuite:
                 self.record_observer(system_key, plugin_name, record)
 
         return observe
+
+
+def _display_names(suts: Mapping[str, SystemUnderTest]) -> dict[str, str]:
+    """``{key: display name}``, refusing two systems that share a display name."""
+    names = {key: sut.name for key, sut in suts.items()}
+    seen: dict[str, str] = {}
+    for key, name in names.items():
+        if name in seen:
+            raise CampaignError(
+                f"systems {seen[name]!r} and {key!r} share the display name {name!r}; "
+                "rendered tables would merge them -- give one a distinguishable SUT name"
+            )
+        seen[name] = key
+    return names

@@ -99,9 +99,36 @@ class StoreError(ConfErrError):
     the suite being run (mismatched seed, systems or plugin configuration)."""
 
 
+#: Every diagnostic code a :class:`SpecError` can carry.  Each one is a
+#: registered spec lint rule (docs/LINTING.md), so ``validate --json``, the
+#: campaign service's 400 bodies and ``conferr lint`` speak one dialect.
+SPEC_ERROR_CODES = (
+    "spec/parse-error",
+    "spec/unknown-key",
+    "spec/invalid-value",
+    "spec/unknown-system",
+    "spec/unknown-plugin",
+    "spec/unknown-plugin-param",
+    "spec/duplicate-label",
+    "spec/store-filename-clash",
+)
+
+
 class SpecError(ConfErrError):
     """An experiment specification is structurally or semantically invalid.
 
     Messages are prefixed with the exact path of the offending entry
     (``plugins[1].params.layout: unknown layout 'qwertz-xx'``) so spec files
-    can be corrected without guesswork."""
+    can be corrected without guesswork.  ``code`` (one of
+    :data:`SPEC_ERROR_CODES`) is chosen where the failure is detected; code
+    that prefixes a caught error's message with a path passes it along."""
+
+    def __init__(self, message: str, code: str = "spec/invalid-value"):
+        if code not in SPEC_ERROR_CODES:
+            raise ValueError(f"unknown spec error code {code!r}")
+        super().__init__(message)
+        self.code = code
+
+    def __reduce__(self):
+        # keep the code across a process pool (the default rebuilds from args)
+        return type(self), (str(self), self.code)

@@ -51,9 +51,9 @@ def string_list_param(key: str, value: Any, allowed: Sequence[str] | None = None
         if not isinstance(name, str):
             raise SpecError(f"{key}: expected a list of strings, got element {name!r}")
         if allowed is not None and name not in allowed:
-            raise SpecError(
-                f"{key}: unknown value {name!r}; available: {', '.join(allowed)}"
-            )
+            from repro.analysis.suggest import unknown_name_error
+
+            raise unknown_name_error(key, "value", name, allowed)
         if name in seen:
             raise SpecError(f"{key}: duplicate value {name!r}; list each entry once")
         seen.add(name)
@@ -118,22 +118,33 @@ class ErrorGeneratorPlugin(ABC):
         return cls(**dict(params))
 
     @classmethod
-    def check_param_names(cls, params: Mapping[str, Any]) -> None:
-        """Reject parameter names outside :attr:`param_names`.
+    def param_name_errors(cls, params: Mapping[str, Any]) -> list[SpecError]:
+        """One ``spec/unknown-plugin-param`` error per name outside :attr:`param_names`.
 
-        The rejection carries a did-you-mean suggestion computed by the
-        spelling plugin's own typo models -- most parameter mistakes are
-        one psychomotor slip away from the name that was meant.
+        Each carries a did-you-mean suggestion computed by the spelling
+        plugin's own typo models -- most parameter mistakes are one
+        psychomotor slip away from the name that was meant.
         """
+        errors = []
         for key in params:
             if key not in cls.param_names:
                 from repro.analysis.suggest import suggestion_suffix
 
-                raise SpecError(
-                    f"{key}: unknown parameter for plugin {cls.name!r}; "
-                    f"known: {', '.join(cls.param_names) or '(none)'}"
-                    f"{suggestion_suffix(key, cls.param_names)}"
+                errors.append(
+                    SpecError(
+                        f"{key}: unknown parameter for plugin {cls.name!r}; "
+                        f"known: {', '.join(cls.param_names) or '(none)'}"
+                        f"{suggestion_suffix(key, cls.param_names)}",
+                        "spec/unknown-plugin-param",
+                    )
                 )
+        return errors
+
+    @classmethod
+    def check_param_names(cls, params: Mapping[str, Any]) -> None:
+        """Reject the first parameter name outside :attr:`param_names`."""
+        for error in cls.param_name_errors(params):
+            raise error
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

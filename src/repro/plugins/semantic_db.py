@@ -228,10 +228,14 @@ class ConstraintViolationPlugin(ErrorGeneratorPlugin):
             from repro.registry import available_systems
 
             if system.strip().lower() not in _CATALOGS and system not in available_systems():
+                from repro.analysis.suggest import suggestion_suffix
+
+                catalogs = sorted(set(_CATALOGS))
                 raise SpecError(
                     f"system: unknown system {system!r}; catalogs exist for "
-                    f"{', '.join(sorted(set(_CATALOGS)))}, and any registered "
+                    f"{', '.join(catalogs)}, and any registered "
                     f"system is accepted ({', '.join(available_systems())})"
+                    f"{suggestion_suffix(system, catalogs + available_systems())}"
                 )
         catalog = default_constraints(system)
         names = params.get("constraints")

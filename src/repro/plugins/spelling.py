@@ -316,10 +316,9 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
             try:
                 get_layout(layout)
             except KeyError:
-                raise SpecError(
-                    f"layout: unknown layout {layout!r}; "
-                    f"available: {', '.join(available_layouts())}"
-                ) from None
+                from repro.analysis.suggest import unknown_name_error
+
+                raise unknown_name_error("layout", "layout", layout, available_layouts()) from None
         models = None
         if params.get("models") is not None:
             names = string_list_param("models", params["models"], allowed=tuple(_MODEL_BUILDERS))

@@ -51,7 +51,8 @@ def get_system(name: str) -> SUTFactory:
     """
     if name not in _REGISTRY:
         raise SpecError(
-            f"unknown system {name!r}; available: {', '.join(available_systems())}"
+            f"unknown system {name!r}; available: {', '.join(available_systems())}",
+            "spec/unknown-system",
         )
     return _REGISTRY[name]
 

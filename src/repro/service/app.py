@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.bench import ARTIFACTS, store_profiles
 from repro.core.report import render_store_report
-from repro.core.spec import ExperimentSpec, validation_error_entry, validation_report
+from repro.core.spec import ExperimentSpec, validation_report
 from repro.core.store import ResultStore
 from repro.errors import ServiceError, ServiceNotFoundError, SpecError
 from repro.service.jobs import Job, JobRegistry
@@ -118,20 +118,12 @@ class CampaignService:
         """
         if spec.store is not None:
             raise SpecRejected(
-                {
-                    "valid": False,
-                    "errors": [
-                        {
-                            "code": "spec/invalid-value",
-                            "path": "store",
-                            "message": (
-                                "the service assigns each job's result store; "
-                                "remove the [store] section from the spec"
-                            ),
-                            "severity": "error",
-                        }
-                    ],
-                }
+                validation_report(
+                    SpecError(
+                        "store: the service assigns each job's result store; "
+                        "remove the [store] section from the spec"
+                    )
+                )
             )
         report = validation_report(spec)
         if not report["valid"]:
@@ -143,9 +135,7 @@ class CampaignService:
         try:
             spec = ExperimentSpec.from_toml(body) if toml else ExperimentSpec.from_json(body)
         except SpecError as exc:
-            raise SpecRejected(
-                {"valid": False, "errors": [validation_error_entry(str(exc))]}
-            ) from None
+            raise SpecRejected(validation_report(exc)) from None
         return self.submit(tenant, spec)
 
     def job(self, tenant: str, job_id: str) -> Job:

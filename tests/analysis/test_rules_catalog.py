@@ -1,12 +1,13 @@
 """The rule catalog itself: stable codes, docs, and selection semantics."""
 
+import pickle
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import RuleSelectionError, all_rules, select_rules
 from repro.analysis.diagnostics import Severity
-from repro.core.spec import spec_error_code
+from repro.errors import SPEC_ERROR_CODES, SpecError
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -38,24 +39,23 @@ class TestCatalog:
         for rule in all_rules():
             assert f"`{rule.code}`" in catalog, f"{rule.code} missing from docs/LINTING.md"
 
-    def test_spec_error_codes_are_registered_rules(self):
-        # the classifier behind validate --json / service 400 bodies must
-        # only ever emit codes the lint catalog defines
-        known = {rule.code for rule in all_rules()}
-        for message in [
-            "invalid TOML spec: boom",
-            "cannot read spec file x.toml: gone",
-            "execution.sed: unknown key (expected one of: seed, jobs)",
-            "systems[0].name: unknown system 'mysq'; available: mysql",
-            "plugins[0].name: unknown plugin 'speling'; available: spelling",
-            "plugins[0].params.typos: unknown parameter for plugin 'spelling'; known: models",
-            "systems[1]: duplicate system 'mysql' (already listed at systems[0])",
-            "plugins[1]: duplicate plugin 'spelling' (already listed at plugins[0])",
-            "systems[1]: system 'x' and 'y' share the SUT display name 'MySQL'",
-            "systems[1]: label 'a b' shares the store filename 'a_b.jsonl' with 'a_b'",
-            "execution.jobs: must be a positive integer, got 0",
-        ]:
-            assert spec_error_code(message) in known, message
+    def test_every_spec_error_code_is_a_registered_rule(self):
+        # validate --json, the service's 400 bodies and lint all report the
+        # code a SpecError carries, so each must be a spec-surface rule
+        rules = {rule.code: rule for rule in all_rules()}
+        for code in SPEC_ERROR_CODES:
+            assert code in rules, code
+            assert rules[code].surface == "spec", code
+            assert rules[code].severity is Severity.ERROR, code
+
+    def test_spec_errors_refuse_unregistered_codes(self):
+        assert SpecError("x: bad").code == "spec/invalid-value"
+        with pytest.raises(ValueError, match="unknown spec error code"):
+            SpecError("x: bad", "spec/made-up")
+
+    def test_spec_error_code_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(SpecError("x: bad", "spec/unknown-key")))
+        assert (str(error), error.code) == ("x: bad", "spec/unknown-key")
 
 
 class TestSelection:

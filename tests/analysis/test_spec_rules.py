@@ -62,6 +62,24 @@ class TestStaticFixturePairs:
         assert finding.code == "spec/unknown-key"
         assert "did you mean 'seed'" in finding.message
 
+    @pytest.mark.parametrize(
+        "execution", ['layout = "qwertz-xx"', "mutations_per_token = 0"]
+    )
+    def test_invalid_execution_default_is_reported_once(self, execution, tmp_path):
+        # the execution defaults are folded into every plugin accepting
+        # them; a bad one is reported where the user wrote it, not again
+        # at plugins[i].params
+        spec_file = tmp_path / "spec.toml"
+        spec_file.write_text(
+            f'systems = ["mysql"]\nplugins = ["spelling", "structural"]\n'
+            f"[execution]\n{execution}\n",
+            encoding="utf-8",
+        )
+        report = lint_specs([spec_file])
+        [finding] = report.findings
+        assert finding.code == "spec/invalid-value"
+        assert finding.path == "execution." + execution.split(" ")[0]
+
     def test_dangling_ref_is_a_warning_naming_the_dead_cell(self):
         report = lint_specs([FIXTURES / "dangling_ref_bad.toml"])
         [finding] = report.findings

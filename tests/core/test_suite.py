@@ -117,6 +117,23 @@ class TestRunWithoutStore:
         # one instance serves every plugin of its system
         assert small_suite(live=True).run().matrix() == small_suite().run().matrix()
 
+    def test_serial_run_builds_one_sut_per_system(self):
+        # the display names, the manifest and every plugin's campaign share
+        # the one instance a serial run builds per system
+        built: list[str] = []
+
+        def counting(factory, key):
+            def build():
+                built.append(key)
+                return factory()
+
+            return build
+
+        suite = small_suite()
+        suite.systems = {key: counting(f, key) for key, f in suite.systems.items()}
+        suite.run()
+        assert sorted(built) == ["mysql", "postgres"]
+
     def test_incremental_knob_reaches_every_cell(self, monkeypatch):
         delta_starts: list[str] = []
         for sut_class in (SimulatedMySQL, SimulatedPostgres):
