@@ -30,6 +30,7 @@ timed rounds are not counted.
 """
 
 import functools
+import random
 import time
 from collections import Counter
 
@@ -37,6 +38,7 @@ import pytest
 
 from benchmarks.conftest import BENCH_SEED, write_bench_json
 from repro.core.engine import InjectionEngine
+from repro.core.profile import ResilienceProfile
 from repro.parsers.base import ConfigDialect
 from repro.plugins import SpellingMistakesPlugin
 from repro.registry import get_system
@@ -55,28 +57,25 @@ FAMILIES = ("mysql", "postgres", "apache", "bind", "djbdns", "nginx", "sshd")
 
 
 def _prepared_run(system_name: str, incremental: bool):
-    """A warmed-up campaign over pre-generated scenarios.
+    """A warmed-up engine over pre-generated scenarios.
 
     Returns ``(profile, scenario count, rerun)`` where ``rerun()`` times one
-    more run of the same scenarios.  Scenario generation and the one-off
-    ``prepare`` are kept outside the clock: the quantity under test is the
-    steady-state per-scenario cost, which is what dominates a long campaign.
+    more run of the same scenarios on the same engine.  Scenario generation
+    and the one-off baselines (serialisation, ``prepare``) are kept outside
+    the clock: the quantity under test is the steady-state per-scenario
+    cost, which is what dominates a long campaign.
     """
-    engine = InjectionEngine(
-        get_system(system_name),
-        SpellingMistakesPlugin(mutations_per_token=2),
-        seed=BENCH_SEED,
-        incremental=incremental,
-    )
-    config_set, view_set, scenarios = engine.generate_scenarios()
-    # warm-up run: parses, baseline prepare, caches
-    profile = engine.run(scenarios, config_set=config_set, view_set=view_set)
+    plugin = SpellingMistakesPlugin(mutations_per_token=2)
+    engine = InjectionEngine(get_system(system_name), plugin, incremental=incremental)
+    scenarios = plugin.generate(engine.view_set, random.Random(BENCH_SEED))
+    # warm-up run: baselines, caches
+    profile = ResilienceProfile(engine.sut.name, [engine.run_scenario(s) for s in scenarios])
 
     def rerun() -> float:
         started = time.perf_counter()
-        repeat = engine.run(scenarios, config_set=config_set, view_set=view_set)
+        repeat = [engine.run_scenario(s) for s in scenarios]
         elapsed = time.perf_counter() - started
-        assert [r.outcome for r in repeat.records] == [r.outcome for r in profile.records]
+        assert [r.outcome for r in repeat] == [r.outcome for r in profile.records]
         return elapsed
 
     return profile, len(scenarios), rerun

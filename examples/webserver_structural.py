@@ -15,17 +15,24 @@ Run with::
 """
 
 from repro import CampaignSuite
-from repro.core.engine import InjectionEngine
 from repro.core.profile import InjectionOutcome
 from repro.plugins import StructuralErrorsPlugin, StructuralVariationsPlugin
 from repro.sut.apache import SimulatedApache
 
 
+VARIATION_CLASSES = ("directive-order", "separator-whitespace", "mixed-case-names", "truncated-names")
+
+
 def variation_support() -> None:
     print("Part 1: which structural variations does Apache accept?\n")
-    for variation_class in ("directive-order", "separator-whitespace", "mixed-case-names", "truncated-names"):
+    plugins = []
+    for variation_class in VARIATION_CLASSES:
         plugin = StructuralVariationsPlugin(classes=[variation_class], variants_per_class=10, min_truncation=8)
-        profile = InjectionEngine(SimulatedApache(), plugin, seed=2008).run()
+        plugin.name = variation_class  # one suite cell (and profile) per class
+        plugins.append(plugin)
+    result = CampaignSuite({"apache": SimulatedApache}, plugins, seed=2008).run()
+    for variation_class in VARIATION_CLASSES:
+        profile = result.profiles["apache"][variation_class]
         accepted = len(profile.records_with(InjectionOutcome.IGNORED))
         verdict = "supported" if accepted == len(profile) and len(profile) else "NOT supported"
         print(f"  {variation_class:<22} {accepted}/{len(profile)} variants accepted -> {verdict}")

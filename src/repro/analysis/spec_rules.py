@@ -36,6 +36,8 @@ class SpecTarget:
         self.spec: ExperimentSpec | None = None
         self.load_error: SpecError | None = None
         self._caches: dict[str, Any] = {}
+        #: Bare SUT per system index, shared with ``ExperimentSpec.findings``.
+        self._suts: dict[int, Any] = {}
         try:
             self.spec = ExperimentSpec.from_file(file)
         except SpecError as exc:
@@ -46,7 +48,7 @@ class SpecTarget:
         """What ``validate`` refuses: the load error, or every spec finding."""
         if self.load_error is not None:
             return [self.load_error]
-        return list(self.spec.findings())
+        return list(self.spec.findings(self._suts))
 
     def coded(self, code: str) -> Iterator[Diagnostic]:
         """The :attr:`errors` carrying ``code``, as diagnostics."""
@@ -82,18 +84,21 @@ class SpecTarget:
         return self._caches[key]
 
     def system_sut(self, index: int):
-        """Bare (un-chaos-wrapped) SUT instance for ``systems[index]``, or None."""
-        key = f"system_sut:{index}"
-        if key not in self._caches:
+        """Bare (un-chaos-wrapped) SUT instance for ``systems[index]``, or None.
+
+        The instance :attr:`errors` built for the display-name check when
+        there is one, so lint builds each system's SUT once.
+        """
+        self.errors  # noqa: B018 - fills self._suts
+        if index not in self._suts:
             from repro.registry import get_system
             from repro.sut.base import split_sut
 
             try:
-                factory = get_system(self.spec.systems[index].name)
-                self._caches[key] = split_sut(factory)[0]
+                self._suts[index] = split_sut(get_system(self.spec.systems[index].name))[0]
             except SpecError:
-                self._caches[key] = None
-        return self._caches[key]
+                self._suts[index] = None
+        return self._suts[index]
 
     def system_dialects(self, index: int) -> frozenset[str]:
         """Dialects of the default configuration of ``systems[index]``."""

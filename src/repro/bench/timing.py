@@ -20,11 +20,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.executor import WorkerContext, WorkerSpec
+from repro.core.engine import InjectionEngine
 from repro.core.suite import CampaignSuite
 from repro.plugins.base import ErrorGeneratorPlugin
 from repro.plugins.spelling import SpellingMistakesPlugin
-from repro.sut.base import SystemUnderTest, split_sut
+from repro.sut.base import SystemUnderTest
 
 __all__ = [
     "time_single_injection",
@@ -37,19 +37,18 @@ __all__ = [
 def single_injection_callable(sut: SystemUnderTest, seed: int = 2008):
     """Return a zero-argument callable that performs one injection experiment.
 
-    The scenario generation and the worker context (parse, view, baseline)
-    are built once up-front, with the delta fast path off, so the callable
-    measures exactly the inject + start + test + stop cycle (what the paper
-    times).
+    The scenario generation and the engine (parse, view, baseline) are built
+    once up-front, with the delta fast path off, so the callable measures
+    exactly the inject + start + test + stop cycle (what the paper times).
     """
-    sut, _ = split_sut(sut)
     plugin = SpellingMistakesPlugin(mutations_per_token=1)
-    context = WorkerContext.from_spec(WorkerSpec(lambda: sut, plugin, incremental=False))
-    scenarios = plugin.generate(context.view_set, random.Random(seed))
+    engine = InjectionEngine(sut, plugin, incremental=False)
+    scenarios = plugin.generate(engine.view_set, random.Random(seed))
     if not scenarios:
-        raise RuntimeError(f"no scenarios generated for {sut.name}")
+        raise RuntimeError(f"no scenarios generated for {engine.sut.name}")
     scenario = scenarios[0]
-    return lambda: context.run(scenario)
+    engine.run_scenario(scenario)  # computes the baseline files outside the clock
+    return lambda: engine.run_scenario(scenario)
 
 
 def time_single_injection(sut: SystemUnderTest, repetitions: int = 10, seed: int = 2008) -> float:

@@ -15,13 +15,15 @@ paper:
     Bidirectional mappings between the system-specific tree and the
     representations required by each error-generator plugin.
 ``engine`` / ``profile`` / ``report``
-    Orchestration of injection experiments and aggregation of outcomes into
-    resilience profiles.
-``suite`` / ``store``
+    One worker's injection experiments and the aggregation of their
+    outcomes into resilience profiles.
+``suite`` / ``executor`` / ``store``
     Campaigns -- one or more systems crossed with one or more plugins --
-    as one durable run: the suite drives an engine per (system, plugin)
-    cell and the store appends every record to disk so an interrupted
-    suite can be resumed.
+    as one durable run: the suite is the one campaign driver; it generates
+    each (system, plugin) cell's scenarios, streams them through an
+    executor strategy whose workers each own an injection engine, and the
+    store appends every record to disk so an interrupted suite can be
+    resumed.
 """
 
 from repro.core.infoset import ConfigNode, ConfigTree

@@ -1,36 +1,34 @@
-"""The injection engine: ConfErr's end-to-end pipeline.
+"""The injection engine: one worker's injection context.
 
 For one (system under test, error-generator plugin) pair the engine
 
-1. parses the SUT's initial configuration files into system-specific trees,
-2. maps them to the plugin's view,
-3. asks the plugin for fault scenarios,
-4. for each scenario: applies it to the pristine view, maps the mutated view
+1. parses the SUT's initial configuration files into system-specific trees
+   and maps them to the plugin's view (once, at construction -- the
+   coordinator generates the scenarios from that view),
+2. for each scenario: applies it to the pristine view, maps the mutated view
    back, serialises the faulty configuration files, starts the SUT with them,
-   runs the functional tests, stops the SUT and records the outcome,
-5. returns the resulting :class:`~repro.core.profile.ResilienceProfile`.
+   runs the functional tests, stops the SUT and records the outcome.
 
-None of these steps require human intervention (paper Section 3).
+None of these steps require human intervention (paper Section 3).  The one
+campaign driver is :class:`~repro.core.suite.CampaignSuite`: it generates
+each cell's scenarios from an engine's view and streams them through an
+executor strategy, whose workers each own an engine of their own.
 
 Scenario application uses an apply/undo protocol: every built-in
 :class:`~repro.core.templates.base.Operation` returns an inverse, so the
 engine mutates one long-lived working view and rolls it back after each
 experiment instead of deep-cloning the whole configuration set per scenario.
 File serialisations of trees a scenario does not touch come from a baseline
-cache computed once per campaign.  Campaigns can also fan scenarios out
-across threads or processes (``jobs``/``executor``); each worker owns a
-private SUT built from ``sut_factory``.
+cache computed on the engine's first experiment.
 """
 
 from __future__ import annotations
 
-import random
 import time
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core.faults import FaultPolicy
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
-from repro.core.profile import InjectionOutcome, InjectionRecord, ResilienceProfile
+from repro.core.profile import InjectionOutcome, InjectionRecord
 from repro.core.templates.base import FaultScenario
 from repro.errors import CampaignError, ConfErrError, SerializationError, SUTError, TransformError
 from repro.parsers.base import get_dialect, serialize_tree
@@ -45,6 +43,9 @@ from repro.sut.incremental import (
     node_at,
     node_from_change,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
+    from repro.core.executor import WorkerSpec
 
 __all__ = ["InjectionEngine"]
 
@@ -106,85 +107,54 @@ def _children_vetted(
 
 
 class InjectionEngine:
-    """Runs injection experiments for one SUT and one plugin.
+    """One worker's injection context: a SUT, a plugin and their parsed state.
 
     Parameters
     ----------
     sut:
         Either a live :class:`SystemUnderTest` or a zero-argument factory
-        returning one (the SUT class itself works).  Passing a factory is
-        required for parallel execution: every worker builds its own instance.
+        returning one (the SUT class itself works); a factory is called
+        once.
     plugin:
-        The error-generator plugin supplying view and fault scenarios.
-    seed:
-        Seed of the scenario-generation RNG (campaigns are reproducible).
-    observer:
-        Optional callback invoked once per record, in scenario order,
-        regardless of the executor strategy or worker count.  Under every
-        strategy the callback fires *live*: serial runs observe each record
-        as it is produced, and parallel runs observe each record as soon as
-        the in-order front of the scenario sequence completes (records that
-        finish out of order wait in a merge buffer until the records before
-        them arrive).
-    sut_factory:
-        Explicit factory; overrides the one inferred from ``sut``.  Must
-        build SUTs configured identically to ``sut`` -- workers re-parse the
-        pristine configuration from their own instance, so a mismatched
-        factory would silently inject into a different configuration.
-    jobs:
-        Number of workers scenarios are fanned out to (1 = serial, on this
-        engine's own SUT).
-    executor:
-        Executor strategy name (``"serial"``, ``"thread"``, ``"process"``);
-        None picks serial for ``jobs == 1`` and threads otherwise.
-    block_size:
-        Scenarios a parallel worker pulls from the shared work queue at a
-        time (None: a heuristic based on the scenario count and worker
-        count).  Smaller blocks rebalance skewed scenario costs better;
-        larger blocks reduce queue traffic.  Profiles are identical for any
-        value.
-    policy:
-        Optional :class:`~repro.core.faults.FaultPolicy` opting the campaign
-        into the fault-tolerance layer (per-scenario timeouts, worker-crash
-        retry and quarantine).  Requires a SUT factory -- a watchdog that
-        cannot rebuild its worker context cannot recover anything -- so
-        even a serial run then injects on disposable contexts built from
-        it.  None (the default) leaves every execution path untouched.
+        The error-generator plugin supplying the view scenarios act on.
+    incremental:
+        Whether scenarios may take the delta-validation fast path
+        (``--no-incremental`` turns this off; outcomes are identical).
+
+    The pristine configuration is parsed into :attr:`config_set` and mapped
+    to :attr:`view_set` at construction.  The baseline serialisation
+    (:meth:`baseline_files`) and the delta-validation baseline
+    (:meth:`prepare_incremental`) are computed on first use, so a
+    coordinator that only generates scenarios never pays for them.
     """
 
     def __init__(
         self,
         sut: SystemUnderTest | Callable[[], SystemUnderTest],
         plugin: ErrorGeneratorPlugin,
-        seed: int = 0,
-        observer: Callable[[InjectionRecord], None] | None = None,
         *,
-        sut_factory: Callable[[], SystemUnderTest] | None = None,
-        jobs: int = 1,
-        executor: str | None = None,
-        block_size: int | None = None,
-        policy: FaultPolicy | None = None,
         incremental: bool = True,
     ):
-        if sut_factory is not None:
-            self.sut = sut if isinstance(sut, SystemUnderTest) else sut_factory()
-        else:
-            sut, sut_factory = split_sut(sut)
-            self.sut = sut
-        #: Zero-argument factory producing fresh SUT instances for workers
-        #: (None when only a shared instance was supplied).
-        self.sut_factory = sut_factory
+        self.sut = split_sut(sut)[0]
         self.plugin = plugin
-        self.seed = seed
-        #: Optional callback invoked after every injection (progress reporting).
-        self.observer = observer
-        self.jobs = jobs
-        self.executor = executor
-        self.block_size = block_size
-        self.policy = policy
-        #: Whether scenarios may take the delta-validation fast path
-        #: (``--no-incremental`` turns this off; outcomes are identical).
         self.incremental = incremental
+        #: The parsed pristine configuration (system-specific trees).
+        self.config_set = self.parse_initial_configuration()
+        #: The plugin's view of it: scenarios are generated from and
+        #: injected into this set (rolled back after every experiment).
+        self.view_set = plugin.view.transform(self.config_set)
+        self._baselines: dict[str, Any] = {}
+
+    @classmethod
+    def from_spec(cls, spec: WorkerSpec) -> "InjectionEngine":
+        """An engine over a fresh SUT from ``spec``'s factory."""
+        if spec.sut_factory is None:
+            raise CampaignError(
+                "parallel execution and fault tolerance need a SUT factory: pass "
+                "the SUT class or a zero-argument callable instead of a shared "
+                "instance"
+            )
+        return cls(spec.sut_factory(), spec.plugin, incremental=spec.incremental)
 
     # ---------------------------------------------------------------- parsing
     def parse_initial_configuration(self) -> ConfigSet:
@@ -195,36 +165,23 @@ class InjectionEngine:
             config_set.add(dialect.parse(text, filename=filename))
         return config_set
 
-    # -------------------------------------------------------------- scenarios
-    def generate_scenarios(
-        self, config_set: ConfigSet | None = None
-    ) -> tuple[ConfigSet, ConfigSet, list[FaultScenario]]:
-        """Return (system config set, plugin view set, scenarios)."""
-        rng = random.Random(self.seed)
-        config_set = config_set or self.parse_initial_configuration()
-        view_set = self.plugin.view.transform(config_set)
-        scenarios = self.plugin.generate(view_set, rng)
-        return config_set, view_set, scenarios
-
-    def baseline_files(self, config_set: ConfigSet, view_set: ConfigSet) -> dict[str, str] | None:
+    # -------------------------------------------------------------- baselines
+    def baseline_files(self) -> dict[str, str] | None:
         """Serialise the *pristine* configuration through the view round-trip.
 
         The result is what :meth:`materialize` produces for trees a scenario
-        does not touch, so it is computed once per campaign and reused.  None
+        does not touch, so it is computed once per engine and reused.  None
         when the pristine round-trip itself cannot be serialised (degenerate
-        harness setups); callers then fall back to full per-scenario
-        untransforms.
+        harness setups); :meth:`materialize` then falls back to full
+        per-scenario untransforms.
         """
         try:
-            system_set = self.plugin.view.untransform(view_set, config_set)
+            system_set = self.plugin.view.untransform(self.view_set, self.config_set)
             return {tree.name: serialize_tree(tree) for tree in system_set}
         except ConfErrError:
             return None
 
-    # ------------------------------------------------------------ incremental
-    def prepare_incremental(
-        self, config_set: ConfigSet, view_set: ConfigSet
-    ) -> BaselineValidation | None:
+    def prepare_incremental(self) -> BaselineValidation | None:
         """Prepare the delta-validation baseline, or None when unsound.
 
         The delta path validates baseline *trees* patched in place of the
@@ -240,7 +197,7 @@ class InjectionEngine:
         if not self.incremental or not self.sut.supports_delta():
             return None
         try:
-            system_set = self.plugin.view.untransform(view_set, config_set)
+            system_set = self.plugin.view.untransform(self.view_set, self.config_set)
         except ConfErrError:
             return None
         prepared = self.sut.prepare(self.sut.default_configuration())
@@ -252,6 +209,12 @@ class InjectionEngine:
             if not prepared.trees.get(name).structurally_equal(system_set.get(name)):
                 return None
         return prepared
+
+    def _once(self, method: str) -> Any:
+        """The result of the baseline ``method``, computed on first use."""
+        if method not in self._baselines:
+            self._baselines[method] = getattr(self, method)()
+        return self._baselines[method]
 
     def _vet_change(
         self, change: NodeChange | ChildrenChange, baseline_trees: ConfigSet
@@ -310,12 +273,7 @@ class InjectionEngine:
             )
         return None
 
-    def _attempt_delta(
-        self,
-        scenario: FaultScenario,
-        view_set: ConfigSet,
-        prepared: BaselineValidation,
-    ):
+    def _attempt_delta(self, scenario: FaultScenario, prepared: BaselineValidation):
         """Try to classify ``scenario``'s start via the delta path.
 
         Returns the :class:`~repro.sut.base.StartResult` a full start on the
@@ -325,7 +283,7 @@ class InjectionEngine:
         """
         INCREMENTAL_STATS.attempts += 1
         try:
-            with scenario.applied_to(view_set) as mutated:
+            with scenario.applied_to(self.view_set) as mutated:
                 changes = self.plugin.view.scenario_changes(scenario, mutated, prepared.trees)
                 if changes is None:
                     INCREMENTAL_STATS.fallbacks += 1
@@ -351,136 +309,48 @@ class InjectionEngine:
         return result
 
     # -------------------------------------------------------------- injection
-    def run(
-        self,
-        scenarios: Sequence[FaultScenario] | None = None,
-        *,
-        config_set: ConfigSet | None = None,
-        view_set: ConfigSet | None = None,
-    ) -> ResilienceProfile:
-        """Run the full campaign and return the resilience profile.
-
-        Records are merged in scenario order whatever the executor strategy
-        and worker count, so profiles are seed-stable across ``jobs``
-        settings: same records, order and outcomes (hence byte-identical
-        summaries); only per-record wall-clock durations vary.
-
-        Every strategy, serial included, is one stream: each record is
-        yielded as its experiment completes, and an in-order buffer releases
-        records to the profile and the observer as soon as the front of the
-        scenario sequence is contiguous.  Observers (progress lines,
-        result-store appends) therefore fire while workers are still
-        injecting; the buffer only ever holds records that completed ahead
-        of a still-running earlier scenario (typically around ``jobs x
-        block_size`` entries).
-
-        When ``scenarios`` is given (a pre-generated, possibly filtered list
-        -- the resume path of campaign suites), generation is skipped
-        entirely and exactly those scenarios run.  ``config_set``/``view_set``
-        let a caller that already ran :meth:`generate_scenarios` reuse its
-        parse and view transform instead of paying for them twice; a serial
-        run injects into exactly these sets, on this engine's own SUT.
-        """
-        if scenarios is None:
-            config_set, view_set, scenario_list = self.generate_scenarios(config_set)
-            scenario_list = list(scenario_list)
-        else:
-            if config_set is None:
-                config_set = self.parse_initial_configuration()
-            if view_set is None:
-                view_set = self.plugin.view.transform(config_set)
-            scenario_list = list(scenarios)
-
-        from repro.core.executor import WorkerContext, resolve_executor
-
-        strategy = resolve_executor(self.executor, self.jobs, self.block_size)
-        profile = ResilienceProfile(self.sut.name)
-        if not scenario_list:
-            return profile
-        # workers stream (index, record) pairs in completion order; release
-        # them in scenario order as the front completes so observers fire
-        # live (store appends stay durable mid-run)
-        buffer: dict[int, InjectionRecord] = {}
-        next_index = 0
-        for index, record in strategy.stream(
-            self.worker_spec(),
-            scenario_list,
-            lambda: WorkerContext(self, config_set, view_set),
-        ):
-            buffer[index] = record
-            while next_index in buffer:
-                ready = buffer.pop(next_index)
-                next_index += 1
-                profile.add(ready)
-                if self.observer is not None:
-                    self.observer(ready)
-        if next_index != len(scenario_list):  # pragma: no cover - strategy bug
-            raise CampaignError(
-                f"executor stream ended after {next_index} of "
-                f"{len(scenario_list)} scenarios (no record for index "
-                f"{next_index}; {len(buffer)} later records stranded)"
-            )
-        return profile
-
-    def worker_spec(self):
-        """Picklable description of this engine for executor workers."""
-        from repro.core.executor import WorkerSpec
-
-        return WorkerSpec(
-            sut_factory=self.sut_factory,
-            plugin=self.plugin,
-            policy=self.policy,
-            incremental=self.incremental,
-        )
-
-    def materialize(
-        self,
-        scenario: FaultScenario,
-        config_set: ConfigSet,
-        view_set: ConfigSet,
-        baseline_files: Mapping[str, str] | None = None,
-    ) -> dict[str, str]:
+    def materialize(self, scenario: FaultScenario) -> dict[str, str]:
         """Produce the faulty configuration files for ``scenario``.
 
-        ``view_set`` is used as the working copy: it is mutated in place and
-        rolled back before returning (operations without an inverse fall back
-        to a copy-on-write overlay that clones only the touched trees).  When
-        ``baseline_files`` is given and the view supports localisation, only
-        the touched trees are reverse-transformed and serialised.
+        :attr:`view_set` is used as the working copy: it is mutated in place
+        and rolled back before returning (operations without an inverse fall
+        back to a copy-on-write overlay that clones only the touched trees).
+        When the baseline files exist and the view supports localisation,
+        only the touched trees are reverse-transformed and serialised.
 
         Raises :class:`~repro.errors.SerializationError` (or
         :class:`~repro.errors.TransformError`) when the mutation cannot be
         expressed in the native format.
         """
-        with scenario.applied_to(view_set) as mutated:
+        baseline_files = self._once("baseline_files")
+        with scenario.applied_to(self.view_set) as mutated:
             partial = None
             if baseline_files is not None:
                 touched = scenario.touched_trees()
                 if touched is not None:
-                    partial = self.plugin.view.untransform_touched(mutated, config_set, touched)
+                    partial = self.plugin.view.untransform_touched(
+                        mutated, self.config_set, touched
+                    )
             if partial is None:
-                system_set = self.plugin.view.untransform(mutated, config_set)
+                system_set = self.plugin.view.untransform(mutated, self.config_set)
                 return {tree.name: serialize_tree(tree) for tree in system_set}
             files = dict(baseline_files)
             for tree in partial:
                 files[tree.name] = serialize_tree(tree)
             return files
 
-    def run_scenario(
-        self,
-        scenario: FaultScenario,
-        config_set: ConfigSet,
-        view_set: ConfigSet,
-        baseline_files: Mapping[str, str] | None = None,
-        incremental: BaselineValidation | None = None,
-    ) -> InjectionRecord:
+    def run_scenario(self, scenario: FaultScenario) -> InjectionRecord:
         """Run a single injection experiment and classify its outcome.
 
-        With a prepared ``incremental`` baseline, the engine first offers
-        the scenario to the delta-validation path; scenarios it cannot
-        soundly localise (multi-operation structural edits, guard refusals)
-        run the classic materialise-and-start pipeline, byte-identically.
+        With a prepared delta-validation baseline, the engine first offers
+        the scenario to the delta path; scenarios it cannot soundly localise
+        (multi-operation structural edits, guard refusals) run the classic
+        materialise-and-start pipeline, byte-identically.
         """
+        # both baselines exist before the clock starts, so an engine's first
+        # record does not carry their one-off cost
+        self._once("baseline_files")
+        incremental = self._once("prepare_incremental")
         started_at = time.perf_counter()
 
         def record(outcome: InjectionOutcome, messages=(), failed_tests=()) -> InjectionRecord:
@@ -510,7 +380,7 @@ class InjectionEngine:
 
         start_result = None
         if incremental is not None:
-            start_result = self._attempt_delta(scenario, view_set, incremental)
+            start_result = self._attempt_delta(scenario, incremental)
             if start_result is incremental.result and incremental.functional is not None:
                 # the SUT declared the delta a no-op (see start_delta): the
                 # post-start state is the pristine state, so the recorded
@@ -521,9 +391,7 @@ class InjectionEngine:
 
         if start_result is None:
             try:
-                files = self.materialize(
-                    scenario, config_set, view_set, baseline_files=baseline_files
-                )
+                files = self.materialize(scenario)
             except (SerializationError, TransformError) as exc:
                 return record(InjectionOutcome.INJECTION_IMPOSSIBLE, messages=[str(exc)])
             except ConfErrError as exc:

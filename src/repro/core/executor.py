@@ -10,21 +10,22 @@ it happens, not only once every worker has drained its share.
 
 Every strategy therefore implements one streaming protocol:
 
-``stream(spec, scenarios, local_context=None)``
+``stream(spec, scenarios, engine=None)``
     A generator yielding ``(scenario_index, record)`` pairs **as each
     experiment completes**, in whatever order workers finish them.  The
-    engine merges the stream back into scenario order on the fly, so
-    observers (progress lines, result-store appends) fire while the campaign
-    is still running -- under every strategy, the serial one included.
-    ``local_context`` builds the context of scenarios run in the calling
-    thread: the engine passes one over its own SUT and already-parsed
-    configuration, so a serial run parses the configuration once.
+    campaign suite merges the stream back into scenario order on the fly,
+    so observers (progress lines, result-store appends) fire while the
+    campaign is still running -- under every strategy, the serial one
+    included.  ``engine`` is the coordinator's own
+    :class:`~repro.core.engine.InjectionEngine`: scenarios run in the
+    calling thread run on it (unless a fault policy asks for disposable
+    engines), so a serial run parses the configuration once.
 
 Work is handed out in small *blocks* pulled from one shared queue (work
 stealing) rather than one static contiguous chunk per worker: a chunk full
 of cheap ``DETECTED_AT_STARTUP`` scenarios no longer leaves its worker idle
 while another grinds through expensive ``IGNORED`` ones.  Each worker builds
-its injection context -- SUT instance, parsed configuration, plugin view and
+its injection engine -- SUT instance, parsed configuration, plugin view and
 baseline serialisations -- **once per plugin run** (a persistent pool
 initializer for the process strategy), however many blocks it ends up
 pulling.
@@ -59,22 +60,18 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
+from repro.core.engine import InjectionEngine
 from repro.core.faults import FaultPolicy, GuardedWorker, crash_record, timeout_record
-from repro.core.infoset import ConfigSet
 from repro.core.profile import InjectionRecord
 from repro.core.templates.base import FaultScenario
 from repro.errors import CampaignError
 from repro.plugins.base import ErrorGeneratorPlugin
 from repro.sut.base import SystemUnderTest
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from repro.core.engine import InjectionEngine
-
 __all__ = [
     "WorkerSpec",
-    "WorkerContext",
     "CampaignExecutor",
     "SerialExecutor",
     "ThreadPoolCampaignExecutor",
@@ -96,7 +93,7 @@ _TARGET_PULLS_PER_WORKER = 4
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker needs to rebuild an injection context.
+    """Everything a worker needs to build its own injection engine.
 
     Workers never share mutable state: each one instantiates its own SUT from
     the factory, re-parses the pristine configuration and derives its own
@@ -109,9 +106,9 @@ class WorkerSpec:
     execution path exactly as it was without it.
     """
 
-    #: None when the engine was given a shared SUT instance: the serial
-    #: stream then runs on the engine's own context, and anything that must
-    #: build a context of its own fails with a pointed error.
+    #: None when the suite was given a shared SUT instance: the serial
+    #: stream then runs on the coordinator's engine, and anything that must
+    #: build an engine of its own fails with a pointed error.
     sut_factory: Callable[[], SystemUnderTest] | None
     plugin: ErrorGeneratorPlugin
     policy: FaultPolicy | None = None
@@ -119,55 +116,6 @@ class WorkerSpec:
     #: baseline is keyed by file content, so suite cells sharing a system
     #: reuse it across plugin runs).
     incremental: bool = True
-
-
-class WorkerContext:
-    """Per-worker injection context, built once per (worker, plugin run).
-
-    Bundles an engine (and so its SUT), the parsed pristine configuration,
-    the plugin view and the baseline serialisation cache so that a worker
-    pays the setup cost once however many blocks it pulls from the queue.
-    ``config_set``/``view_set`` reuse a parse the caller already made.
-    """
-
-    def __init__(
-        self,
-        engine: InjectionEngine,
-        config_set: ConfigSet | None = None,
-        view_set: ConfigSet | None = None,
-    ):
-        self.engine = engine
-        if config_set is None:
-            config_set = engine.parse_initial_configuration()
-        if view_set is None:
-            view_set = engine.plugin.view.transform(config_set)
-        self.config_set = config_set
-        self.view_set = view_set
-        self.baseline = engine.baseline_files(config_set, view_set)
-        self.prepared = engine.prepare_incremental(config_set, view_set)
-
-    @classmethod
-    def from_spec(cls, spec: WorkerSpec) -> "WorkerContext":
-        """A context over a fresh SUT from ``spec``'s factory."""
-        from repro.core.engine import InjectionEngine
-
-        if spec.sut_factory is None:
-            raise CampaignError(
-                "parallel execution and fault tolerance need a SUT factory: pass "
-                "the SUT class or a zero-argument callable instead of a shared "
-                "instance"
-            )
-        return cls(InjectionEngine(spec.sut_factory(), spec.plugin, incremental=spec.incremental))
-
-    def run(self, scenario: FaultScenario) -> InjectionRecord:
-        """Run one injection experiment against this context's SUT."""
-        return self.engine.run_scenario(
-            scenario,
-            self.config_set,
-            self.view_set,
-            baseline_files=self.baseline,
-            incremental=self.prepared,
-        )
 
 
 def resolve_block_size(total: int, jobs: int, block_size: int | None = None) -> int:
@@ -199,25 +147,25 @@ def make_blocks(indexed: Sequence, block_size: int) -> list[list]:
 
 
 def _make_runner(
-    spec: WorkerSpec, local_context: Callable[[], WorkerContext] | None = None
-) -> "WorkerContext | GuardedWorker":
+    spec: WorkerSpec, engine: InjectionEngine | None = None
+) -> InjectionEngine | GuardedWorker:
     """One worker's scenario runner, honouring the spec's fault policy.
 
-    Without a policy this is a plain :class:`WorkerContext` -- the caller's
-    ``local_context`` when given, else one built from ``spec``; with one, a
-    :class:`~repro.core.faults.GuardedWorker` over contexts built from
-    ``spec``, so hung or crashed contexts can be abandoned and rebuilt
-    mid-run (the caller's own context cannot be thrown away).  Both expose
-    the same ``run(scenario) -> record`` surface.
+    Without a policy this is a plain :class:`InjectionEngine` -- the
+    caller's ``engine`` when given, else one built from ``spec``; with one,
+    a :class:`~repro.core.faults.GuardedWorker` over engines built from
+    ``spec``, so hung or crashed engines can be abandoned and rebuilt
+    mid-run (the caller's own engine cannot be thrown away).  Both expose
+    the same ``run_scenario(scenario) -> record`` surface.
     """
     if spec.policy is not None:
-        return GuardedWorker(lambda: WorkerContext.from_spec(spec), spec.policy)
-    if local_context is not None:
-        return local_context()
-    return WorkerContext.from_spec(spec)
+        return GuardedWorker(lambda: InjectionEngine.from_spec(spec), spec.policy)
+    if engine is not None:
+        return engine
+    return InjectionEngine.from_spec(spec)
 
 
-def _close_runner(runner: "WorkerContext | GuardedWorker | None") -> None:
+def _close_runner(runner: InjectionEngine | GuardedWorker | None) -> None:
     """Release a runner's helper thread, if it has one."""
     if isinstance(runner, GuardedWorker):
         runner.close()
@@ -226,13 +174,13 @@ def _close_runner(runner: "WorkerContext | GuardedWorker | None") -> None:
 def _serial_stream(
     spec: WorkerSpec,
     indexed: Sequence[tuple[int, FaultScenario]],
-    local_context: Callable[[], WorkerContext] | None = None,
+    engine: InjectionEngine | None = None,
 ) -> Iterator[tuple[int, InjectionRecord]]:
-    """Single-worker stream: one context, records in scenario order."""
-    runner = _make_runner(spec, local_context)
+    """Single-worker stream: one runner, records in scenario order."""
+    runner = _make_runner(spec, engine)
     try:
         for index, scenario in indexed:
-            yield index, runner.run(scenario)
+            yield index, runner.run_scenario(scenario)
     finally:
         _close_runner(runner)
 
@@ -256,16 +204,15 @@ class CampaignExecutor(ABC):
         self,
         spec: WorkerSpec,
         scenarios: Sequence[FaultScenario],
-        local_context: Callable[[], WorkerContext] | None = None,
+        engine: InjectionEngine | None = None,
     ) -> Iterator[tuple[int, InjectionRecord]]:
         """Yield ``(scenario_index, record)`` as each experiment completes.
 
         Pairs arrive in completion order, not scenario order; every index in
         ``range(len(scenarios))`` is yielded exactly once.  A worker failure
         raises from the generator after in-flight work has settled.
-        ``local_context`` builds the context for scenarios run in the
-        calling thread (a single worker); pool workers always build theirs
-        from ``spec``.
+        ``engine`` runs the scenarios a single worker runs in the calling
+        thread; pool workers always build theirs from ``spec``.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -277,8 +224,8 @@ class SerialExecutor(CampaignExecutor):
 
     name = "serial"
 
-    def stream(self, spec, scenarios, local_context=None):
-        return _serial_stream(spec, list(enumerate(scenarios)), local_context)
+    def stream(self, spec, scenarios, engine=None):
+        return _serial_stream(spec, list(enumerate(scenarios)), engine)
 
 
 class _WorkerFailure:
@@ -318,8 +265,8 @@ _WORKER_DONE = object()
 class ThreadPoolCampaignExecutor(CampaignExecutor):
     """Long-lived worker threads pulling scenario blocks from a shared queue.
 
-    Each thread builds one :class:`WorkerContext` (private SUT, parse, view,
-    baseline) and then loops: pull the next block, run its scenarios, push
+    Each thread builds one :class:`InjectionEngine` (private SUT, parse,
+    view, baseline) and then loops: pull the next block, run its scenarios, push
     each ``(index, record)`` onto the result queue the moment it exists.
     The shared block queue is what makes the schedule work-stealing: a
     worker that lands on cheap scenarios simply pulls again.
@@ -327,19 +274,19 @@ class ThreadPoolCampaignExecutor(CampaignExecutor):
 
     name = "thread"
 
-    def stream(self, spec, scenarios, local_context=None):
+    def stream(self, spec, scenarios, engine=None):
         indexed = list(enumerate(scenarios))
         if not indexed:
             return
         workers = min(self.jobs, len(indexed))
         if workers <= 1:
-            yield from _serial_stream(spec, indexed, local_context)
+            yield from _serial_stream(spec, indexed, engine)
             return
 
         block_size = resolve_block_size(len(indexed), workers, self.block_size)
         block_list = make_blocks(indexed, block_size)
         # a worker's unit of work is one block pull: never start more workers
-        # than blocks, or the surplus pay the full per-worker context setup
+        # than blocks, or the surplus pay the full per-worker engine setup
         # only to find the queue already drained
         workers = min(workers, len(block_list))
         blocks: queue.SimpleQueue = queue.SimpleQueue()
@@ -349,7 +296,7 @@ class ThreadPoolCampaignExecutor(CampaignExecutor):
         stop = threading.Event()
 
         def work() -> None:
-            runner: WorkerContext | GuardedWorker | None = None
+            runner: InjectionEngine | GuardedWorker | None = None
             try:
                 runner = _make_runner(spec)
                 while not stop.is_set():
@@ -360,7 +307,7 @@ class ThreadPoolCampaignExecutor(CampaignExecutor):
                     for index, scenario in block:
                         if stop.is_set():
                             return
-                        results.put((index, runner.run(scenario)))
+                        results.put((index, runner.run_scenario(scenario)))
             except BaseException as exc:  # noqa: BLE001 - must cross the thread
                 results.put(_WorkerFailure(exc, traceback.format_exc()))
             finally:
@@ -398,54 +345,55 @@ class ThreadPoolCampaignExecutor(CampaignExecutor):
 
 # ----------------------------------------------------------- process workers
 #: Per-process worker state, installed once by the pool initializer so that
-#: every block task reuses the same SUT/parse/view/baseline context.  With a
-#: fault policy on the spec the runner is a GuardedWorker, so ordinary hangs
-#: are resolved *inside* the worker process and never reach the coordinator.
-_PROCESS_CONTEXT: WorkerContext | GuardedWorker | None = None
+#: every block task reuses the same engine (SUT, parse, view, baseline).
+#: With a fault policy on the spec the runner is a GuardedWorker, so ordinary
+#: hangs are resolved *inside* the worker process and never reach the
+#: coordinator.
+_PROCESS_RUNNER: InjectionEngine | GuardedWorker | None = None
 _PROCESS_SCENARIOS: tuple[FaultScenario, ...] = ()
 _PROCESS_INIT_ERROR: str | None = None
 
 
 def _initialize_process_worker(spec: WorkerSpec, scenarios: tuple[FaultScenario, ...]) -> None:
-    """Pool initializer: build this process's injection context exactly once."""
-    global _PROCESS_CONTEXT, _PROCESS_SCENARIOS, _PROCESS_INIT_ERROR
+    """Pool initializer: build this process's injection engine exactly once."""
+    global _PROCESS_RUNNER, _PROCESS_SCENARIOS, _PROCESS_INIT_ERROR
     # A forked worker inherits the parent's handlers; the CLI folds SIGTERM
     # into KeyboardInterrupt, which would turn _terminate_pool's kill into a
     # traceback (and can wedge the pool's shutdown) instead of a quiet exit.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
-        _PROCESS_CONTEXT = _make_runner(spec)
+        _PROCESS_RUNNER = _make_runner(spec)
         _PROCESS_SCENARIOS = tuple(scenarios)
         _PROCESS_INIT_ERROR = None
     except BaseException as exc:  # noqa: BLE001 - a raising initializer breaks
         # the whole pool with an opaque BrokenProcessPool; stash the cause and
         # report it from the first block task instead, with a real message
-        _PROCESS_CONTEXT = None
+        _PROCESS_RUNNER = None
         _PROCESS_INIT_ERROR = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
 
 
 def _run_scenario_block(indices: Sequence[int]) -> list[tuple[int, InjectionRecord]]:
-    """Block task: run the given scenario indices in this worker's context."""
-    if _PROCESS_CONTEXT is None:
+    """Block task: run the given scenario indices on this worker's engine."""
+    if _PROCESS_RUNNER is None:
         raise CampaignError(
             "process worker failed to build its injection context: "
             + (_PROCESS_INIT_ERROR or "initializer did not run")
         )
-    return [(index, _PROCESS_CONTEXT.run(_PROCESS_SCENARIOS[index])) for index in indices]
+    return [(index, _PROCESS_RUNNER.run_scenario(_PROCESS_SCENARIOS[index])) for index in indices]
 
 
 class ProcessPoolCampaignExecutor(CampaignExecutor):
     """OS processes pulling scenario blocks from the pool's shared call queue.
 
     The pool initializer ships ``(spec, scenarios)`` once per worker process
-    and builds the injection context there; block tasks then carry only
+    and builds the injection engine there; block tasks then carry only
     scenario *indices*, so per-block pickling cost is a few integers.  Block
     results stream back as their futures complete.
     """
 
     name = "process"
 
-    def stream(self, spec, scenarios, local_context=None):
+    def stream(self, spec, scenarios, engine=None):
         """Stream block results; ``spec.policy`` decides what a dead worker costs.
 
         Without a policy every block is queued at once and a dead worker
@@ -478,7 +426,7 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
             return
         workers = min(self.jobs, len(scenario_list))
         if workers <= 1:
-            yield from _serial_stream(spec, list(enumerate(scenario_list)), local_context)
+            yield from _serial_stream(spec, list(enumerate(scenario_list)), engine)
             return
         # Pre-flight the pickle round-trip so an unshippable campaign fails
         # with a pointed message; inside the pool a pickling error would be

@@ -12,17 +12,17 @@ Three pieces make a campaign degrade instead:
 :class:`FaultPolicy`
     The knobs -- per-scenario ``timeout_seconds``, crash ``max_retries`` and
     the seeded exponential ``retry_backoff_seconds`` -- threaded from
-    :class:`~repro.core.spec.ExecutionSpec` through engine and executors.
+    :class:`~repro.core.spec.ExecutionSpec` through suite and executors.
     ``None`` (the default everywhere) means the tolerance layer is off and
     every hot path is byte-for-byte the untolerant one.
 
 :class:`GuardedWorker`
     A deadline-checked scenario runner.  Scenarios run on a disposable
     helper thread; if one exceeds the deadline the hung thread (and its
-    possibly-corrupted injection context) is abandoned and the scenario is
+    possibly-corrupted injection engine) is abandoned and the scenario is
     recorded as :data:`~repro.core.profile.InjectionOutcome.TIMEOUT`.  A
     scenario that kills its worker (a ``BaseException`` escaping the SUT,
-    e.g. :class:`WorkerCrashed`) is retried with backoff on a fresh context
+    e.g. :class:`WorkerCrashed`) is retried with backoff on a fresh engine
     and quarantined as a ``HARNESS_ERROR`` once retries are exhausted.
 
 quarantine records
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 #: Extra wait allowed the first time a fresh runner handles a scenario: the
-#: runner builds its injection context (SUT + parse + view + baseline)
+#: runner builds its injection engine (SUT + parse + view + baseline)
 #: lazily, and that setup must not eat into the scenario's own deadline.
 SETUP_GRACE_SECONDS = 10.0
 
@@ -101,7 +101,7 @@ class FaultPolicy:
         reproducible down to their sleep schedule).
     ``setup_grace_seconds``
         Extra wait allowed a scenario that is first on a fresh runner (the
-        runner builds its injection context lazily); tests shrink this to
+        runner builds its injection engine lazily); tests shrink this to
         keep watchdog deadlines short.
     """
 
@@ -223,29 +223,29 @@ def crash_record(
 
 # ------------------------------------------------------------- guarded worker
 class _RunnerThread:
-    """Disposable scenario runner: one daemon thread owning one context.
+    """Disposable scenario runner: one daemon thread owning one engine.
 
     The owning :class:`GuardedWorker` talks to it through queues only, so a
     runner stuck inside a hung SUT call can simply be abandoned -- the
     daemon thread keeps (harmlessly) waiting, the next runner starts from a
-    freshly built context, and the stale result, if it ever arrives, lands
+    freshly built engine, and the stale result, if it ever arrives, lands
     in an outbox nobody reads.
     """
 
-    def __init__(self, build_context: Callable[[], object]):
+    def __init__(self, build_engine: Callable[[], object]):
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.outbox: queue.SimpleQueue = queue.SimpleQueue()
         self.thread = threading.Thread(
             target=self._loop,
-            args=(build_context,),
+            args=(build_engine,),
             name="conferr-guarded-runner",
             daemon=True,
         )
         self.thread.start()
 
-    def _loop(self, build_context: Callable[[], object]) -> None:
+    def _loop(self, build_engine: Callable[[], object]) -> None:
         try:
-            context = build_context()
+            engine = build_engine()
         except BaseException as exc:  # noqa: BLE001 - reported to the guard
             task = self.inbox.get()
             if task is not None:
@@ -257,7 +257,7 @@ class _RunnerThread:
                 return
             token, scenario = task
             try:
-                record = context.run(scenario)
+                record = engine.run_scenario(scenario)
             except Exception as exc:  # harness bug: hand back for re-raise
                 self.outbox.put((token, "error", exc, traceback.format_exc()))
             except BaseException as exc:  # noqa: BLE001 - simulated worker death
@@ -268,20 +268,22 @@ class _RunnerThread:
 
 
 class GuardedWorker:
-    """Deadline-checked, crash-isolating wrapper around a worker context.
+    """Deadline-checked, crash-isolating wrapper around an injection engine.
 
-    Drop-in for :class:`~repro.core.executor.WorkerContext` (same ``run``
-    signature) wherever a :class:`FaultPolicy` is active: the serial stream,
-    each thread-pool worker, and the inside of every process-pool worker.
+    Drop-in for :class:`~repro.core.engine.InjectionEngine` (same
+    ``run_scenario`` signature) wherever a :class:`FaultPolicy` is active:
+    the serial stream, each thread-pool worker, and the inside of every
+    process-pool worker.  ``build_engine`` makes a fresh engine whenever the
+    previous one had to be abandoned.
 
-    ``run`` never lets a fault escape as an exception unless it is a genuine
+    ``run_scenario`` never lets a fault escape as an exception unless it is a genuine
     harness bug: hangs come back as ``TIMEOUT`` records, worker-killing
     scenarios as quarantined ``HARNESS_ERROR`` records once their isolated
     re-attempts (with seeded exponential backoff) are spent.
     """
 
-    def __init__(self, build_context: Callable[[], object], policy: FaultPolicy):
-        self.build_context = build_context
+    def __init__(self, build_engine: Callable[[], object], policy: FaultPolicy):
+        self.build_engine = build_engine
         self.policy = policy
         self._runner: _RunnerThread | None = None
         self._fresh = True
@@ -289,11 +291,11 @@ class GuardedWorker:
 
     def _ensure_runner(self) -> _RunnerThread:
         if self._runner is None:
-            self._runner = _RunnerThread(self.build_context)
+            self._runner = _RunnerThread(self.build_engine)
             self._fresh = True
         return self._runner
 
-    def run(self, scenario: FaultScenario) -> InjectionRecord:
+    def run_scenario(self, scenario: FaultScenario) -> InjectionRecord:
         """Run one scenario under the policy; always returns a record."""
         attempts = 0
         while True:
@@ -304,7 +306,7 @@ class GuardedWorker:
             try:
                 token, status, payload, traceback_text = runner.outbox.get(timeout=budget)
             except queue.Empty:
-                # Hung: abandon the runner (daemon thread + context leak by
+                # Hung: abandon the runner (daemon thread + engine leak by
                 # design -- killing a thread is not possible) and move on.
                 self._runner = None
                 return timeout_record(scenario, self.policy.timeout_seconds)
@@ -314,7 +316,7 @@ class GuardedWorker:
                 return payload
             if status == "error":
                 # An exception escaped the engine's own guards: a harness
-                # bug, not an injected fault.  The context may be mid-
+                # bug, not an injected fault.  The engine may be mid-
                 # mutation, so drop it, and re-raise with the real site.
                 self._runner = None
                 raise payload

@@ -293,11 +293,13 @@ def render_store_report(store) -> str:
         f"result store: {store.root} "
         f"(kind: {manifest.get('kind')}, seed: {manifest.get('seed')})"
     ]
-    for profile in store.merged_profiles().values():
+    # one pass over the records serves the summaries and Table 1 alike
+    profiles = store.merged_profiles()
+    for profile in profiles.values():
         lines.append("")
         lines.append(profile.summary())
     lines.append("")
-    lines.append(store_typo_table(store))
+    lines.append(typo_resilience_table(profiles))
     return "\n".join(lines)
 
 

@@ -533,14 +533,16 @@ class ExperimentSpec:
             raise error
         return self
 
-    def findings(self) -> Iterator[SpecError]:
+    def findings(self, suts: dict[int, Any] | None = None) -> Iterator[SpecError]:
         """Every semantic failure of the spec, as coded :class:`SpecError` instances.
 
         The one spec checker: :meth:`validate` raises the first finding,
         ``validate --json`` and the campaign service report it, and
         ``conferr lint`` reports them all.  Checks that depend on an
         earlier failure (the display name of an unknown system) are
-        skipped rather than reported twice.
+        skipped rather than reported twice.  ``suts``, when given, collects
+        the bare SUT instance the display-name check builds for each
+        system index, so a caller that needs them too builds each once.
         """
         from repro.core.store import filename_for
         from repro.plugins.base import registered_plugins
@@ -599,7 +601,10 @@ class ExperimentSpec:
             # mirror CampaignSuite.system_names(): two systems whose SUTs
             # share a display name would merge into one rendered table
             # column, so validate must refuse what run-spec would refuse
-            display = split_sut(factory)[0].name
+            sut = split_sut(factory)[0]
+            if suts is not None:
+                suts[index] = sut
+            display = sut.name
             if display in seen_displays:
                 other = self.systems[seen_displays[display]].name
                 yield SpecError(

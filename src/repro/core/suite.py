@@ -1,15 +1,15 @@
 """Campaign suites: whole evaluations as one durable, resumable run.
 
 The paper's evaluation is inherently a *suite*: every table crosses several
-systems with several error classes.  A :class:`CampaignSuite` fans M systems
-x N plugins into per-system campaigns driven through the parallel executor,
-derives a stable seed for every (system, plugin) cell from one suite seed,
-and -- when given a :class:`~repro.core.store.ResultStore` -- appends every
-record to disk as it lands so an interrupted suite can be resumed.  Appends
-are live under every executor strategy: the engine's streaming merge
-releases records in scenario order while workers are still injecting, so a
-``--jobs 4`` run killed mid-campaign still leaves everything but the
-in-flight tail on disk.
+systems with several error classes.  A :class:`CampaignSuite` is the one
+campaign driver: it fans M systems x N plugins into (system, plugin) cells,
+derives a stable seed for every cell from one suite seed, generates each
+cell's scenarios, streams them through one executor strategy and -- when
+given a :class:`~repro.core.store.ResultStore` -- appends every record to
+disk as it lands so an interrupted suite can be resumed.  Appends are live
+under every executor strategy: the suite's streaming merge releases records
+in scenario order while workers are still injecting, so a ``--jobs 4`` run
+killed mid-campaign still leaves everything but the in-flight tail on disk.
 
 Resumption is scenario-exact: the suite regenerates each cell's scenarios
 from the derived seed (generation is deterministic), skips the scenario ids
@@ -20,15 +20,18 @@ from the store is byte-identical to rendering them from the live run.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.engine import InjectionEngine
+from repro.core.executor import CampaignExecutor, WorkerSpec, resolve_executor
 from repro.core.faults import FaultPolicy
 from repro.core.profile import InjectionRecord, ResilienceProfile
 from repro.core.report import resilience_matrix_table, typo_resilience_table
 from repro.core.spec import ExperimentSpec, derive_seed
 from repro.core.store import ResultStore
+from repro.core.templates.base import FaultScenario
 from repro.errors import CampaignError, CancelledRun, StoreError
 from repro.plugins.base import ErrorGeneratorPlugin
 from repro.sut.base import SystemUnderTest, split_sut
@@ -135,9 +138,9 @@ class CampaignSuite:
         Keyboard-layout name recorded in the manifest (informational; the
         spelling plugin itself carries the layout used for generation).
     jobs / executor / block_size:
-        Worker fan-out of every (system, plugin) cell, handed to its
-        :class:`~repro.core.engine.InjectionEngine`; ``jobs > 1`` needs
-        factories, not live instances.
+        Worker fan-out of every (system, plugin) cell: one executor strategy
+        (:func:`~repro.core.executor.resolve_executor`) streams every cell's
+        scenarios; ``jobs > 1`` needs factories, not live instances.
     policy:
         Optional :class:`~repro.core.faults.FaultPolicy` opting every
         campaign into the fault-tolerance layer.  Scenarios it gives up on
@@ -153,7 +156,7 @@ class CampaignSuite:
     record_observer:
         Optional ``(system_key, plugin_name, record)`` callback fired once
         per record, live, in scenario order -- under every executor
-        strategy (the engine's streaming merge releases records as the
+        strategy (the suite's streaming merge releases records as the
         front of the scenario sequence completes).  Fires after the store
         append, so a progress line never reports a record that could still
         be lost.
@@ -297,6 +300,7 @@ class CampaignSuite:
         """
         if resume and store is None:
             raise CampaignError("resuming needs a result store")
+        strategy = resolve_executor(self.executor, self.jobs, self.block_size)
         # one SUT instance per system serves its display name and every
         # plugin's campaign
         split = {key: split_sut(factory) for key, factory in self.systems.items()}
@@ -337,33 +341,67 @@ class CampaignSuite:
             executed = result.executed[system_key] = {}
             skipped = result.skipped[system_key] = {}
             for index, plugin in enumerate(self.plugins):
-                engine = InjectionEngine(
-                    sut,
-                    plugin,
-                    seed=self.campaign_seed(system_key, plugin.name),
-                    observer=self._cell_observer(system_key, plugin.name, store),
-                    sut_factory=sut_factory,
-                    jobs=self.jobs,
-                    executor=self.executor,
-                    block_size=self.block_size,
-                    policy=self.policy,
-                    incremental=self.incremental,
-                )
+                engine = InjectionEngine(sut, plugin, incremental=self.incremental)
                 if self.check_baseline and index == 0:
                     problems = engine.baseline_check()
                     if problems:
                         raise CampaignError(
                             "the unmodified configuration is not healthy: " + "; ".join(problems)
                         )
-                config_set, view_set, scenarios = engine.generate_scenarios()
+                rng = random.Random(self.campaign_seed(system_key, plugin.name))
+                scenarios = plugin.generate(engine.view_set, rng)
                 kept = [s for s in scenarios if (plugin.name, s.scenario_id) not in completed]
-                profile = engine.run(kept, config_set=config_set, view_set=view_set)
-                profiles[plugin.name] = ResilienceProfile(
-                    display, prior.get(plugin.name, []) + profile.records
+                records = self._run_cell(
+                    strategy,
+                    WorkerSpec(sut_factory, plugin, self.policy, self.incremental),
+                    kept,
+                    engine,
+                    self._cell_observer(system_key, plugin.name, store),
                 )
-                executed[plugin.name] = len(profile)
+                profiles[plugin.name] = ResilienceProfile(
+                    display, prior.get(plugin.name, []) + records
+                )
+                executed[plugin.name] = len(records)
                 skipped[plugin.name] = len(scenarios) - len(kept)
         return result
+
+    @staticmethod
+    def _run_cell(
+        strategy: CampaignExecutor,
+        spec: WorkerSpec,
+        scenarios: list[FaultScenario],
+        engine: InjectionEngine,
+        observe: Callable[[InjectionRecord], None] | None,
+    ) -> list[InjectionRecord]:
+        """Stream one cell's scenarios through ``strategy``, in scenario order.
+
+        Records are merged in scenario order whatever the strategy and
+        worker count, so profiles are seed-stable across ``jobs`` settings:
+        same records, order and outcomes; only per-record wall-clock
+        durations vary.  Workers yield ``(index, record)`` pairs in
+        completion order; an in-order buffer releases each record to
+        ``observe`` as soon as the front of the scenario sequence is
+        contiguous, so store appends and progress lines fire while workers
+        are still injecting.  The buffer only ever holds records that
+        completed ahead of a still-running earlier scenario (typically
+        around ``jobs x block_size`` entries).
+        """
+        records: list[InjectionRecord] = []
+        buffer: dict[int, InjectionRecord] = {}
+        for index, record in strategy.stream(spec, scenarios, engine):
+            buffer[index] = record
+            while len(records) in buffer:
+                ready = buffer.pop(len(records))
+                records.append(ready)
+                if observe is not None:
+                    observe(ready)
+        if len(records) != len(scenarios):  # pragma: no cover - strategy bug
+            raise CampaignError(
+                f"executor stream ended after {len(records)} of "
+                f"{len(scenarios)} scenarios (no record for index "
+                f"{len(records)}; {len(buffer)} later records stranded)"
+            )
+        return records
 
     def _check_cancelled(self) -> None:
         if self.cancel_check is not None and self.cancel_check():

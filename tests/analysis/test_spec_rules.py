@@ -96,6 +96,22 @@ class TestStaticFixturePairs:
         report = lint_specs([spec_file])
         assert "catalog/dangling-ref" not in codes_of(report)
 
+    def test_lint_builds_each_system_sut_once(self, monkeypatch):
+        """The display-name check and the lint-only rules share one instance."""
+        from repro import registry
+
+        factory = registry.get_system("mysql")
+        built = []
+
+        def counting_factory():
+            built.append(1)
+            return factory()
+
+        monkeypatch.setitem(registry._REGISTRY, "mysql", counting_factory)
+        report = lint_specs([FIXTURES / "inapplicable_plugin_bad.toml"])
+        assert "spec/inapplicable-plugin" in codes_of(report)
+        assert len(built) == 1
+
 
 class TestSeedCollision:
     def test_collision_detected_when_derivation_degenerates(self, monkeypatch):

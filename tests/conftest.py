@@ -78,3 +78,24 @@ def clone_counts(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
     count(ConfigSet, "set")
     count(ConfigTree, "tree")
     return counts
+
+
+@pytest.fixture
+def engine_profile():
+    """Run every scenario a plugin generates on one engine, in order.
+
+    ``engine_profile(engine, seed=0)`` generates the scenarios of
+    ``engine.plugin`` from ``engine.view_set`` with ``random.Random(seed)``
+    (the seed as given, not a suite-derived one) and runs each through
+    ``engine.run_scenario``: what a serial suite cell does, without the
+    store and the executor around it.  Returns the resilience profile.
+    """
+    import random
+
+    from repro.core.profile import ResilienceProfile
+
+    def run(engine, seed: int = 0) -> ResilienceProfile:
+        scenarios = engine.plugin.generate(engine.view_set, random.Random(seed))
+        return ResilienceProfile(engine.sut.name, [engine.run_scenario(s) for s in scenarios])
+
+    return run

@@ -1,5 +1,6 @@
 """Unit tests for the injection engine, using a small in-memory SUT."""
 
+import contextlib
 import random
 from functools import partial
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.core.engine import InjectionEngine
 from repro.core.infoset import ConfigSet
+from repro.core.suite import CampaignSuite
 from repro.core.profile import InjectionOutcome
 from repro.core.templates import DeleteTemplate, FaultScenario, SetValueTemplate
 from repro.core.views.structure_view import StructureView
@@ -99,9 +101,28 @@ class TestEngineBasics:
 
     def test_generate_scenarios_is_seed_deterministic(self, sut):
         plugin = TemplatePlugin(DeleteTemplate("//directive"))
-        first = InjectionEngine(sut, plugin, seed=5).generate_scenarios()[2]
-        second = InjectionEngine(sut, plugin, seed=5).generate_scenarios()[2]
+        first = plugin.generate(InjectionEngine(sut, plugin).view_set, random.Random(5))
+        second = plugin.generate(InjectionEngine(sut, plugin).view_set, random.Random(5))
         assert [s.scenario_id for s in first] == [s.scenario_id for s in second]
+
+    def test_baselines_are_computed_on_first_use(self, sut, monkeypatch):
+        """A coordinator that only generates never serialises or prepares."""
+        calls = []
+        for method in ("baseline_files", "prepare_incremental"):
+            original = getattr(InjectionEngine, method)
+            monkeypatch.setattr(
+                InjectionEngine,
+                method,
+                lambda engine, _name=method, _original=original: calls.append(_name)
+                or _original(engine),
+            )
+        plugin = TemplatePlugin(DeleteTemplate("//directive"))
+        engine = InjectionEngine(sut, plugin)
+        scenarios = plugin.generate(engine.view_set, random.Random(0))
+        assert calls == []
+        for scenario in scenarios:
+            engine.run_scenario(scenario)
+        assert calls == ["baseline_files", "prepare_incremental"]
 
     def test_baseline_check_passes_for_healthy_sut(self, sut):
         engine = InjectionEngine(sut, TemplatePlugin(DeleteTemplate("//directive")))
@@ -116,63 +137,58 @@ class TestEngineBasics:
 
 
 class TestOutcomeClassification:
-    def test_unknown_setting_detected_at_startup(self, sut):
+    def test_unknown_setting_detected_at_startup(self, sut, engine_profile):
         plugin = TemplatePlugin(
             SetValueTemplate("//directive[@name='label']", lambda n, r: [("rename", "labe1")], field_name="name")
         )
-        profile = InjectionEngine(sut, plugin, seed=0).run()
+        profile = engine_profile(InjectionEngine(sut, plugin))
         assert len(profile) == 1
         assert profile.records[0].outcome is InjectionOutcome.DETECTED_AT_STARTUP
         assert "unknown setting" in profile.records[0].messages[0]
 
-    def test_invalid_value_detected_at_startup(self, sut):
+    def test_invalid_value_detected_at_startup(self, sut, engine_profile):
         plugin = TemplatePlugin(
             SetValueTemplate("//directive[@name='mode']", lambda n, r: [("flip", "zz")])
         )
-        profile = InjectionEngine(sut, plugin, seed=0).run()
+        profile = engine_profile(InjectionEngine(sut, plugin))
         assert profile.records[0].outcome is InjectionOutcome.DETECTED_AT_STARTUP
 
-    def test_functional_test_detection(self, sut):
+    def test_functional_test_detection(self, sut, engine_profile):
         plugin = TemplatePlugin(
             SetValueTemplate("//directive[@name='limit']", lambda n, r: [("zero", "0")])
         )
-        profile = InjectionEngine(sut, plugin, seed=0).run()
+        profile = engine_profile(InjectionEngine(sut, plugin))
         record = profile.records[0]
         assert record.outcome is InjectionOutcome.DETECTED_BY_TESTS
         assert record.failed_tests == ["limit-positive"]
 
-    def test_silently_accepted_error_is_ignored(self, sut):
+    def test_silently_accepted_error_is_ignored(self, sut, engine_profile):
         plugin = TemplatePlugin(
             SetValueTemplate("//directive[@name='label']", lambda n, r: [("typo", "helo")])
         )
-        profile = InjectionEngine(sut, plugin, seed=0).run()
+        profile = engine_profile(InjectionEngine(sut, plugin))
         assert profile.records[0].outcome is InjectionOutcome.IGNORED
 
-    def test_sut_stopped_after_every_scenario(self, sut):
+    def test_sut_stopped_after_every_scenario(self, sut, engine_profile):
         plugin = TemplatePlugin(DeleteTemplate("//directive"))
-        profile = InjectionEngine(sut, plugin, seed=0).run()
+        profile = engine_profile(InjectionEngine(sut, plugin))
         assert len(profile) == 3
         assert sut.stop_calls >= sut.start_calls
         assert not sut.is_running()
 
-    def test_records_carry_duration_and_metadata(self, sut):
+    def test_records_carry_duration_and_metadata(self, sut, engine_profile):
         plugin = TemplatePlugin(DeleteTemplate("//directive[@name='limit']"))
-        record = InjectionEngine(sut, plugin, seed=0).run().records[0]
+        record = engine_profile(InjectionEngine(sut, plugin)).records[0]
         assert record.duration_seconds >= 0
         assert record.metadata["node"] == "directive:limit"
 
     def test_observer_called_per_record(self, sut):
         seen = []
         plugin = TemplatePlugin(DeleteTemplate("//directive"))
-        InjectionEngine(sut, plugin, seed=0, observer=seen.append).run()
+        CampaignSuite(
+            {"toy": sut}, [plugin], record_observer=lambda *cell_record: seen.append(cell_record)
+        ).run()
         assert len(seen) == 3
-
-    def test_explicit_scenarios_override_generation(self, sut):
-        plugin = TemplatePlugin(DeleteTemplate("//directive"))
-        engine = InjectionEngine(sut, plugin, seed=0)
-        _, view_set, scenarios = engine.generate_scenarios()
-        profile = engine.run(scenarios=scenarios[:1])
-        assert len(profile) == 1
 
     def test_sut_error_recorded_as_harness_error(self):
         class ExplodingSUT(ToySUT):
@@ -180,12 +196,12 @@ class TestOutcomeClassification:
                 raise SUTError("environment is broken")
 
         plugin = TemplatePlugin(DeleteTemplate("//directive"))
-        engine = InjectionEngine(ExplodingSUT(), plugin, seed=0)
-        config_set, view_set, scenarios = engine.generate_scenarios()
-        record = engine.run_scenario(scenarios[0], config_set, view_set)
+        engine = InjectionEngine(ExplodingSUT(), plugin)
+        scenarios = plugin.generate(engine.view_set, random.Random(0))
+        record = engine.run_scenario(scenarios[0])
         assert record.outcome is InjectionOutcome.HARNESS_ERROR
 
-    def test_unserialisable_mutation_marked_impossible(self, sut):
+    def test_unserialisable_mutation_marked_impossible(self, sut, engine_profile):
         bad_scenario = FaultScenario(
             scenario_id="bad",
             description="make the tree unserialisable",
@@ -212,7 +228,7 @@ class TestOutcomeClassification:
                     )
                 ]
 
-        profile = InjectionEngine(sut, BadPlugin(DeleteTemplate("//directive")), seed=0).run()
+        profile = engine_profile(InjectionEngine(sut, BadPlugin(DeleteTemplate("//directive"))))
         assert profile.records[0].outcome is InjectionOutcome.INJECTION_IMPOSSIBLE
 
 
@@ -240,22 +256,25 @@ class TestMaterializeOracle:
     )
     @pytest.mark.parametrize("system", available_systems())
     def test_matches_fresh_parse_reference(self, system, make_plugin, clone_counts):
-        engine = InjectionEngine(get_system(system), make_plugin(), seed=2008)
-        config_set, view_set, scenarios = engine.generate_scenarios()
+        engine = InjectionEngine(get_system(system), make_plugin())
+        scenarios = engine.plugin.generate(engine.view_set, random.Random(2008))
         if not scenarios:
             pytest.skip(f"{system} generates no scenarios for this plugin")
-        baseline = engine.baseline_files(config_set, view_set)
-        assert baseline is not None
+        assert engine.baseline_files() is not None
+        # the first materialisation computes the engine's baseline files (one
+        # pristine untransform); clones are counted from then on
+        with contextlib.suppress(*UNEXPRESSIBLE):
+            engine.materialize(scenarios[0])
         pristine = engine.plugin.view.transform(engine.parse_initial_configuration())
         step = max(1, len(scenarios) // ORACLE_SCENARIOS)
         for scenario in scenarios[::step][:ORACLE_SCENARIOS]:
             set_clones = clone_counts["set"]
             try:
-                files = engine.materialize(scenario, config_set, view_set, baseline_files=baseline)
+                files = engine.materialize(scenario)
             except UNEXPRESSIBLE:
                 files = None
             assert clone_counts["set"] == set_clones, f"{scenario.scenario_id} cloned the set"
-            assert view_set.structurally_equal(pristine), scenario.scenario_id
+            assert engine.view_set.structurally_equal(pristine), scenario.scenario_id
             if files is None:
                 with pytest.raises(UNEXPRESSIBLE):
                     _reference_files(engine, scenario)

@@ -10,6 +10,7 @@ per plugin run, however many blocks the worker pulls.
 """
 
 import os
+import random
 import signal
 import threading
 from concurrent.futures.process import BrokenProcessPool
@@ -51,6 +52,11 @@ def _plugins_for(system: str):
     if system in ("nginx", "sshd", "mysql"):
         plugins.append(OmissionDuplicationPlugin(max_scenarios_per_class=6))
     return plugins
+
+
+def _scenarios(plugin, seed=SEED):
+    """The scenarios ``plugin`` generates for Postgres at ``seed``."""
+    return plugin.generate(InjectionEngine(get_system("postgres"), plugin).view_set, random.Random(seed))
 
 
 def _run(system: str, jobs: int, executor: str | None, block_size: int | None = None):
@@ -108,10 +114,7 @@ class TestStreaming:
         )
 
     def _scenarios(self):
-        engine = InjectionEngine(
-            get_system("postgres"), SpellingMistakesPlugin(mutations_per_token=1), seed=SEED
-        )
-        _, _, scenarios = engine.generate_scenarios()
+        scenarios = _scenarios(SpellingMistakesPlugin(mutations_per_token=1))
         assert len(scenarios) >= 8
         return scenarios
 
@@ -230,22 +233,22 @@ class TestOnePathPerStrategy:
             return original(engine)
 
         monkeypatch.setattr(InjectionEngine, "parse_initial_configuration", counting)
-        engine = InjectionEngine(
-            get_system("postgres"),
-            SpellingMistakesPlugin(mutations_per_token=1),
+        suite = CampaignSuite(
+            {"postgres": get_system("postgres")},
+            [SpellingMistakesPlugin(mutations_per_token=1)],
             seed=SEED,
+            check_baseline=False,
             executor=executor,
         )
-        profile = engine.run()
+        profile = suite.run().overall("postgres")
         assert len(profile) > 1
-        assert parses == [engine]
+        assert len(parses) == 1
 
-    def test_engine_over_a_bare_instance_runs_serially(self):
+    def test_suite_over_a_bare_instance_runs_serially(self):
         plugin = SpellingMistakesPlugin(mutations_per_token=1)
-        bare = InjectionEngine(get_system("postgres")(), plugin, seed=SEED)
-        assert bare.sut_factory is None
-        built = InjectionEngine(get_system("postgres"), plugin, seed=SEED)
-        assert bare.run().summary() == built.run().summary()
+        bare = CampaignSuite({"postgres": get_system("postgres")()}, [plugin], seed=SEED)
+        built = CampaignSuite({"postgres": get_system("postgres")}, [plugin], seed=SEED)
+        assert bare.run().overall("postgres").summary() == built.run().overall("postgres").summary()
 
     def test_dead_worker_without_policy_breaks_the_process_stream(self):
         """No policy: no deadline, no respawn, no isolation -- the stream raises."""
@@ -253,7 +256,7 @@ class TestOnePathPerStrategy:
             sut_factory=ChaosFactory(get_system("postgres"), crash_fraction=1.0),
             plugin=SpellingMistakesPlugin(mutations_per_token=1),
         )
-        _, _, scenarios = InjectionEngine(get_system("postgres"), spec.plugin).generate_scenarios()
+        scenarios = _scenarios(spec.plugin, seed=0)
         strategy = ProcessPoolCampaignExecutor(jobs=2, block_size=1)
         outcome: dict = {}
 
@@ -287,7 +290,7 @@ class TestProcessWorkerSignals:
         """
         plugin = SpellingMistakesPlugin(mutations_per_token=1)
         spec = WorkerSpec(sut_factory=_SigtermProbePostgres, plugin=plugin, incremental=False)
-        _, _, scenarios = InjectionEngine(get_system("postgres"), plugin, seed=SEED).generate_scenarios()
+        scenarios = _scenarios(plugin)
         previous = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
         try:
             strategy = ProcessPoolCampaignExecutor(jobs=2, block_size=1)
@@ -321,8 +324,21 @@ class TestBlockSizing:
         assert [i for block in blocks for i, _ in block] == list(range(10))
 
 
+def _counted_suite(factory, block_size: int, executor: str = "thread") -> CampaignSuite:
+    """A four-worker Postgres suite over ``factory``, baseline check off."""
+    return CampaignSuite(
+        {"postgres": factory},
+        [SpellingMistakesPlugin(mutations_per_token=2)],
+        seed=SEED,
+        check_baseline=False,
+        jobs=4,
+        executor=executor,
+        block_size=block_size,
+    )
+
+
 class TestPerPluginWorkerSetup:
-    """Context (SUT + parse + view + baseline) is built once per worker,
+    """An engine (SUT + parse + view + baseline) is built once per worker,
     not once per block pull -- the paper's per-experiment cost is dominated
     by SUT lifecycle, so per-block setup would erase the streaming win."""
 
@@ -335,17 +351,10 @@ class TestPerPluginWorkerSetup:
             calls.append(threading.get_ident())
             return SimulatedPostgres()
 
-        engine = InjectionEngine(
-            counting_factory,
-            SpellingMistakesPlugin(mutations_per_token=2),
-            seed=SEED,
-            jobs=4,
-            executor="thread",
-            block_size=1,  # as many pulls as scenarios
-        )
-        profile = engine.run()
+        suite = _counted_suite(counting_factory, block_size=1)  # as many pulls as scenarios
+        profile = suite.run().overall("postgres")
         assert len(profile) > 10  # many more blocks than workers
-        # one instance for the engine itself + at most one per worker
+        # one instance for the coordinator + at most one per worker
         assert len(calls) <= 1 + 4
 
     def test_no_more_worker_setups_than_blocks(self):
@@ -357,31 +366,18 @@ class TestPerPluginWorkerSetup:
             calls.append(threading.get_ident())
             return SimulatedPostgres()
 
-        engine = InjectionEngine(
-            counting_factory,
-            SpellingMistakesPlugin(mutations_per_token=2),
-            seed=SEED,
-            jobs=4,
-            executor="thread",
-            block_size=10_000,  # one block: surplus workers would set up for nothing
-        )
-        profile = engine.run()
+        # one block: surplus workers would set up for nothing
+        suite = _counted_suite(counting_factory, block_size=10_000)
+        profile = suite.run().overall("postgres")
         assert len(profile) > 1
-        assert len(calls) <= 1 + 1  # the engine's own instance + one worker
+        assert len(calls) <= 1 + 1  # the coordinator's instance + one worker
 
     def test_process_workers_setup_once_despite_many_blocks(self, tmp_path, monkeypatch):
         counter = tmp_path / "factory-calls"
         counter.write_text("")
         monkeypatch.setenv(_COUNTER_ENV, str(counter))
-        engine = InjectionEngine(
-            _counting_postgres_factory,
-            SpellingMistakesPlugin(mutations_per_token=2),
-            seed=SEED,
-            jobs=4,
-            executor="process",
-            block_size=1,
-        )
-        profile = engine.run()
+        suite = _counted_suite(_counting_postgres_factory, block_size=1, executor="process")
+        profile = suite.run().overall("postgres")
         assert len(profile) > 10
         calls = [line for line in counter.read_text().splitlines() if line]
         assert len(calls) <= 1 + 4
@@ -429,26 +425,32 @@ class TestResolution:
 class TestFactoryRequirement:
     def test_parallel_run_without_factory_raises(self):
         sut = get_system("postgres")()
-        engine = InjectionEngine(sut, SpellingMistakesPlugin(mutations_per_token=1), jobs=4)
+        suite = CampaignSuite(
+            {"postgres": sut}, [SpellingMistakesPlugin(mutations_per_token=1)], jobs=4
+        )
         with pytest.raises(CampaignError, match="factory"):
-            engine.run()
+            suite.run()
+
+    def test_engine_from_spec_needs_a_factory(self):
+        spec = WorkerSpec(sut_factory=None, plugin=SpellingMistakesPlugin())
+        with pytest.raises(CampaignError, match="factory"):
+            InjectionEngine.from_spec(spec)
 
     def test_engine_accepts_class_as_factory(self):
         factory = get_system("postgres")
-        engine = InjectionEngine(factory, SpellingMistakesPlugin(mutations_per_token=1), jobs=2)
-        assert engine.sut_factory is factory
+        engine = InjectionEngine(factory, SpellingMistakesPlugin(mutations_per_token=1))
+        assert isinstance(engine.sut, factory)
         assert engine.sut.name == "Postgres"
 
     def test_observer_sees_records_in_scenario_order(self):
-        factory = get_system("postgres")
         seen: list[str] = []
-        engine = InjectionEngine(
-            factory,
-            SpellingMistakesPlugin(mutations_per_token=1),
+        suite = CampaignSuite(
+            {"postgres": get_system("postgres")},
+            [SpellingMistakesPlugin(mutations_per_token=1)],
             seed=SEED,
-            observer=lambda record: seen.append(record.scenario_id),
             jobs=4,
             executor="thread",
+            record_observer=lambda _system, _plugin, record: seen.append(record.scenario_id),
         )
-        profile = engine.run()
+        profile = suite.run().overall("postgres")
         assert seen == [record.scenario_id for record in profile]

@@ -32,7 +32,7 @@ from repro.sut.chaos import ChaosFactory
 SEED = 2008
 
 #: Small, fast policy for tests: short watchdog deadline, short setup grace
-#: (the simulated SUT contexts build in milliseconds), fast backoff.
+#: (the simulated SUT engines build in milliseconds), fast backoff.
 FAST_POLICY = FaultPolicy(
     timeout_seconds=0.4,
     max_retries=1,
@@ -85,13 +85,13 @@ class TestFaultPolicy:
 
 
 # ------------------------------------------------------------ GuardedWorker
-class _FakeContext:
-    """Scripted worker context: each run() pops the next behaviour."""
+class _FakeEngine:
+    """Scripted injection engine: each run_scenario() pops the next behaviour."""
 
     def __init__(self, script):
         self.script = script
 
-    def run(self, scenario):
+    def run_scenario(self, scenario):
         action = self.script.pop(0)
         if action == "ok":
             return timeout_record(scenario, None)  # any record object will do
@@ -110,29 +110,29 @@ class TestGuardedWorker:
 
         def build():
             builds.append(1)
-            return _FakeContext(["hang", "ok"])
+            return _FakeEngine(["hang", "ok"])
 
         worker = GuardedWorker(build, FAST_POLICY)
-        record = worker.run(_scenario())
+        record = worker.run_scenario(_scenario())
         assert record.outcome is InjectionOutcome.TIMEOUT
         assert record.metadata["quarantined"] is True
         assert record.metadata["harness_fault"] == "timeout"
         # the hung runner was abandoned: the next scenario builds a new one
-        worker.run(_scenario("s2"))
+        worker.run_scenario(_scenario("s2"))
         assert len(builds) == 2
         worker.close()
 
     def test_crash_retries_then_succeeds(self):
         scripts = iter([["crash"], ["ok"]])
-        worker = GuardedWorker(lambda: _FakeContext(next(scripts)), FAST_POLICY)
-        record = worker.run(_scenario())
-        # first context crashed, the retry on a fresh context succeeded
+        worker = GuardedWorker(lambda: _FakeEngine(next(scripts)), FAST_POLICY)
+        record = worker.run_scenario(_scenario())
+        # first engine crashed, the retry on a fresh engine succeeded
         assert record.outcome is not InjectionOutcome.HARNESS_ERROR
         worker.close()
 
     def test_crash_exhausts_retries_into_quarantine(self):
-        worker = GuardedWorker(lambda: _FakeContext(["crash"]), FAST_POLICY)
-        record = worker.run(_scenario())
+        worker = GuardedWorker(lambda: _FakeEngine(["crash"]), FAST_POLICY)
+        record = worker.run_scenario(_scenario())
         assert record.outcome is InjectionOutcome.HARNESS_ERROR
         assert record.metadata["quarantined"] is True
         assert record.metadata["harness_fault"] == "worker-crash"
@@ -142,15 +142,15 @@ class TestGuardedWorker:
         worker.close()
 
     def test_plain_exception_is_a_harness_bug_and_reraises(self):
-        worker = GuardedWorker(lambda: _FakeContext(["boom"]), FAST_POLICY)
+        worker = GuardedWorker(lambda: _FakeEngine(["boom"]), FAST_POLICY)
         with pytest.raises(RuntimeError, match="scripted harness bug"):
-            worker.run(_scenario())
+            worker.run_scenario(_scenario())
         worker.close()
 
     def test_without_timeout_crash_policy_still_applies(self):
         policy = FaultPolicy(max_retries=0, retry_backoff_seconds=0.0)
-        worker = GuardedWorker(lambda: _FakeContext(["crash"]), policy)
-        record = worker.run(_scenario())
+        worker = GuardedWorker(lambda: _FakeEngine(["crash"]), policy)
+        record = worker.run_scenario(_scenario())
         assert record.outcome is InjectionOutcome.HARNESS_ERROR
         worker.close()
 

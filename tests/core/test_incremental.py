@@ -24,12 +24,14 @@ fallback machinery that makes the contract hold:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro.core.engine import InjectionEngine, _children_vetted
 from repro.core.infoset import ConfigNode, ConfigSet
-from repro.core.profile import InjectionOutcome
+from repro.core.profile import InjectionOutcome, ResilienceProfile
 from repro.core.spec import RESUME_IRRELEVANT_PATHS, ExecutionSpec
 from repro.core.suite import CampaignSuite
 from repro.core.templates.base import (
@@ -95,16 +97,20 @@ def _semantics(profile):
     ]
 
 
+def _run(engine, seed):
+    """Every scenario of the engine's plugin at ``seed``, run in order."""
+    scenarios = engine.plugin.generate(engine.view_set, random.Random(seed))
+    return ResilienceProfile(engine.sut.name, [engine.run_scenario(s) for s in scenarios])
+
+
 def _run_both(sut_class, plugin_factory, seed=11):
     """One campaign per mode; returns (semantics, stats) pairs."""
     runs = []
     for incremental in (True, False):
         clear_baseline_cache()
         INCREMENTAL_STATS.reset()
-        engine = InjectionEngine(
-            sut_class(), plugin_factory(), seed=seed, incremental=incremental
-        )
-        profile = engine.run()
+        engine = InjectionEngine(sut_class(), plugin_factory(), incremental=incremental)
+        profile = _run(engine, seed)
         runs.append((_semantics(profile), INCREMENTAL_STATS.snapshot()))
     return runs
 
@@ -182,9 +188,8 @@ class TestRoundTripGuard:
     @pytest.fixture(scope="class")
     def prepared_mysql(self):
         clear_baseline_cache()
-        engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin(), seed=1)
-        config_set, view_set, _ = engine.generate_scenarios()
-        prepared = engine.prepare_incremental(config_set, view_set)
+        engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin())
+        prepared = engine.prepare_incremental()
         assert prepared is not None
         return engine, prepared
 
@@ -241,9 +246,8 @@ class TestRoundTripGuard:
     def test_kind_changing_typo_is_refused(self):
         """An sshd keyword mutated to ``Match`` reparses as a section."""
         clear_baseline_cache()
-        engine = InjectionEngine(SimulatedSshd(), SpellingMistakesPlugin(), seed=1)
-        config_set, view_set, _ = engine.generate_scenarios()
-        prepared = engine.prepare_incremental(config_set, view_set)
+        engine = InjectionEngine(SimulatedSshd(), SpellingMistakesPlugin())
+        prepared = engine.prepare_incremental()
         assert prepared is not None
         tree = prepared.trees.get(SimulatedSshd.config_filename)
         path, node = next(
@@ -344,11 +348,10 @@ def _structural_changes(engine, scenario, view_set, prepared):
 def apache_structural():
     """An Apache structural engine with its trees and prepared baseline."""
     clear_baseline_cache()
-    engine = InjectionEngine(SimulatedApache(), StructuralErrorsPlugin(), seed=1)
-    config_set, view_set, _ = engine.generate_scenarios()
-    prepared = engine.prepare_incremental(config_set, view_set)
+    engine = InjectionEngine(SimulatedApache(), StructuralErrorsPlugin())
+    prepared = engine.prepare_incremental()
     assert prepared is not None
-    return engine, config_set, view_set, prepared
+    return engine, engine.config_set, engine.view_set, prepared
 
 
 class TestStructuralGuard:
@@ -377,7 +380,7 @@ class TestStructuralGuard:
         dialect = get_dialect("apache")
         reparsed = dialect.parse(dialect.serialize(patched), filename="httpd.conf")
         assert reparsed.structurally_equal(patched)
-        files = engine.materialize(scenario, config_set, view_set)
+        files = engine.materialize(scenario)
         assert dialect.parse(files["httpd.conf"], filename="httpd.conf").structurally_equal(patched)
 
         delta_result = SimulatedApache().start_delta(prepared, delta)
@@ -525,9 +528,8 @@ class TestFallbackRouting:
     def test_mutated_include_argument_matches_full_start(self):
         """nginx: an include pointing at a missing file must fail through the
         delta path with the same diagnostic a full start produces."""
-        engine = InjectionEngine(SimulatedNginx(), SpellingMistakesPlugin(), seed=1)
-        config_set, view_set, _ = engine.generate_scenarios()
-        prepared = engine.prepare_incremental(config_set, view_set)
+        engine = InjectionEngine(SimulatedNginx(), SpellingMistakesPlugin())
+        prepared = engine.prepare_incremental()
         assert prepared is not None
         tree = prepared.trees.get("nginx.conf")
         path, node = next(
@@ -558,9 +560,8 @@ class TestFallbackRouting:
 
     def test_missing_tree_falls_back(self):
         """A change addressing an unknown tree returns None from start_delta."""
-        engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin(), seed=1)
-        config_set, view_set, _ = engine.generate_scenarios()
-        prepared = engine.prepare_incremental(config_set, view_set)
+        engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin())
+        prepared = engine.prepare_incremental()
         assert prepared is not None
         change = NodeChange(
             tree="no-such.conf", path=(0,), kind="directive", name="x", value="1"
@@ -643,8 +644,8 @@ class TestDeltaProtocol:
         assert sut.effective_settings == full.effective_settings
 
     def test_walk_without_observable_state_never_reuses_outcomes(self):
-        engine = InjectionEngine(_WalkOnlySut(), SpellingMistakesPlugin(), seed=5)
-        profile = engine.run()
+        engine = InjectionEngine(_WalkOnlySut(), SpellingMistakesPlugin())
+        profile = _run(engine, 5)
         stats = INCREMENTAL_STATS.snapshot()
         assert stats["delta_starts"] > 0
         assert stats["noop_reuses"] == 0
@@ -697,7 +698,7 @@ class TestFieldSplice:
         sut = factory()
         prepared = sut.prepare(sut.default_configuration())
         assert prepared is not None and prepared.result.started
-        engine = InjectionEngine(sut, SpellingMistakesPlugin(), seed=1)
+        engine = InjectionEngine(sut, SpellingMistakesPlugin())
         return factory, engine, prepared
 
     @given(pick=st.integers(0, 10**6), name=_TYPO_NAMES, value=_TYPO_VALUES)
@@ -1003,10 +1004,8 @@ class TestCountersAndCache:
     def test_noop_scenarios_reuse_baseline_outcomes(self):
         """Typos the parser swallows (case changes, ignored groups) prove the
         scenario a no-op; the baseline functional outcomes are reused."""
-        engine = InjectionEngine(
-            SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2), seed=11
-        )
-        engine.run()
+        engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2))
+        _run(engine, 11)
         stats = INCREMENTAL_STATS.snapshot()
         assert stats["prepares"] == 1
         assert stats["delta_starts"] > 0
@@ -1016,25 +1015,20 @@ class TestCountersAndCache:
     def test_second_run_hits_the_baseline_cache(self):
         """Same SUT class + file set => one prepare, then content-hash hits."""
         for _ in range(2):
-            engine = InjectionEngine(
-                SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2), seed=3
-            )
-            engine.run()
+            engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2))
+            _run(engine, 3)
         stats = INCREMENTAL_STATS.snapshot()
         assert stats["prepares"] == 1
         assert stats["cache_hits"] >= 1
 
     def test_different_content_misses_the_cache(self):
-        engine = InjectionEngine(
-            SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2), seed=3
-        )
-        engine.run()
+        engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2))
+        _run(engine, 3)
         other = InjectionEngine(
             SimulatedMySQL(default_config="[mysqld]\nport = 3307\n"),
             SpellingMistakesPlugin(mutations_per_token=2),
-            seed=3,
         )
-        other.run()
+        _run(other, 3)
         assert INCREMENTAL_STATS.prepares == 2
 
     def test_fallback_rate_property(self):

@@ -8,10 +8,13 @@ from repro.core.report import (
     format_table,
     per_directive_detection_rates,
     render_distribution_chart,
+    render_store_report,
     semantic_behaviour_table,
+    store_typo_table,
     structural_support_table,
     typo_resilience_table,
 )
+from repro.core.store import ResultStore
 
 
 def profile_with(startup: int, by_tests: int, ignored: int, name: str = "Sys") -> ResilienceProfile:
@@ -200,3 +203,44 @@ class TestDetectionDistribution:
         for label in ("poor", "fair", "good", "excellent", "MySQL"):
             assert label in chart
         assert "50.0%" in chart
+
+
+class TestStoreReport:
+    """``render_store_report`` over a two-system, two-campaign store."""
+
+    def _store(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.write_manifest({"kind": "suite", "seed": 7, "systems": {"a": "Alpha", "b": "Beta"}})
+        for system, name in (("a", "Alpha"), ("b", "Beta")):
+            for campaign, profile in (
+                ("spelling", profile_with(2, 1, 3, name)),
+                ("structural", profile_with(1, 0, 1, name)),
+            ):
+                for record in profile:
+                    store.append(system, campaign, record)
+        store.close()
+        return ResultStore(tmp_path / "store")
+
+    def test_report_is_the_summaries_then_table1(self, tmp_path):
+        store = self._store(tmp_path)
+        expected = [f"result store: {store.root} (kind: suite, seed: 7)"]
+        for profile in store.merged_profiles().values():
+            expected += ["", profile.summary()]
+        expected += ["", store_typo_table(store)]
+        assert render_store_report(store) == "\n".join(expected)
+
+    def test_report_reads_each_stored_record_once(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path)
+        stored = sum(1 for system in store.systems() for _ in store.iter_records(system))
+        read = []
+        original = ResultStore.iter_records
+
+        def counting(self, system):
+            for item in original(self, system):
+                read.append(item)
+                yield item
+
+        monkeypatch.setattr(ResultStore, "iter_records", counting)
+        render_store_report(store)
+        assert stored == 16
+        assert len(read) == stored

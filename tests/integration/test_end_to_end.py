@@ -2,6 +2,8 @@
 specific findings the paper reports in Section 5.2, reproduced end-to-end
 through the injection engine rather than by poking the SUTs directly."""
 
+import random
+
 import pytest
 
 from repro import CampaignSuite, SpellingMistakesPlugin
@@ -61,17 +63,18 @@ class _ScriptedPlugin(ErrorGeneratorPlugin):
         return []
 
 
-def run_single(sut, plugin) -> InjectionOutcome:
-    profile = InjectionEngine(sut, plugin, seed=0).run()
-    assert len(profile) == 1
-    return profile.records[0].outcome
+def run_single(sut, plugin, seed=0) -> InjectionOutcome:
+    """Outcome of the one scenario ``plugin`` generates for ``sut`` at ``seed``."""
+    engine = InjectionEngine(sut, plugin)
+    [scenario] = plugin.generate(engine.view_set, random.Random(seed))
+    return engine.run_scenario(scenario).outcome
 
 
 class TestBaselines:
     @pytest.mark.parametrize("sut_class", ALL_SUTS)
     def test_every_sut_has_a_healthy_baseline(self, sut_class):
         sut = sut_class()
-        engine = InjectionEngine(sut, SpellingMistakesPlugin(mutations_per_token=1), seed=0)
+        engine = InjectionEngine(sut, SpellingMistakesPlugin(mutations_per_token=1))
         assert engine.baseline_check() == []
 
 
@@ -101,7 +104,7 @@ class TestFullCampaigns:
     def test_variation_campaign_is_seed_stable(self):
         def outcomes(seed):
             plugin = StructuralVariationsPlugin(variants_per_class=3, min_truncation=8)
-            return [r.outcome for r in InjectionEngine(SimulatedMySQL(), plugin, seed=seed).run()]
+            return [r.outcome for r in _overall(SimulatedMySQL, plugin, seed)]
 
         assert outcomes(9) == outcomes(9)
 
@@ -177,21 +180,19 @@ class TestPaperFindings:
             description="max_fsm_pages >= 16 * max_fsm_relations",
             violating_value=lambda current, related: "15600",
         )
-        profile = InjectionEngine(
-            SimulatedPostgres(), ConstraintViolationPlugin([constraint]), seed=0
-        ).run()
-        assert profile.records[0].outcome is InjectionOutcome.DETECTED_AT_STARTUP
+        outcome = run_single(SimulatedPostgres(), ConstraintViolationPlugin([constraint]))
+        assert outcome is InjectionOutcome.DETECTED_AT_STARTUP
 
     def test_bind_detects_cname_clash_but_djbdns_serves_it(self):
         plugin = DnsSemanticErrorsPlugin(classes=["ns-cname-clash"], max_scenarios_per_class=1)
-        bind_outcome = InjectionEngine(SimulatedBIND(), plugin, seed=1).run().records[0].outcome
-        djbdns_outcome = InjectionEngine(SimulatedDjbdns(), plugin, seed=1).run().records[0].outcome
+        bind_outcome = run_single(SimulatedBIND(), plugin, seed=1)
+        djbdns_outcome = run_single(SimulatedDjbdns(), plugin, seed=1)
         assert bind_outcome is InjectionOutcome.DETECTED_AT_STARTUP
         assert djbdns_outcome is InjectionOutcome.IGNORED
 
     def test_missing_ptr_impossible_for_djbdns_but_injectable_for_bind(self):
         plugin = DnsSemanticErrorsPlugin(classes=["missing-ptr"], max_scenarios_per_class=1)
-        bind_outcome = InjectionEngine(SimulatedBIND(), plugin, seed=1).run().records[0].outcome
-        djbdns_outcome = InjectionEngine(SimulatedDjbdns(), plugin, seed=1).run().records[0].outcome
+        bind_outcome = run_single(SimulatedBIND(), plugin, seed=1)
+        djbdns_outcome = run_single(SimulatedDjbdns(), plugin, seed=1)
         assert bind_outcome is InjectionOutcome.IGNORED
         assert djbdns_outcome is InjectionOutcome.INJECTION_IMPOSSIBLE

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.core.engine import InjectionEngine
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
+from repro.core.suite import CampaignSuite
 from repro.errors import SpecError, TemplateError
 from repro.plugins.omission import OmissionDuplicationPlugin, conflicting_value
 from repro.registry import get_system
@@ -127,12 +127,17 @@ class TestSpecParity:
         )
 
 
+def _campaign(system: str, plugin):
+    """Profile of a one-system, one-plugin campaign suite."""
+    return CampaignSuite({system: get_system(system)}, [plugin], seed=11).run().overall(system)
+
+
 class TestAgainstSystems:
     """The duplicate policies the plugin was built to separate."""
 
     def _profile(self, system: str, **kwargs):
         plugin = OmissionDuplicationPlugin(include=["duplicate-conflict"], **kwargs)
-        return InjectionEngine(get_system(system), plugin, seed=11).run()
+        return _campaign(system, plugin)
 
     def test_nginx_detects_conflicting_duplicates_at_startup(self):
         profile = self._profile("nginx")
@@ -151,7 +156,7 @@ class TestAgainstSystems:
         plugin = OmissionDuplicationPlugin(
             include=["omit-directive"], required_directives=["HostKey"]
         )
-        profile = InjectionEngine(get_system("sshd"), plugin, seed=11).run()
+        profile = _campaign("sshd", plugin)
         assert len(profile) == 2  # the default config carries two HostKey lines
         # omitting one key is survivable; the simulation stays up either way
         assert profile.injected_count() == 2

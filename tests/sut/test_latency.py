@@ -3,19 +3,22 @@
 import time
 from functools import partial
 
-from repro.core.engine import InjectionEngine
+from repro.core.suite import CampaignSuite
 from repro.plugins import SpellingMistakesPlugin
 from repro.sut.latency import LatencySUT
 from repro.sut.postgres import SimulatedPostgres
 
 
+def _campaign(factory, plugin):
+    """Profile of a one-system, one-plugin campaign suite."""
+    return CampaignSuite({"postgres": factory}, [plugin], seed=2008).run().overall("postgres")
+
+
 class TestLatencySUT:
     def test_profiles_match_the_unwrapped_sut(self):
         plugin = SpellingMistakesPlugin(mutations_per_token=1)
-        wrapped = InjectionEngine(
-            partial(LatencySUT, SimulatedPostgres, start_latency=0.001), plugin, seed=2008
-        ).run()
-        plain = InjectionEngine(SimulatedPostgres, plugin, seed=2008).run()
+        wrapped = _campaign(partial(LatencySUT, SimulatedPostgres, start_latency=0.001), plugin)
+        plain = _campaign(SimulatedPostgres, plugin)
         assert wrapped.summary() == plain.summary()
         assert [r.outcome for r in wrapped] == [r.outcome for r in plain]
 

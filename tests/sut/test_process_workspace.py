@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from repro.core.engine import InjectionEngine
+from repro.core.suite import CampaignSuite
 from repro.core.profile import InjectionOutcome
 from repro.plugins.spelling import SpellingMistakesPlugin
 from repro.sut.process import CommandSpec, ProcessSUT
@@ -109,7 +109,7 @@ class TestProcessSUT:
         sut = build_process_sut()
         try:
             plugin = SpellingMistakesPlugin(mutations_per_token=1)
-            profile = InjectionEngine(sut, plugin, seed=1).run()
+            profile = CampaignSuite({"service": sut}, [plugin], seed=1).run().overall("service")
             assert len(profile) > 0
             outcomes = {record.outcome for record in profile}
             assert InjectionOutcome.HARNESS_ERROR not in outcomes
