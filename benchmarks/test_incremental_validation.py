@@ -22,8 +22,8 @@ from host noise alone; on mysql-full-directives the full starts and start
 parses of a fast rerun and of a full rerun are pinned at the benchmark
 seed.
 
-The measured numbers, the delta-path counter snapshot (fallback rate), and a
-per-SUT breakdown across all seven families are written to
+The measured numbers, the engine's delta-path counter snapshot (fallback
+rate), and a per-SUT breakdown across all seven families are written to
 ``BENCH_incremental.json`` for the tracked perf trajectory.  Every counter
 there covers one timed run: the warm-up run (baseline prepare) and the other
 timed rounds are not counted.
@@ -37,13 +37,12 @@ from collections import Counter
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, write_bench_json
-from repro.core.engine import InjectionEngine
+from repro.core.engine import IncrementalStats, InjectionEngine
 from repro.core.profile import ResilienceProfile
 from repro.parsers.base import ConfigDialect
 from repro.plugins import SpellingMistakesPlugin
 from repro.registry import get_system
 from repro.sut.base import split_sut
-from repro.sut.incremental import INCREMENTAL_STATS
 
 #: Minimum incremental-over-full throughput ratio on mysql-full-directives
 #: (observed ~5.5-8x; the floor leaves headroom for loaded CI workers).
@@ -59,8 +58,9 @@ FAMILIES = ("mysql", "postgres", "apache", "bind", "djbdns", "nginx", "sshd")
 def _prepared_run(system_name: str, incremental: bool):
     """A warmed-up engine over pre-generated scenarios.
 
-    Returns ``(profile, scenario count, rerun)`` where ``rerun()`` times one
-    more run of the same scenarios on the same engine.  Scenario generation
+    Returns ``(engine, profile, rerun)`` where ``rerun()`` times one more
+    run of the same scenarios on the same engine, counted alone in a fresh
+    ``engine.stats``.  Scenario generation
     and the one-off baselines (serialisation, ``prepare``) are kept outside
     the clock: the quantity under test is the steady-state per-scenario
     cost, which is what dominates a long campaign.
@@ -72,29 +72,24 @@ def _prepared_run(system_name: str, incremental: bool):
     profile = ResilienceProfile(engine.sut.name, [engine.run_scenario(s) for s in scenarios])
 
     def rerun() -> float:
+        engine.stats = IncrementalStats()
         started = time.perf_counter()
         repeat = [engine.run_scenario(s) for s in scenarios]
         elapsed = time.perf_counter() - started
         assert [r.outcome for r in repeat] == [r.outcome for r in profile.records]
         return elapsed
 
-    return profile, len(scenarios), rerun
-
-
-def _best_of(rerun, rounds: int) -> float:
-    """Best wall clock of ``rounds`` reruns; ``INCREMENTAL_STATS`` then
-    holds the counters of the last one alone."""
-    seconds = float("inf")
-    for _ in range(rounds):
-        INCREMENTAL_STATS.reset()
-        seconds = min(seconds, rerun())
-    return seconds
+    return engine, profile, rerun
 
 
 def _timed_run(system_name: str, incremental: bool, rounds: int = 3):
-    """Best-of-``rounds`` campaign wall clock over pre-generated scenarios."""
-    profile, count, rerun = _prepared_run(system_name, incremental)
-    return profile, count, _best_of(rerun, rounds)
+    """Best-of-``rounds`` campaign wall clock over pre-generated scenarios.
+
+    Returns ``(scenario count, seconds, counters of the last rerun)``.
+    """
+    engine, profile, rerun = _prepared_run(system_name, incremental)
+    seconds = min(rerun() for _ in range(rounds))
+    return len(profile.records), seconds, engine.stats.snapshot()
 
 
 def _count_work(monkeypatch, system_name: str) -> Counter:
@@ -157,22 +152,20 @@ def _semantics(profile):
 class TestIncrementalSpeedup:
     def test_mysql_full_directives_5x_at_jobs1(self):
         """Delta validation >= 5x full revalidation, with identical records."""
-        fast_profile, scenarios, fast_rerun = _prepared_run(
+        fast_engine, fast_profile, fast_rerun = _prepared_run(
             "mysql-full-directives", incremental=True
         )
-        slow_profile, slow_scenarios, slow_rerun = _prepared_run(
-            "mysql-full-directives", incremental=False
-        )
+        _, slow_profile, slow_rerun = _prepared_run("mysql-full-directives", incremental=False)
         # rounds alternate between the two modes, so a burst of host load
         # slows both sides rather than only whichever ran during it
         fast_seconds = slow_seconds = float("inf")
         for _ in range(SPEEDUP_ROUNDS):
-            INCREMENTAL_STATS.reset()
             fast_seconds = min(fast_seconds, fast_rerun())
-            stats = INCREMENTAL_STATS.snapshot()
             slow_seconds = min(slow_seconds, slow_rerun())
+        stats = fast_engine.stats.snapshot()
 
-        assert scenarios == slow_scenarios >= 100
+        scenarios = len(fast_profile.records)
+        assert scenarios == len(slow_profile.records) >= 100
         assert _semantics(fast_profile) == _semantics(slow_profile), (
             "the fast path changed an outcome -- delta validation must be invisible"
         )
@@ -186,9 +179,8 @@ class TestIncrementalSpeedup:
 
         per_sut = {}
         for family in FAMILIES:
-            _, count, inc_seconds = _timed_run(family, incremental=True, rounds=1)
-            family_stats = INCREMENTAL_STATS.snapshot()
-            _, _, full_seconds = _timed_run(family, incremental=False, rounds=1)
+            count, inc_seconds, family_stats = _timed_run(family, incremental=True, rounds=1)
+            _, full_seconds, _ = _timed_run(family, incremental=False, rounds=1)
             per_sut[family] = {
                 "scenarios": count,
                 "incremental_scenarios_per_second": round(count / inc_seconds, 1),
@@ -235,14 +227,13 @@ class TestIncrementalSpeedup:
         start (and its parse) only for a scenario the delta path did not
         take, and never runs the full walk.  Pinned at BENCH_SEED.
         """
-        _, scenarios, fast_rerun = _prepared_run("mysql-full-directives", incremental=True)
+        engine, profile, fast_rerun = _prepared_run("mysql-full-directives", incremental=True)
         _, _, slow_rerun = _prepared_run("mysql-full-directives", incremental=False)
         keys = ("starts", "start_parses", "delta_walks")
         work = _count_work(monkeypatch, "mysql-full-directives")
-        INCREMENTAL_STATS.reset()
         fast_rerun()
         fast_work = {key: work[key] for key in keys}
-        untaken = scenarios - INCREMENTAL_STATS.delta_starts
+        untaken = len(profile.records) - engine.stats.delta_starts
         work.clear()
         slow_rerun()
         full_work = {key: work[key] for key in keys}
@@ -261,7 +252,7 @@ class TestIncrementalSpeedup:
         """
         # rounds alternate between the two modes, so a phase of host load
         # slows both rather than only whichever mode ran during it
-        _, _, incremental = _prepared_run(family, incremental=True)
+        engine, _, incremental = _prepared_run(family, incremental=True)
         _, _, full = _prepared_run(family, incremental=False)
         inc_seconds = full_seconds = float("inf")
         for _ in range(9):
@@ -272,11 +263,11 @@ class TestIncrementalSpeedup:
             f"{family}: incremental {inc_seconds:.4f}s vs full {full_seconds:.4f}s"
         )
 
-        # files are parsed only by full starts, one per fallback or prepare;
-        # the delta path adds at most the guard's reparse of the changed node
+        # files are parsed only by full starts, one per fallback (the warmed
+        # engine prepared its baseline before the count); the delta path
+        # adds at most the guard's reparse of the changed node
         work = _count_work(monkeypatch, family)
-        INCREMENTAL_STATS.reset()
         incremental()
-        stats = INCREMENTAL_STATS
-        assert work["starts"] <= stats.fallback_total + stats.prepares, work
+        stats = engine.stats
+        assert work["starts"] <= stats.fallback_total, work
         assert work["other_parses"] <= stats.attempts, work

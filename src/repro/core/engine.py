@@ -25,6 +25,7 @@ cache computed on the engine's first experiment.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
@@ -35,7 +36,6 @@ from repro.parsers.base import get_dialect, serialize_tree
 from repro.plugins.base import ErrorGeneratorPlugin
 from repro.sut.base import SystemUnderTest, split_sut
 from repro.sut.incremental import (
-    INCREMENTAL_STATS,
     BaselineValidation,
     ChildrenChange,
     NodeChange,
@@ -47,7 +47,42 @@ from repro.sut.incremental import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.core.executor import WorkerSpec
 
-__all__ = ["InjectionEngine"]
+__all__ = ["IncrementalStats", "InjectionEngine"]
+
+
+@dataclass
+class IncrementalStats:
+    """One engine's counters for the delta-validation path.
+
+    ``attempts`` counts scenarios offered to the delta path;
+    ``delta_starts`` the ones it validated without a full pass.  The three
+    fallback counters partition the remainder: ``fallbacks`` are edits the
+    view cannot express (multi-operation structural scenarios, cross-file
+    moves) or the SUT declined, ``guard_fallbacks`` are changes the
+    round-trip guard refused, and ``errors`` are unexpected exceptions
+    (always recoverable -- the full pass runs instead).  ``substitutions``
+    counts changes the guard accepted after replacing the mutated fields
+    with their single-node reparse (line-oriented dialects only), and
+    ``noop_reuses`` delta starts that proved the scenario a no-op so the
+    baseline functional outcomes were reused.
+    """
+
+    attempts: int = 0
+    delta_starts: int = 0
+    fallbacks: int = 0
+    guard_fallbacks: int = 0
+    substitutions: int = 0
+    noop_reuses: int = 0
+    errors: int = 0
+
+    def snapshot(self) -> dict[str, int]:
+        """Current counter values as a plain dict."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    @property
+    def fallback_total(self) -> int:
+        """Scenarios that reached the delta path but ran the full pass."""
+        return self.fallbacks + self.guard_fallbacks + self.errors
 
 
 def _reparse_alone(node: ConfigNode, filename: str, dialect) -> ConfigNode | None:
@@ -126,6 +161,7 @@ class InjectionEngine:
     (:meth:`baseline_files`) and the delta-validation baseline
     (:meth:`prepare_incremental`) are computed on first use, so a
     coordinator that only generates scenarios never pays for them.
+    :attr:`stats` counts this engine's delta-path decisions.
     """
 
     def __init__(
@@ -144,6 +180,7 @@ class InjectionEngine:
         #: injected into this set (rolled back after every experiment).
         self.view_set = plugin.view.transform(self.config_set)
         self._baselines: dict[str, Any] = {}
+        self.stats = IncrementalStats()
 
     @classmethod
     def from_spec(cls, spec: WorkerSpec) -> "InjectionEngine":
@@ -262,7 +299,7 @@ class InjectionEngine:
         if reparsed_node.structurally_equal(patched):
             return change
         if dialect.line_oriented and reparsed_node.kind == change.kind:
-            INCREMENTAL_STATS.substitutions += 1
+            self.stats.substitutions += 1
             return NodeChange(
                 tree=change.tree,
                 path=change.path,
@@ -281,31 +318,31 @@ class InjectionEngine:
         Any exception is treated as a fallback: the full pass re-raises (and
         classifies) whatever actually fails.
         """
-        INCREMENTAL_STATS.attempts += 1
+        self.stats.attempts += 1
         try:
             with scenario.applied_to(self.view_set) as mutated:
                 changes = self.plugin.view.scenario_changes(scenario, mutated, prepared.trees)
                 if changes is None:
-                    INCREMENTAL_STATS.fallbacks += 1
+                    self.stats.fallbacks += 1
                     return None
                 fields: list[NodeChange] = []
                 layouts: list[ChildrenChange] = []
                 for change in changes:
                     checked = self._vet_change(change, prepared.trees)
                     if checked is None:
-                        INCREMENTAL_STATS.guard_fallbacks += 1
+                        self.stats.guard_fallbacks += 1
                         return None
                     (layouts if isinstance(checked, ChildrenChange) else fields).append(checked)
                 delta = ScenarioDelta(tuple(fields), tuple(layouts))
                 result = self.sut.start_delta(prepared, delta)
         except Exception:
-            INCREMENTAL_STATS.errors += 1
+            self.stats.errors += 1
             self._safe_stop()
             return None
         if result is None:
-            INCREMENTAL_STATS.fallbacks += 1
+            self.stats.fallbacks += 1
             return None
-        INCREMENTAL_STATS.delta_starts += 1
+        self.stats.delta_starts += 1
         return result
 
     # -------------------------------------------------------------- injection
@@ -385,7 +422,7 @@ class InjectionEngine:
                 # the SUT declared the delta a no-op (see start_delta): the
                 # post-start state is the pristine state, so the recorded
                 # baseline functional outcomes are the suite's outcomes
-                INCREMENTAL_STATS.noop_reuses += 1
+                self.stats.noop_reuses += 1
                 self._safe_stop()
                 return diagnosed(start_result.warnings, incremental.functional)
 

@@ -112,9 +112,8 @@ class WorkerSpec:
     sut_factory: Callable[[], SystemUnderTest] | None
     plugin: ErrorGeneratorPlugin
     policy: FaultPolicy | None = None
-    #: Whether workers may take the delta-validation fast path (the prepared
-    #: baseline is keyed by file content, so suite cells sharing a system
-    #: reuse it across plugin runs).
+    #: Whether workers may take the delta-validation fast path (each worker's
+    #: SUT instance prepares its own baseline, once per cell).
     incremental: bool = True
 
 

@@ -707,10 +707,6 @@ class ExperimentSpec:
 
         return ResultStore(self.store.root)
 
-    def seed_for(self, system_key: str, plugin_key: str) -> int:
-        """Seed of one (system, plugin) cell of the matrix."""
-        return derive_seed(self.execution.seed, system_key, plugin_key)
-
 
 # ------------------------------------------------------- validation as data
 def validation_error_entry(error: SpecError, file: str | Path | None = None) -> dict[str, Any]:

@@ -13,9 +13,9 @@ import random
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
+from repro.core.infoset import ConfigNode, ConfigSet
 from repro.errors import TemplateError
 
 __all__ = [
@@ -517,22 +517,3 @@ class Template(ABC):
         from repro.core.templates.compose import UnionTemplate
 
         return UnionTemplate([self, other])
-
-
-def single_tree(config_set: ConfigSet) -> ConfigTree:
-    """Convenience for templates that operate on exactly one file."""
-    trees = list(config_set)
-    if len(trees) != 1:
-        raise TemplateError(f"expected a single configuration file, got {len(trees)}")
-    return trees[0]
-
-
-def ensure_scenarios(scenarios: Iterable[FaultScenario]) -> list[FaultScenario]:
-    """Materialise and sanity-check a scenario iterable."""
-    result = list(scenarios)
-    seen: set[str] = set()
-    for scenario in result:
-        if scenario.scenario_id in seen:
-            raise TemplateError(f"duplicate scenario id {scenario.scenario_id!r}")
-        seen.add(scenario.scenario_id)
-    return result

@@ -291,10 +291,6 @@ class JobRegistry:
             jobs = [job for (owner, _), job in self._jobs.items() if owner == tenant]
         return sorted(jobs, key=lambda job: (job.created_at, job.id))
 
-    def all_jobs(self) -> list[Job]:
-        with self.lock:
-            return list(self._jobs.values())
-
     def counts(self) -> dict[str, int]:
         """Jobs per state, across all tenants (the health endpoint)."""
         totals = {state: 0 for state in JOB_STATES}

@@ -10,15 +10,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.core.infoset import ConfigSet
 from repro.errors import ConfErrError, ParseError
 from repro.parsers.base import get_dialect
-from repro.sut.incremental import (
-    INCREMENTAL_STATS,
-    BaselineValidation,
-    ScenarioDelta,
-    cached_baseline,
-    content_key,
-    patched_trees,
-    store_baseline,
-)
+from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 
 __all__ = ["StartResult", "TestResult", "FunctionalTest", "SystemUnderTest", "split_sut"]
 
@@ -100,6 +92,8 @@ class SystemUnderTest(ABC):
     #: for one that does not parse (``{error}``).
     missing_file_error: str = "configuration file {filename} is missing"
     parse_error: str
+    #: The baseline :meth:`prepare` built last, returned again for equal files.
+    _baseline: BaselineValidation | None = None
 
     @abstractmethod
     def default_configuration(self) -> dict[str, str]:
@@ -153,21 +147,19 @@ class SystemUnderTest(ABC):
         :class:`~repro.sut.incremental.BaselineValidation` holding the parsed
         trees, the walk's result and, when the pristine system started, a
         copy of its :meth:`_observable_state` plus the reusable index from
-        :meth:`_baseline_state`.  Baselines are cached per (SUT class,
-        content hash of the files), so consecutive plugin runs -- and suite
-        cells -- over the same system reuse one prepared baseline.
+        :meth:`_baseline_state`.  The instance keeps the baseline it built
+        last and returns it again while ``files`` stay equal, so every suite
+        cell -- every engine -- sharing this instance reuses one prepared
+        baseline, and it is freed with the instance.
 
         The system is stopped before this returns; ``start_delta`` restores
         the running state itself.  Returns None when a file fails to parse
         (the full path classifies such sets per scenario).  ``files`` is a
         default configuration, so it holds every file the walk starts from.
         """
-        key = content_key(files)
-        sut_key = type(self).__qualname__
-        cached = cached_baseline(sut_key, key)
-        if cached is not None:
-            INCREMENTAL_STATS.cache_hits += 1
-            return cached
+        files = dict(files)
+        if self._baseline is not None and self._baseline.files == files:
+            return self._baseline
         trees = []
         try:
             for filename, text in files.items():
@@ -196,18 +188,15 @@ class SystemUnderTest(ABC):
                     functional = None
         finally:
             self.stop()
-        INCREMENTAL_STATS.prepares += 1
-        baseline = BaselineValidation(
-            files=dict(files),
+        self._baseline = BaselineValidation(
+            files=files,
             trees=tree_set,
             result=result,
             state=state,
             observable=observable,
             functional=functional,
-            content_key=key,
         )
-        store_baseline(sut_key, key, baseline)
-        return baseline
+        return self._baseline
 
     def _start_from_trees(self, trees: Any, files: Mapping[str, str]) -> StartResult:
         """Validate and bring up the system from already parsed ``trees``.

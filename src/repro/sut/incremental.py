@@ -6,9 +6,11 @@ configuration set, yet the classic SUT contract re-parses and re-walks the
 delta protocol:
 
 * :class:`BaselineValidation` -- the result of fully validating the pristine
-  file set once per ``(worker, plugin run)``, including the parsed trees,
-  the pristine observable state and an opaque per-SUT reusable index (a
-  splice index or a table of directive effects).
+  file set once, including the parsed trees, the pristine observable state
+  and an opaque per-SUT reusable index (a splice index or a table of
+  directive effects).  The SUT instance that prepared it keeps it (see
+  ``SystemUnderTest.prepare``), so suite cells sharing that instance reuse
+  it and it is freed with the instance.
 * :class:`ScenarioDelta` -- a scenario reduced to detached change records
   addressing baseline nodes, in two kinds kept apart: :class:`NodeChange`
   (the new fields of one node, edited in place) and
@@ -16,27 +18,21 @@ delta protocol:
   deleted, inserted, moved and reordered children).  Changes never hold
   view nodes, so they stay valid after the copy-on-write context manager
   has undone the mutation and are safe to share across threads.
-* a content-hash keyed baseline cache, so consecutive plugin runs (and suite
-  cells) over the same system files reuse one prepared baseline instead of
-  re-validating per run.
 * tree-patching helpers that build a revalidation tree by copying only the
   spine above each change, sharing every untouched subtree with the
   baseline.
-* :data:`INCREMENTAL_STATS` -- process-global counters tracking how often
-  the delta path ran versus fell back to a full validation pass.
 
 The engine decides *when* the delta path is sound (see
-``InjectionEngine.prepare_incremental`` and its round-trip guard);
+``InjectionEngine.prepare_incremental`` and its round-trip guard) and
+counts how often the delta path ran in its own ``stats``;
 ``SystemUnderTest.start_delta`` revalidates a delta by re-running the SUT's
-own validation walk over the patched trees.
+own validation walk over the patched trees.  The module holds no state.
 Returning ``None`` anywhere falls back to the byte-identical full pass, so
 the protocol can never change an experiment's outcome -- only its cost.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Union
 
@@ -47,70 +43,11 @@ __all__ = [
     "ChildrenChange",
     "NodeChange",
     "ScenarioDelta",
-    "IncrementalStats",
-    "INCREMENTAL_STATS",
-    "content_key",
-    "cached_baseline",
-    "store_baseline",
-    "clear_baseline_cache",
     "node_at",
     "node_from_change",
     "patch_tree",
     "patched_trees",
 ]
-
-
-# ------------------------------------------------------------------ statistics
-@dataclass
-class IncrementalStats:
-    """Process-global counters for the delta-validation path.
-
-    ``attempts`` counts scenarios offered to the delta path;
-    ``delta_starts`` the ones it validated without a full pass.  The three
-    fallback counters partition the remainder: ``fallbacks`` are edits the
-    view cannot express (multi-operation structural scenarios, cross-file
-    moves) or the SUT declined, ``guard_fallbacks`` are changes the
-    round-trip guard refused, and ``errors`` are unexpected exceptions
-    (always recoverable -- the full pass runs instead).  ``substitutions``
-    counts changes the guard accepted after replacing the mutated fields
-    with their single-node reparse (line-oriented dialects only), and
-    ``noop_reuses`` delta starts that proved the scenario a no-op so the
-    baseline functional outcomes were reused.
-    """
-
-    prepares: int = 0
-    cache_hits: int = 0
-    attempts: int = 0
-    delta_starts: int = 0
-    fallbacks: int = 0
-    guard_fallbacks: int = 0
-    substitutions: int = 0
-    noop_reuses: int = 0
-    errors: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter (tests isolate themselves with this)."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        """Current counter values as a plain dict."""
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @property
-    def fallback_total(self) -> int:
-        """Scenarios that reached the delta path but ran the full pass."""
-        return self.fallbacks + self.guard_fallbacks + self.errors
-
-    @property
-    def fallback_rate(self) -> float:
-        """Fraction of attempted scenarios that fell back (0.0 when idle)."""
-        return self.fallback_total / self.attempts if self.attempts else 0.0
-
-
-#: Counters shared by every engine in the process (each pool worker counts
-#: in its own interpreter).
-INCREMENTAL_STATS = IncrementalStats()
 
 
 # ------------------------------------------------------------------ data model
@@ -197,55 +134,16 @@ class BaselineValidation:
     the diagnosis suite's outcomes on the pristine system as ``(passed,
     name, detail)`` triples, reused verbatim for no-op deltas.  The last
     three stay None when the pristine system did not start.  Treat
-    instances as immutable: they are shared between plugin runs and threads
-    through the baseline cache.
+    instances as immutable: the preparing SUT instance hands the same one
+    to every engine built over it.
     """
 
     files: dict[str, str]
     trees: ConfigSet
     result: Any
     state: Any
-    content_key: str
     observable: Any = None
     functional: tuple[tuple[bool, str, str], ...] | None = None
-
-
-# ------------------------------------------------------------- baseline cache
-_BASELINE_CACHE: dict[tuple[str, str], BaselineValidation] = {}
-_CACHE_LOCK = threading.Lock()
-#: Distinct (SUT class, file set) baselines kept; oldest evicted beyond this.
-_CACHE_LIMIT = 16
-
-
-def content_key(files: Mapping[str, str]) -> str:
-    """Stable content hash of a configuration file set."""
-    digest = hashlib.sha256()
-    for name in sorted(files):
-        digest.update(name.encode("utf-8", "surrogateescape"))
-        digest.update(b"\x00")
-        digest.update(files[name].encode("utf-8", "surrogateescape"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
-def cached_baseline(sut_key: str, key: str) -> BaselineValidation | None:
-    """Look up a prepared baseline for (SUT class, content hash)."""
-    with _CACHE_LOCK:
-        return _BASELINE_CACHE.get((sut_key, key))
-
-
-def store_baseline(sut_key: str, key: str, baseline: BaselineValidation) -> None:
-    """Cache a prepared baseline, evicting the oldest entry when full."""
-    with _CACHE_LOCK:
-        if len(_BASELINE_CACHE) >= _CACHE_LIMIT and (sut_key, key) not in _BASELINE_CACHE:
-            _BASELINE_CACHE.pop(next(iter(_BASELINE_CACHE)))
-        _BASELINE_CACHE[(sut_key, key)] = baseline
-
-
-def clear_baseline_cache() -> None:
-    """Drop every cached baseline (test isolation)."""
-    with _CACHE_LOCK:
-        _BASELINE_CACHE.clear()
 
 
 # ------------------------------------------------------------- tree utilities

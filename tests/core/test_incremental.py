@@ -19,7 +19,8 @@ fallback machinery that makes the contract hold:
   ``prepare`` parses each pristine file once, the databases' splice and
   Apache's baseline directive table agree with the walk that reuses
   nothing, and Apache evaluates only directives its table lacks,
-* the content-hash baseline cache, counters and the spec/CLI knob.
+* baseline ownership (one per SUT instance), per-engine counters and the
+  spec/CLI knob.
 """
 
 from __future__ import annotations
@@ -55,11 +56,10 @@ from repro.registry import available_systems, get_system
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest, TestResult, split_sut
 from repro.sut.dns import SimulatedBIND, SimulatedDjbdns
 from repro.sut.incremental import (
-    INCREMENTAL_STATS,
+    BaselineValidation,
     ChildrenChange,
     NodeChange,
     ScenarioDelta,
-    clear_baseline_cache,
     node_at,
     patch_tree,
     patched_trees,
@@ -80,15 +80,6 @@ ALL_SUTS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _isolate_incremental_state():
-    clear_baseline_cache()
-    INCREMENTAL_STATS.reset()
-    yield
-    clear_baseline_cache()
-    INCREMENTAL_STATS.reset()
-
-
 def _semantics(profile):
     """Everything of a profile except per-record wall clock."""
     return [
@@ -107,11 +98,9 @@ def _run_both(sut_class, plugin_factory, seed=11):
     """One campaign per mode; returns (semantics, stats) pairs."""
     runs = []
     for incremental in (True, False):
-        clear_baseline_cache()
-        INCREMENTAL_STATS.reset()
         engine = InjectionEngine(sut_class(), plugin_factory(), incremental=incremental)
         profile = _run(engine, seed)
-        runs.append((_semantics(profile), INCREMENTAL_STATS.snapshot()))
+        runs.append((_semantics(profile), engine.stats.snapshot()))
     return runs
 
 
@@ -187,7 +176,6 @@ class TestRoundTripGuard:
 
     @pytest.fixture(scope="class")
     def prepared_mysql(self):
-        clear_baseline_cache()
         engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin())
         prepared = engine.prepare_incremental()
         assert prepared is not None
@@ -240,12 +228,10 @@ class TestRoundTripGuard:
             value="1\nskip-networking",
             attrs=dict(node.attrs),
         )
-        INCREMENTAL_STATS.reset()
         assert engine._vet_change(change, prepared.trees) is None
 
     def test_kind_changing_typo_is_refused(self):
         """An sshd keyword mutated to ``Match`` reparses as a section."""
-        clear_baseline_cache()
         engine = InjectionEngine(SimulatedSshd(), SpellingMistakesPlugin())
         prepared = engine.prepare_incremental()
         assert prepared is not None
@@ -347,7 +333,6 @@ def _structural_changes(engine, scenario, view_set, prepared):
 @pytest.fixture(scope="module")
 def apache_structural():
     """An Apache structural engine with its trees and prepared baseline."""
-    clear_baseline_cache()
     engine = InjectionEngine(SimulatedApache(), StructuralErrorsPlugin())
     prepared = engine.prepare_incremental()
     assert prepared is not None
@@ -646,7 +631,7 @@ class TestDeltaProtocol:
     def test_walk_without_observable_state_never_reuses_outcomes(self):
         engine = InjectionEngine(_WalkOnlySut(), SpellingMistakesPlugin())
         profile = _run(engine, 5)
-        stats = INCREMENTAL_STATS.snapshot()
+        stats = engine.stats.snapshot()
         assert stats["delta_starts"] > 0
         assert stats["noop_reuses"] == 0
         started = [
@@ -999,47 +984,62 @@ class TestApacheEffectTable:
         assert len(prepared.state.effects) == recorded, "the table never grows per scenario"
 
 
-# ------------------------------------------------- counters and baseline cache
-class TestCountersAndCache:
+# --------------------------------------------- counters and baseline ownership
+class TestCountersAndBaselineOwnership:
     def test_noop_scenarios_reuse_baseline_outcomes(self):
         """Typos the parser swallows (case changes, ignored groups) prove the
         scenario a no-op; the baseline functional outcomes are reused."""
         engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2))
         _run(engine, 11)
-        stats = INCREMENTAL_STATS.snapshot()
-        assert stats["prepares"] == 1
+        stats = engine.stats.snapshot()
         assert stats["delta_starts"] > 0
         assert stats["noop_reuses"] > 0
         assert stats["errors"] == 0
 
-    def test_second_run_hits_the_baseline_cache(self):
-        """Same SUT class + file set => one prepare, then content-hash hits."""
-        for _ in range(2):
-            engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2))
-            _run(engine, 3)
-        stats = INCREMENTAL_STATS.snapshot()
-        assert stats["prepares"] == 1
-        assert stats["cache_hits"] >= 1
+    def test_engines_over_one_instance_share_its_baseline(self):
+        """The suite's cells share a SUT instance: one pristine walk serves all."""
+        sut = SimulatedMySQL()
+        walks = []
+        walk = sut._start_from_trees
 
-    def test_different_content_misses_the_cache(self):
-        engine = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2))
-        _run(engine, 3)
-        other = InjectionEngine(
-            SimulatedMySQL(default_config="[mysqld]\nport = 3307\n"),
-            SpellingMistakesPlugin(mutations_per_token=2),
-        )
-        _run(other, 3)
-        assert INCREMENTAL_STATS.prepares == 2
+        def counted(trees, files):
+            walks.append(trees)
+            return walk(trees, files)
 
-    def test_fallback_rate_property(self):
-        INCREMENTAL_STATS.reset()
-        assert INCREMENTAL_STATS.fallback_rate == 0.0
-        INCREMENTAL_STATS.attempts = 10
-        INCREMENTAL_STATS.fallbacks = 2
-        INCREMENTAL_STATS.guard_fallbacks = 1
-        INCREMENTAL_STATS.errors = 1
-        assert INCREMENTAL_STATS.fallback_total == 4
-        assert INCREMENTAL_STATS.fallback_rate == pytest.approx(0.4)
+        sut._start_from_trees = counted
+        first = InjectionEngine(sut, SpellingMistakesPlugin()).prepare_incremental()
+        second = InjectionEngine(sut, StructuralErrorsPlugin()).prepare_incremental()
+        assert isinstance(first, BaselineValidation)
+        assert second is first
+        assert len(walks) == 1
+
+    def test_each_instance_prepares_its_own_baseline(self):
+        one, other = SimulatedMySQL(), SimulatedMySQL()
+        files = one.default_configuration()
+        assert files == other.default_configuration()
+        baseline = one.prepare(files)
+        assert other.prepare(files) is not baseline
+        assert one.prepare(files) is baseline
+
+    def test_changed_files_get_a_new_baseline(self):
+        sut = SimulatedMySQL()
+        pristine = sut.prepare(sut.default_configuration())
+        changed = {sut.config_filename: "[mysqld]\nport = 3307\n"}
+        baseline = sut.prepare(changed)
+        assert baseline is not pristine
+        assert baseline.files == changed
+        assert sut.prepare(dict(changed)) is baseline
+
+    def test_engines_keep_independent_stats(self):
+        first = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2))
+        _run(first, 3)
+        counted = first.stats.snapshot()
+        assert counted["attempts"] > 0
+        second = InjectionEngine(SimulatedMySQL(), SpellingMistakesPlugin(mutations_per_token=2))
+        _run(second, 3)
+        assert first.stats.snapshot() == counted
+        assert second.stats.snapshot() == counted
+        assert second.stats is not first.stats
 
 
 # ------------------------------------------------------------- executor parity

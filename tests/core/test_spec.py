@@ -288,11 +288,10 @@ class TestBuilding:
         result = suite.run()
         assert set(result.profiles) == {"postgres"}
         assert result.total_executed() > 0
-        # the suite's per-cell seed is the spec's
-        assert suite.campaign_seed("postgres", "semantic-constraints") == spec.seed_for(
-            "postgres", "semantic-constraints"
+        # the suite's per-cell seed derives from the spec's seed
+        assert suite.campaign_seed("postgres", "semantic-constraints") == derive_seed(
+            3, "postgres", "semantic-constraints"
         )
-        assert derive_seed(3, "postgres", "spelling") == spec.seed_for("postgres", "spelling")
 
 
 class TestSpecDiffing:
