@@ -345,7 +345,7 @@ def check_resume_incompatible(target: SpecTarget) -> Iterator[Diagnostic]:
     except StoreError as exc:
         yield Diagnostic(
             code="spec/resume-incompatible",
-            message=f"store {store_spec.root!r} cannot be resumed: {exc}",
+            message=f"store {store_spec.root!r} cannot be resumed: {exc.code}: {exc}",
             severity=Severity.ERROR,
             path="store.root",
             file=target.file,

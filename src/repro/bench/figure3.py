@@ -78,7 +78,9 @@ def directive_rates(
         for system, cells in profiles.items()
     }
     if not any(len(profile) for profile in value_typos.values()):
-        raise StoreError("Figure 3 needs directive-value typo records; none found")
+        raise StoreError(
+            "Figure 3 needs directive-value typo records; none found", "store/incompatible"
+        )
     return {system: per_directive_detection_rates(profile) for system, profile in value_typos.items()}
 
 

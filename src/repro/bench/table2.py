@@ -81,7 +81,8 @@ def support_matrix(
     if not any(label in cells for cells in profiles.values() for label in VARIATION_LABELS.values()):
         raise StoreError(
             "Table 2 needs a structural-variations campaign labelled with a "
-            f"variation class ({', '.join(VARIATION_LABELS.values())}); none found"
+            f"variation class ({', '.join(VARIATION_LABELS.values())}); none found",
+            "store/incompatible",
         )
     support: dict[str, dict[str, str]] = {}
     for system, cells in profiles.items():

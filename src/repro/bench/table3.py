@@ -55,7 +55,9 @@ def behaviour_matrix(
 ) -> dict[str, dict[str, str]]:
     """Fault row label -> system -> "found"/"not found"/"N/A"."""
     if not any(TABLE3_CAMPAIGN in cells for cells in profiles.values()):
-        raise StoreError(f"Table 3 needs the {TABLE3_CAMPAIGN!r} campaign; none found")
+        raise StoreError(
+            f"Table 3 needs the {TABLE3_CAMPAIGN!r} campaign; none found", "store/incompatible"
+        )
     behaviour: dict[str, dict[str, str]] = {label: {} for label in FAULT_LABELS.values()}
     for system, cells in profiles.items():
         by_category = cells.get(TABLE3_CAMPAIGN, ResilienceProfile(system)).by_category()

@@ -783,7 +783,7 @@ def _command_store(args: argparse.Namespace) -> int:
     if args.store_command == "diff":
         for path in (args.left, args.right):
             if not os.path.isdir(path):
-                raise StoreError(f"not a result-store directory: {path}")
+                raise StoreError(f"not a result-store directory: {path}", "store/missing")
         differences = diff_stores(
             ResultStore(args.left),
             ResultStore(args.right),
@@ -797,7 +797,7 @@ def _command_store(args: argparse.Namespace) -> int:
         print(f"{len(differences)} difference(s)")
         return 1
     if not os.path.isdir(args.store_dir):
-        raise StoreError(f"not a result-store directory: {args.store_dir}")
+        raise StoreError(f"not a result-store directory: {args.store_dir}", "store/missing")
     store = ResultStore(args.store_dir)
     if args.store_command == "repair":
         # the report lists what was moved; the store itself is clean afterwards
@@ -895,8 +895,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return handlers[args.command](args)
     except (CampaignError, ServiceError, SpecError, StoreError) as exc:
         # e.g. --executor process with a campaign that cannot be pickled, a
-        # resume pointed at an incompatible/existing store, or an invalid spec
-        print(f"conferr: error: {exc}", file=sys.stderr)
+        # resume pointed at an incompatible/existing store, or an invalid spec;
+        # a store failure names its store/... code
+        code = f"{exc.code}: " if isinstance(exc, StoreError) else ""
+        print(f"conferr: error: {code}{exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         # graceful shutdown: flush the stores so the run stays resumable,

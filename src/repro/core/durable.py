@@ -1,11 +1,13 @@
-"""Crash-safe whole-file rewrites for the durable files of stores and services."""
+"""Crash-safe writes and total reads for the durable files of stores and services."""
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
+from typing import Any
 
-__all__ = ["write_atomic"]
+__all__ = ["write_atomic", "parse_json_object", "read_json_object"]
 
 
 def write_atomic(path: str | os.PathLike, text: str) -> None:
@@ -24,3 +26,21 @@ def write_atomic(path: str | os.PathLike, text: str) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, target)
+
+
+def parse_json_object(data: bytes) -> dict[str, Any]:
+    """Decode ``data`` as UTF-8 JSON that must be an object.
+
+    Every way the bytes can fail -- not UTF-8, not JSON, JSON but not an
+    object -- raises :class:`ValueError`, so a caller guards one exception
+    type instead of a tuple that can miss one.
+    """
+    value = json.loads(data.decode("utf-8"))
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def read_json_object(path: str | os.PathLike) -> dict[str, Any]:
+    """:func:`parse_json_object` of a whole file; :class:`OSError` when unreadable."""
+    return parse_json_object(Path(path).read_bytes())

@@ -26,11 +26,31 @@ only the scenarios whose records are missing.
 
 The append-only layout is deliberate: injection campaigns are long, every
 record is immutable once classified, and a crashed or killed run must leave
-a readable prefix behind.  Trailing partial lines (the one write a crash can
-tear) are ignored on load.  One append-mode handle is cached per system (a
+a readable prefix behind.  One append-mode handle is cached per system (a
 record write is a single buffered write + flush, not an open/close); call
 :meth:`close` -- or use the store as a context manager -- to release the
 handles deterministically.  ``close`` is idempotent.
+
+One line rule, stated once in :func:`_classify` and read by every reader,
+:meth:`~ResultStore.verify`, :meth:`~ResultStore.repair` and the append
+path alike:
+
+* a line is a *record* only if it ends in ``\n``, decodes as UTF-8 and
+  parses to a JSON object whose ``record`` is an object
+  :meth:`InjectionRecord.from_dict` accepts (a ``quarantine.jsonl`` line
+  also needs a string ``system``);
+* an unreadable or unterminated *last* line is *torn* -- the one write a
+  crash can tear.  Readers skip it, and the next append cuts it off, so its
+  scenario simply runs again on resume;
+* any other unreadable line is *corrupt*: readers refuse the file, since
+  silently dropping an interior record would fake completed work.
+
+``manifest.json``, ``systems.json`` and ``store.lock`` are each read by one
+JSON-object reader (:func:`~repro.core.durable.read_json_object`).  Every
+failure raises :class:`~repro.errors.StoreError` with a ``code`` from
+:data:`~repro.errors.STORE_ERROR_CODES`: ``store/missing``,
+``store/exists``, ``store/locked``, ``store/incompatible``,
+``store/corrupt-line`` or ``store/manifest-shape``.
 
 Concurrency contract, precisely:
 
@@ -45,8 +65,8 @@ Concurrency contract, precisely:
   never block the writer.  Because a record append is a single buffered
   ``write()`` of one complete line followed by a flush, a reader streaming
   the file mid-append sees only complete records plus at most one torn
-  trailing line -- which :meth:`iter_records` already tolerates.  Live
-  progress endpoints poll exactly this way.
+  trailing line -- which the line rule below skips.  Live progress
+  endpoints poll exactly this way.
 """
 
 from __future__ import annotations
@@ -57,9 +77,9 @@ import re
 import socket
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
-from repro.core.durable import write_atomic
+from repro.core.durable import parse_json_object, read_json_object, write_atomic
 from repro.core.profile import InjectionRecord, ResilienceProfile
 from repro.errors import StoreError
 
@@ -91,6 +111,86 @@ QUARANTINE_NAME = "quarantine.jsonl"
 #: ``*.jsonl`` globs (and therefore :meth:`ResultStore.systems`) skip it.
 _CORRUPT_SUFFIX = ".corrupt"
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
+#: The verdicts :func:`_classify` gives a line.
+_RECORD, _BLANK, _CORRUPT, _TORN = "record", "blank", "corrupt", "torn"
+
+
+def _classify(
+    lines: Iterable[bytes], quarantine: bool
+) -> Iterator[tuple[int, bytes, str, Any]]:
+    """The store's one line rule: ``(number, raw, verdict, detail)`` per line.
+
+    ``detail`` is ``(campaign, record)`` for a record -- ``(system,
+    campaign, record)`` in the quarantine file -- and the parse failure for
+    an unreadable line.  See the module docstring for the rule.  Whether an
+    unreadable terminated line is the last one is known only when the next
+    line arrives, so its verdict comes one line late.
+    """
+    pending: tuple[int, bytes, Exception] | None = None
+    for number, raw in enumerate(lines, start=1):
+        if pending is not None:
+            yield pending[0], pending[1], _CORRUPT, pending[2]
+            pending = None
+        if not raw.endswith(b"\n"):  # only a file's last line can lack one
+            yield number, raw, _TORN, None
+        elif raw.isspace():
+            yield number, raw, _BLANK, None
+        else:
+            try:
+                entry = parse_json_object(raw)
+                detail = (str(entry.get("campaign", "")), InjectionRecord.from_dict(entry["record"]))
+                if quarantine:
+                    if not isinstance(entry["system"], str):
+                        raise TypeError("quarantine entry without a string system")
+                    detail = (entry["system"], *detail)
+            except (ValueError, KeyError, TypeError) as exc:
+                pending = (number, raw, exc)
+                continue
+            yield number, raw, _RECORD, detail
+    if pending is not None:
+        yield pending[0], pending[1], _TORN, pending[2]
+
+
+def _read_entries(path: Path, quarantine: bool) -> Iterator[tuple]:
+    """Stream one file's records; a corrupt line raises, a torn tail is skipped."""
+    if not path.is_file():
+        return
+    with open(path, "rb") as handle:
+        for number, _raw, verdict, detail in _classify(handle, quarantine):
+            if verdict == _RECORD:
+                yield detail
+            elif verdict == _CORRUPT:
+                raise StoreError(
+                    f"corrupt record at {path}:{number}: {detail}", "store/corrupt-line"
+                ) from detail
+
+
+def _cut_torn_tail(path: Path, quarantine: bool) -> None:
+    """Truncate ``path`` before its last line when the line rule calls it torn.
+
+    Only the last line is read, back from the end: a resume must not pay a
+    scan of the whole file before its first append.
+    """
+    try:
+        handle = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with handle:
+        size = handle.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        start, position = 0, size - 1  # a final newline belongs to the last line
+        while position > 0:
+            chunk_start = max(0, position - 4096)
+            handle.seek(chunk_start)
+            index = handle.read(position - chunk_start).rfind(b"\n")
+            if index >= 0:
+                start = chunk_start + index + 1
+                break
+            position = chunk_start
+        handle.seek(start)
+        if any(verdict == _TORN for _n, _r, verdict, _d in _classify([handle.read()], quarantine)):
+            handle.truncate(start)
 
 
 def filename_for(system: str) -> str:
@@ -217,7 +317,8 @@ class ResultStore:
                         f"(pid {holder.get('pid')} on {holder.get('host')}, "
                         f"{self.lock_path}); a store accepts one concurrent "
                         "writer -- wait for it to finish, or remove the lock "
-                        "file if that process is truly gone"
+                        "file if that process is truly gone",
+                        "store/locked",
                     )
                 try:  # stale (dead holder) or unreadable: break it and retry
                     self.lock_path.unlink()
@@ -229,16 +330,15 @@ class ResultStore:
             self._lock_owned = True
             return
         raise StoreError(  # pragma: no cover - needs a pathological unlink race
-            f"could not acquire {self.lock_path} after repeated attempts"
+            f"could not acquire {self.lock_path} after repeated attempts", "store/locked"
         )
 
     def _read_lock_holder(self) -> dict[str, Any] | None:
         """The lock file's ``{"pid", "host"}`` payload, or None when unreadable."""
         try:
-            raw = json.loads(self.lock_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            return read_json_object(self.lock_path)
+        except (OSError, ValueError):
             return None
-        return raw if isinstance(raw, dict) else None
 
     @staticmethod
     def _holder_is_dead(holder: Mapping[str, Any]) -> bool:
@@ -299,18 +399,21 @@ class ResultStore:
         if self._manifest_cache is not None:
             return self._manifest_cache
         try:
-            text = self.manifest_path.read_text(encoding="utf-8")
+            manifest = read_json_object(self.manifest_path)
         except FileNotFoundError:
-            raise StoreError(f"no result store at {self.root} (missing {_MANIFEST_NAME})") from None
-        try:
-            manifest = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"corrupt manifest in {self.root}: {exc}") from exc
+            raise StoreError(
+                f"no result store at {self.root} (missing {_MANIFEST_NAME})", "store/missing"
+            ) from None
+        except ValueError as exc:
+            raise StoreError(
+                f"corrupt manifest in {self.root}: {exc}", "store/manifest-shape"
+            ) from exc
         version = manifest.get("version")
         if version != MANIFEST_VERSION:
             raise StoreError(
                 f"result store {self.root} has manifest version {version!r}; "
-                f"this build reads version {MANIFEST_VERSION}"
+                f"this build reads version {MANIFEST_VERSION}",
+                "store/incompatible",
             )
         self._manifest_cache = manifest
         return manifest
@@ -335,7 +438,8 @@ class ResultStore:
             raise StoreError(
                 f"store {self.root} was produced by a different run: "
                 f"kind is {stored.get('kind')!r} on disk "
-                f"but {manifest.get('kind')!r} now"
+                f"but {manifest.get('kind')!r} now",
+                "store/incompatible",
             )
         stored_spec, offered_spec = stored.get("spec"), manifest.get("spec")
         if isinstance(stored_spec, Mapping) and isinstance(offered_spec, Mapping):
@@ -346,7 +450,8 @@ class ResultStore:
                 raise StoreError(
                     f"store {self.root} was produced by a different experiment: "
                     + "; ".join(diffs[:5])
-                    + ("; ..." if len(diffs) > 5 else "")
+                    + ("; ..." if len(diffs) > 5 else ""),
+                    "store/incompatible",
                 )
             return
         # "kind" is already handled by the early guard above
@@ -355,7 +460,8 @@ class ResultStore:
                 raise StoreError(
                     f"store {self.root} was produced by a different run: "
                     f"{field} is {stored.get(field)!r} on disk "
-                    f"but {manifest.get(field)!r} now"
+                    f"but {manifest.get(field)!r} now",
+                    "store/incompatible",
                 )
 
     # ------------------------------------------------------------------ records
@@ -367,8 +473,11 @@ class ResultStore:
 
         The append-mode handle is opened once per system and cached (a
         campaign appends thousands of records; open/close per record costs
-        more than the write).  First open also repairs a torn tail and
-        registers the system key in ``systems.json``.
+        more than the write).  First open also cuts off a torn last line --
+        appending after it would weld this record onto the garbage and turn
+        both into one corrupt interior line; its record was never counted as
+        completed, so the scenario simply runs again -- and registers the
+        system key in ``systems.json``.
 
         Records stamped ``metadata["quarantined"]`` by the fault-tolerance
         layer are routed to ``quarantine.jsonl`` instead of the system's
@@ -383,12 +492,7 @@ class ResultStore:
             self._acquire_writer_lock()
             self.root.mkdir(parents=True, exist_ok=True)
             path = self.path_for(system)
-            # A prior crash may have torn the final line mid-write; appending
-            # straight after it would weld this record onto the garbage and
-            # turn it into an unreadable *interior* line.  Drop the torn tail
-            # instead: its record was never counted as completed (iter_records
-            # skips it), so the scenario simply runs again and re-appends.
-            self._truncate_torn_tail(path)
+            _cut_torn_tail(path, quarantine=False)
             self._register_system(system)
             handle = open(path, "ab")
             self._handles[system] = handle
@@ -396,63 +500,15 @@ class ResultStore:
         handle.write(line.encode("utf-8") + b"\n")
         handle.flush()
 
-    @staticmethod
-    def _truncate_torn_tail(path: Path) -> None:
-        """Truncate ``path`` back to the end of its last complete line."""
-        try:
-            handle = open(path, "rb+")
-        except FileNotFoundError:
-            return
-        with handle:
-            size = handle.seek(0, 2)
-            if size == 0:
-                return
-            handle.seek(size - 1)
-            if handle.read(1) == b"\n":
-                return
-            position, last_newline, chunk = size, -1, 4096
-            while position > 0 and last_newline < 0:
-                start = max(0, position - chunk)
-                handle.seek(start)
-                data = handle.read(position - start)
-                index = data.rfind(b"\n")
-                if index >= 0:
-                    last_newline = start + index
-                position = start
-            handle.truncate(last_newline + 1 if last_newline >= 0 else 0)
-
     def iter_records(self, system: str) -> Iterator[tuple[str, InjectionRecord]]:
         """Yield ``(campaign, record)`` pairs for one system, in append order.
 
         The file is streamed line by line (a long campaign's JSONL can dwarf
-        memory; loading a store must not slurp it whole).  A torn trailing
-        line (crash mid-write) is skipped silently; a corrupt line elsewhere
-        raises :class:`StoreError` since silently dropping interior records
-        would fake completed work on resume -- whether a corrupt line is the
-        tail is only known once the next line (any line, even a blank one)
-        proves it interior, so the error is raised one line late.
+        memory; loading a store must not slurp it whole).  A torn last line
+        is skipped; a corrupt line raises :class:`StoreError`
+        (``store/corrupt-line``), one line late (see :func:`_classify`).
         """
-        path = self.path_for(system)
-        if not path.is_file():
-            return
-        pending: tuple[int, Exception] | None = None  # corrupt line awaiting a tail verdict
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                if pending is not None:
-                    corrupt_number, exc = pending
-                    raise StoreError(
-                        f"corrupt record at {path}:{corrupt_number}: {exc}"
-                    ) from exc
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    record = InjectionRecord.from_dict(entry["record"])
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    pending = (number, exc)  # torn final write, unless more follows
-                    continue
-                yield str(entry.get("campaign", "")), record
+        yield from _read_entries(self.path_for(system), quarantine=False)
 
     def completed_ids(self, system: str) -> set[tuple[str, str]]:
         """``(campaign, scenario_id)`` pairs already on disk for one system."""
@@ -467,7 +523,7 @@ class ResultStore:
         if self._quarantine_handle is None:
             self._acquire_writer_lock()
             self.root.mkdir(parents=True, exist_ok=True)
-            self._truncate_torn_tail(self.quarantine_path)
+            _cut_torn_tail(self.quarantine_path, quarantine=True)
             self._quarantine_handle = open(self.quarantine_path, "ab")
         line = json.dumps({"system": system, "campaign": campaign, "record": record.to_dict()})
         self._quarantine_handle.write(line.encode("utf-8") + b"\n")
@@ -478,32 +534,12 @@ class ResultStore:
     ) -> Iterator[tuple[str, str, InjectionRecord]]:
         """Yield ``(system, campaign, record)`` from the quarantine manifest.
 
-        Same torn-tail tolerance as :meth:`iter_records`: a torn final line
-        is skipped, a corrupt interior line raises.
+        The same line rule as :meth:`iter_records`: a torn last line is
+        skipped, a corrupt line raises.
         """
-        path = self.quarantine_path
-        if not path.is_file():
-            return
-        pending: tuple[int, Exception] | None = None
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                if pending is not None:
-                    corrupt_number, exc = pending
-                    raise StoreError(
-                        f"corrupt record at {path}:{corrupt_number}: {exc}"
-                    ) from exc
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    record = InjectionRecord.from_dict(entry["record"])
-                    entry_system = str(entry["system"])
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    pending = (number, exc)
-                    continue
-                if system is None or entry_system == system:
-                    yield entry_system, str(entry.get("campaign", "")), record
+        for entry in _read_entries(self.quarantine_path, quarantine=True):
+            if system is None or entry[0] == system:
+                yield entry
 
     def quarantined_ids(self, system: str) -> set[tuple[str, str]]:
         """``(campaign, scenario_id)`` pairs quarantined for one system."""
@@ -554,13 +590,11 @@ class ResultStore:
         """
         if self._systems_index is None:
             try:
-                raw = json.loads((self.root / _SYSTEMS_INDEX_NAME).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
+                raw = read_json_object(self.root / _SYSTEMS_INDEX_NAME)
+            except (OSError, ValueError):
                 raw = {}
             self._systems_index = {
-                key: value
-                for key, value in (raw.items() if isinstance(raw, dict) else ())
-                if isinstance(key, str) and isinstance(value, str)
+                key: value for key, value in raw.items() if isinstance(value, str)
             }
         return self._systems_index
 
@@ -588,10 +622,13 @@ class ResultStore:
         cover (stores written before the index existed).
         """
         if self.exists():
-            manifest = self.read_manifest()
-            recorded = manifest.get("systems")
+            recorded = self.read_manifest().get("systems")
             if isinstance(recorded, Mapping):
                 return list(recorded)
+        return self._indexed_systems()
+
+    def _indexed_systems(self) -> list[str]:
+        """System keys from ``systems.json`` plus unindexed ``*.jsonl`` stems."""
         index = self._load_systems_index()
         indexed_files = set(index.values())
         legacy = sorted(
@@ -641,11 +678,11 @@ class ResultStore:
         return merged
 
     # ------------------------------------------------------------ verify/repair
-    def _record_files(self) -> list[tuple[str, Path]]:
+    def _record_files(self, systems: list[str]) -> list[tuple[str, Path]]:
         """Every JSONL file worth checking: per-system files + quarantine."""
         files: list[tuple[str, Path]] = []
         seen: set[str] = set()
-        for system in self.systems():
+        for system in systems:
             path = self.path_for(system)
             if path.is_file() and path.name not in seen:
                 seen.add(path.name)
@@ -658,142 +695,120 @@ class ResultStore:
             files.append(("<quarantine>", self.quarantine_path))
         return files
 
-    @staticmethod
-    def _classify_lines(path: Path, quarantine: bool) -> tuple[int, list[int], bool]:
-        """Scan one JSONL file: ``(records, corrupt interior lines, torn tail)``.
+    def _manifest_error(self) -> StoreError | None:
+        """Why the manifest cannot load this store as written, or None.
 
-        Mirrors :meth:`iter_records`'s verdict rule: an unreadable line is a
-        *torn tail* only when nothing follows it; any unreadable line with a
-        successor is corrupt interior.
+        Beyond :meth:`read_manifest`'s own checks, a store holding record
+        files needs the manifest's ``systems`` mapping of keys to display
+        names: without it every reader falls back to the index's
+        alphabetical order and the store's own keys as names.
         """
-        records = 0
-        corrupt: list[int] = []
-        pending: int | None = None
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                if pending is not None:
-                    corrupt.append(pending)
-                    pending = None
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    InjectionRecord.from_dict(entry["record"])
-                    if quarantine:
-                        str(entry["system"])
-                except (json.JSONDecodeError, KeyError, ValueError, TypeError):
-                    pending = number
-                    continue
-                records += 1
-        return records, corrupt, pending is not None
+        if not self.exists():
+            return StoreError(f"no manifest ({_MANIFEST_NAME} missing)", "store/missing")
+        try:
+            recorded = self.read_manifest().get("systems")
+        except StoreError as exc:
+            return exc
+        holds_records = any(
+            path.name != QUARANTINE_NAME for path in self.root.glob("*.jsonl")
+        )
+        if holds_records and not (
+            isinstance(recorded, dict) and all(isinstance(v, str) for v in recorded.values())
+        ):
+            return StoreError(
+                f"manifest in {self.root} has no systems mapping of keys to display names",
+                "store/manifest-shape",
+            )
+        return None
+
+    @staticmethod
+    def _check_file(
+        system: str, path: Path, split: tuple[list[bytes], list[bytes]] | None = None
+    ) -> FileCheck:
+        """Count one file's verdicts; ``split`` collects readable / unreadable lines."""
+        check = FileCheck(system=system, path=path.name)
+        with open(path, "rb") as handle:
+            for number, raw, verdict, _detail in _classify(handle, path.name == QUARANTINE_NAME):
+                if verdict == _RECORD:
+                    check.records += 1
+                elif verdict == _CORRUPT:
+                    check.corrupt_lines.append(number)
+                elif verdict == _TORN:
+                    check.torn_tail = True
+                if split is not None:
+                    split[verdict in (_CORRUPT, _TORN)].append(raw)
+        return check
 
     def verify(self) -> StoreReport:
         """Scan the whole store without modifying it.
 
         Classifies, per file, readable records, corrupt interior lines and a
         torn trailing line (the one write a crash can tear), and checks the
-        manifest and ``systems.json`` index are loadable.  A clean report
+        manifest (:meth:`_manifest_error`) and the ``systems.json`` index.
+        Each problem is prefixed with its ``store/...`` code.  A clean report
         means every ``--from-store`` reader will load the store without
         error.
         """
         report = StoreReport(root=str(self.root))
-        try:
-            if self.exists():
-                self.read_manifest()
-            else:
-                report.problems.append(f"no manifest ({_MANIFEST_NAME} missing)")
-        except StoreError as exc:
-            report.problems.append(str(exc))
+        manifest_error = self._manifest_error()
+        if manifest_error is not None:
+            report.problems.append(f"{manifest_error.code}: {manifest_error}")
         index = self._load_systems_index()
         for system, filename in sorted(index.items()):
             if not (self.root / filename).is_file() and not self._handles.get(system):
                 report.problems.append(
-                    f"systems.json lists {system!r} -> {filename} but the file is missing"
+                    f"store/missing: systems.json lists {system!r} -> {filename} "
+                    "but the file is missing"
                 )
-        for system, path in self._record_files():
-            records, corrupt, torn = self._classify_lines(
-                path, quarantine=path.name == QUARANTINE_NAME
-            )
-            report.files.append(
-                FileCheck(
-                    system=system,
-                    path=path.name,
-                    records=records,
-                    corrupt_lines=corrupt,
-                    torn_tail=torn,
-                )
-            )
+        try:
+            systems = self.systems()
+        except StoreError:  # already reported; list the files the index knows
+            systems = self._indexed_systems()
+        for system, path in self._record_files(systems):
+            report.files.append(self._check_file(system, path))
         return report
 
     def repair(self) -> StoreReport:
         """Quarantine unreadable lines so every reader loads what is left.
 
-        Corrupt interior lines and torn tails are moved -- verbatim -- to a
-        ``<file>.jsonl.corrupt`` sidecar next to the file (never silently
-        deleted: an operator can inspect what was lost), the record file is
-        rewritten atomically with only its readable lines, and the
-        ``systems.json`` index is rebuilt from the manifest and the files
-        that actually exist.  Returns the report of what was moved; a second
-        :meth:`verify` afterwards reports clean.
+        Corrupt interior lines and torn tails are moved -- their original
+        bytes, each ending in a newline -- to a ``<file>.jsonl.corrupt``
+        sidecar next to the file (never silently deleted: an operator can
+        inspect what was lost), the record file is rewritten atomically with
+        only its readable lines, and the ``systems.json`` index is rebuilt
+        from the manifest and the files that actually exist.  Returns the
+        report of what was moved; a :meth:`verify` afterwards reports clean.
+
+        A manifest cannot be rebuilt from the records, so a store whose
+        manifest :meth:`verify` would flag is refused, untouched, with that
+        problem's :class:`StoreError`.
         """
         self.close()
         # repair rewrites record files in place: it is a writer, and must
         # fail fast rather than pull files out from under a live appender
         self._acquire_writer_lock()
         try:
-            return self._repair_locked()
+            manifest_error = self._manifest_error()
+            if manifest_error is not None:
+                raise manifest_error
+            report = StoreReport(root=str(self.root), repaired=True)
+            for system, path in self._record_files(self.systems()):
+                good: list[bytes] = []
+                bad: list[bytes] = []
+                report.files.append(self._check_file(system, path, (good, bad)))
+                if bad:
+                    with open(path.with_name(path.name + _CORRUPT_SUFFIX), "ab") as sidecar:
+                        sidecar.writelines(raw.rstrip(b"\n") + b"\n" for raw in bad)
+                    write_atomic(path, b"".join(good).decode("utf-8"))
+            self._rebuild_systems_index()
+            return report
         finally:
             self._release_writer_lock()
-
-    def _repair_locked(self) -> StoreReport:
-        report = StoreReport(root=str(self.root), repaired=True)
-        for system, path in self._record_files():
-            records, corrupt, torn = self._classify_lines(
-                path, quarantine=path.name == QUARANTINE_NAME
-            )
-            check = FileCheck(
-                system=system,
-                path=path.name,
-                records=records,
-                corrupt_lines=corrupt,
-                torn_tail=torn,
-            )
-            report.files.append(check)
-            if check.clean:
-                continue
-            bad_numbers = set(corrupt)
-            sidecar = path.with_name(path.name + _CORRUPT_SUFFIX)
-            with open(path, "r", encoding="utf-8") as source:
-                lines = source.readlines()
-            last_content = max(
-                (i for i, raw in enumerate(lines, start=1) if raw.strip()), default=0
-            )
-            good: list[str] = []
-            with open(sidecar, "a", encoding="utf-8") as bad:
-                for number, raw in enumerate(lines, start=1):
-                    is_torn = torn and number == last_content
-                    if number in bad_numbers or is_torn:
-                        bad.write(raw if raw.endswith("\n") else raw + "\n")
-                    else:
-                        good.append(raw)
-            write_atomic(path, "".join(good))
-        self._rebuild_systems_index()
-        return report
 
     def _rebuild_systems_index(self) -> None:
         """Regenerate ``systems.json`` from the manifest and the files on disk."""
         index: dict[str, str] = {}
-        manifest_systems: list[str] = []
-        if self.exists():
-            try:
-                recorded = self.read_manifest().get("systems")
-                if isinstance(recorded, Mapping):
-                    manifest_systems = list(recorded)
-            except StoreError:
-                pass
-        stale = self._load_systems_index()
-        for system in (*manifest_systems, *sorted(stale)):
+        for system in (*self.systems(), *sorted(self._load_systems_index())):
             filename = filename_for(system)
             if (self.root / filename).is_file():
                 index.setdefault(system, filename)

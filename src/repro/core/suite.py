@@ -310,7 +310,8 @@ class CampaignSuite:
                 if not resume:
                     raise StoreError(
                         f"result store {store.root} already exists; "
-                        "resume it or point at a fresh directory"
+                        "resume it or point at a fresh directory",
+                        "store/exists",
                     )
                 store.check_compatible(manifest)
             else:

@@ -94,9 +94,51 @@ class ServiceConflictError(ServiceError):
     (cancelling a job that already finished)."""
 
 
-class StoreError(ConfErrError):
-    """A persistent result store is missing, corrupt, or incompatible with
-    the suite being run (mismatched seed, systems or plugin configuration)."""
+class _CodedError(ConfErrError):
+    """An error whose ``code`` names the check that failed.
+
+    ``code`` is one of the subclass's ``CODES`` and is chosen where the
+    failure is detected, so a CLI message, a service response body and a
+    lint finding all name the same stable code."""
+
+    CODES: tuple[str, ...] = ()
+
+    def __init__(self, message: str, code: str):
+        if code not in self.CODES:
+            family = self.CODES[0].split("/")[0]
+            raise ValueError(f"unknown {family} error code {code!r}")
+        super().__init__(message)
+        self.code = code
+
+    def __reduce__(self):
+        # keep the code across a process pool (the default rebuilds from args)
+        return type(self), (str(self), self.code)
+
+
+#: Every code a :class:`StoreError` can carry (docs/ROBUSTNESS.md).
+STORE_ERROR_CODES = (
+    "store/missing",
+    "store/exists",
+    "store/locked",
+    "store/incompatible",
+    "store/corrupt-line",
+    "store/manifest-shape",
+)
+
+
+class StoreError(_CodedError):
+    """A persistent result store is missing, locked, damaged, or incompatible
+    with the suite being run or the artefact being rendered.
+
+    ``code`` (one of :data:`STORE_ERROR_CODES`) says which: ``store/missing``
+    (no store where one is expected), ``store/exists`` (a fresh run pointed
+    at an existing store), ``store/locked`` (another live writer),
+    ``store/incompatible`` (another experiment, manifest version or
+    artefact), ``store/corrupt-line`` (an unreadable interior record line)
+    or ``store/manifest-shape`` (a manifest that is not a JSON object, or
+    lacks its ``systems`` mapping)."""
+
+    CODES = STORE_ERROR_CODES
 
 
 #: Every diagnostic code a :class:`SpecError` can carry.  Each one is a
@@ -114,7 +156,7 @@ SPEC_ERROR_CODES = (
 )
 
 
-class SpecError(ConfErrError):
+class SpecError(_CodedError):
     """An experiment specification is structurally or semantically invalid.
 
     Messages are prefixed with the exact path of the offending entry
@@ -123,12 +165,7 @@ class SpecError(ConfErrError):
     :data:`SPEC_ERROR_CODES`) is chosen where the failure is detected; code
     that prefixes a caught error's message with a path passes it along."""
 
-    def __init__(self, message: str, code: str = "spec/invalid-value"):
-        if code not in SPEC_ERROR_CODES:
-            raise ValueError(f"unknown spec error code {code!r}")
-        super().__init__(message)
-        self.code = code
+    CODES = SPEC_ERROR_CODES
 
-    def __reduce__(self):
-        # keep the code across a process pool (the default rebuilds from args)
-        return type(self), (str(self), self.code)
+    def __init__(self, message: str, code: str = "spec/invalid-value"):
+        super().__init__(message, code)

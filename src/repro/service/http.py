@@ -102,11 +102,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, exc.report)
         except ServiceNotFoundError as exc:
             self._send_json(404, {"error": str(exc)})
-        except (ServiceConflictError, StoreError) as exc:
-            # a finished job cannot be cancelled, and a store may be unable
-            # to serve an artifact (wrong run kind, still empty, damaged):
-            # the request was well-formed, the state says no
+        except ServiceConflictError as exc:
+            # a finished job cannot be cancelled: the request was
+            # well-formed, the state says no
             self._send_json(409, {"error": str(exc)})
+        except StoreError as exc:
+            # a store unable to serve an artifact (wrong run kind, damaged)
+            # is a conflict too; its code says which
+            self._send_json(409, {"error": str(exc), "code": exc.code})
         except ServiceError as exc:
             self._send_json(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - a handler must never kill the server

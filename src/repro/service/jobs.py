@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.durable import write_atomic
+from repro.core.durable import read_json_object, write_atomic
 from repro.core.spec import ExperimentSpec
 from repro.errors import ServiceConflictError, ServiceError
 
@@ -171,7 +171,10 @@ class Job:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], job_dir: Path) -> "Job":
+        """Rebuild a snapshot; ``ValueError``/``KeyError``/``TypeError`` when malformed."""
         progress = data.get("progress") or {}
+        if not isinstance(progress, Mapping) or not isinstance(progress.get("cells") or {}, Mapping):
+            raise ValueError("job snapshot progress is not an object of cells")
         cells = progress.get("cells") or {}
         return cls(
             id=str(data["id"]),
@@ -234,11 +237,9 @@ class JobRegistry:
                 if not path.is_file():
                     continue
                 try:
-                    job = Job.from_dict(
-                        json.loads(path.read_text(encoding="utf-8")), job_dir
-                    )
-                except (json.JSONDecodeError, KeyError, ValueError, TypeError):
-                    continue  # half-written snapshot: the store still holds the records
+                    job = Job.from_dict(read_json_object(path), job_dir)
+                except (ValueError, KeyError, TypeError):
+                    continue  # damaged snapshot: the store still holds the records
                 if job.state == "RUNNING":
                     # the previous service process died mid-job; the store's
                     # resume protocol replays only what is missing

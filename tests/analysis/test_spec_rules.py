@@ -184,6 +184,22 @@ class TestStoreRules:
         report = lint_specs([spec_file])
         assert codes_of(report) == {"spec/resume-incompatible"}
 
+    @pytest.mark.parametrize(
+        "manifest, code",
+        [(b"[]", "store/manifest-shape"), (b'{"kind": "suite\xff"}', "store/manifest-shape")],
+        ids=["array", "non-utf8"],
+    )
+    def test_damaged_manifest_is_resume_incompatible(self, tmp_path, monkeypatch, manifest, code):
+        monkeypatch.chdir(tmp_path)
+        spec_file = self._copy("resume_incompatible_bad", tmp_path)
+        store_dir = tmp_path / "resumable-store"
+        store_dir.mkdir()
+        (store_dir / "manifest.json").write_bytes(manifest)
+        report = lint_specs([spec_file])
+        assert codes_of(report) == {"spec/resume-incompatible"}
+        [finding] = report.findings
+        assert f"{code}: corrupt manifest" in finding.message
+
 
 class TestNoDeltaSupport:
     def test_off_by_default(self):

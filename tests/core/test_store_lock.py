@@ -113,7 +113,8 @@ class TestWriterLock:
 
     def test_repair_respects_a_live_writer(self, tmp_path):
         writer = ResultStore(tmp_path)
-        writer.write_manifest({"kind": "suite", "seed": 1})
+        # repair refuses a store holding records without a systems mapping
+        writer.write_manifest({"kind": "suite", "seed": 1, "systems": {"pg": "PG"}})
         writer.append("pg", "spelling", record("a"))
         with pytest.raises(StoreError, match="locked by another writer"):
             ResultStore(tmp_path).repair()

@@ -221,6 +221,41 @@ class TestArtifacts:
         assert excinfo.value.status == 409
         assert "variation class" in excinfo.value.payload["error"]
 
+    def test_unservable_artifact_carries_its_store_code(self, client):
+        job = client.wait(client.submit(SMOKE_SPEC)["id"], timeout=120.0)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.artifact(job["id"], "table2")
+        assert excinfo.value.payload["code"] == "store/incompatible"
+
+    @pytest.mark.parametrize(
+        "damage, code",
+        [
+            (lambda data: b"[1,2]\n" + data, "store/corrupt-line"),
+            (lambda data: b"\xff\n" + data, "store/corrupt-line"),
+        ],
+        ids=["array-line", "non-utf8-line"],
+    )
+    def test_artifact_of_a_damaged_store_is_a_coded_409(self, client, server, damage, code):
+        job = client.wait(client.submit(SMOKE_SPEC)["id"], timeout=120.0)
+        store_dir = server.service.registry.get("alice", job["id"]).store_dir
+        records = store_dir / "postgres.jsonl"
+        records.write_bytes(damage(records.read_bytes()))
+        for artifact in ("table1", "report"):
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.artifact(job["id"], artifact)
+            assert excinfo.value.status == 409
+            assert excinfo.value.payload["code"] == code
+            assert "corrupt record" in excinfo.value.payload["error"]
+
+    def test_artifact_of_a_store_with_a_non_object_manifest_is_a_coded_409(self, client, server):
+        job = client.wait(client.submit(SMOKE_SPEC)["id"], timeout=120.0)
+        store_dir = server.service.registry.get("alice", job["id"]).store_dir
+        (store_dir / "manifest.json").write_bytes(b"[]\n")
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.artifact(job["id"], "table1")
+        assert excinfo.value.status == 409
+        assert excinfo.value.payload["code"] == "store/manifest-shape"
+
     def test_served_table2_of_the_table2_spec_matches_cli_from_store(self, client, server):
         # service stores are suite stores; Table 2 renders from their records
         from repro.bench.table2 import table2_spec

@@ -167,3 +167,24 @@ class TestRestartRecovery:
         registry.submit("bob", SPEC)
         counts = JobRegistry(tmp_path).counts()
         assert counts["QUEUED"] == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda snapshot: b"[]",
+            lambda snapshot: b"\xff" + snapshot,
+            lambda snapshot: snapshot.replace(b'"progress": {', b'"progress": 5, "x": {'),
+            lambda snapshot: snapshot.replace(b'"cells": {', b'"cells": [1], "x": {'),
+        ],
+        ids=["array", "non-utf8", "progress-number", "cells-array"],
+    )
+    def test_damaged_snapshot_is_skipped_and_the_rest_load(self, tmp_path, damage):
+        registry = JobRegistry(tmp_path)
+        kept = registry.submit(DEFAULT_TENANT, SPEC)
+        broken = registry.submit(DEFAULT_TENANT, SPEC)
+        path = broken.job_dir / "job.json"
+        damaged = damage(path.read_bytes())
+        assert damaged != path.read_bytes()
+        path.write_bytes(damaged)
+        reloaded = JobRegistry(tmp_path)  # the service starting on this data dir
+        assert [job.id for job in reloaded.list(DEFAULT_TENANT)] == [kept.id]
