@@ -26,9 +26,13 @@ stealing) rather than one static contiguous chunk per worker: a chunk full
 of cheap ``DETECTED_AT_STARTUP`` scenarios no longer leaves its worker idle
 while another grinds through expensive ``IGNORED`` ones.  Each worker builds
 its injection engine -- SUT instance, parsed configuration, plugin view and
-baseline serialisations -- **once per plugin run** (a persistent pool
-initializer for the process strategy), however many blocks it ends up
-pulling.
+baseline serialisations -- **once per stream** (one (system, plugin) cell),
+however many blocks it ends up pulling.
+
+A strategy is also a context manager.  :class:`~repro.core.suite.CampaignSuite`
+enters it once around every cell of a run, so the process strategy forks
+its workers once per suite run rather than once per cell, and the ``with``
+exit shuts them down however the run ends.
 
 Three strategies are provided:
 
@@ -40,7 +44,9 @@ Three strategies are provided:
     (process startup, sockets) as with real servers.
 ``ProcessPoolCampaignExecutor``
     Processes; sidesteps the GIL for CPU-bound simulated SUTs, but requires
-    the SUT factory, plugin and scenarios to be picklable.  One stream
+    the SUT factory, plugin and scenarios to be picklable.  One pool serves
+    every stream of a ``with`` block; each block task ships its own
+    scenarios and the cell's pickled :class:`WorkerSpec`.  One stream
     serves both the plain and the fault-tolerant run; the spec's
     :class:`~repro.core.faults.FaultPolicy` only switches on its deadline,
     respawn and isolation steps.
@@ -48,6 +54,7 @@ Three strategies are provided:
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import queue
 import signal
@@ -139,8 +146,8 @@ def make_blocks(indexed: Sequence, block_size: int) -> list[list]:
     """Cut a sequence into contiguous blocks of ``block_size``.
 
     The one block-cutting rule of the work-stealing pipeline: the thread
-    strategy feeds it ``(index, scenario)`` pairs and the process strategy
-    bare indices, so both always agree on block boundaries.
+    and process strategies both feed it ``(index, scenario)`` pairs, so
+    they always agree on block boundaries.
     """
     return [list(indexed[i:i + block_size]) for i in range(0, len(indexed), block_size)]
 
@@ -212,6 +219,20 @@ class CampaignExecutor(ABC):
         raises from the generator after in-flight work has settled.
         ``engine`` runs the scenarios a single worker runs in the calling
         thread; pool workers always build theirs from ``spec``.
+        """
+
+    def __enter__(self) -> "CampaignExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Release what the strategy keeps between streams.
+
+        A ``with`` block over the strategy lets every stream inside it share
+        one set of workers and releases them on exit, however the block
+        ends.  Serial and thread strategies keep nothing between streams.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -343,54 +364,103 @@ class ThreadPoolCampaignExecutor(CampaignExecutor):
 
 
 # ----------------------------------------------------------- process workers
-#: Per-process worker state, installed once by the pool initializer so that
-#: every block task reuses the same engine (SUT, parse, view, baseline).
-#: With a fault policy on the spec the runner is a GuardedWorker, so ordinary
-#: hangs are resolved *inside* the worker process and never reach the
-#: coordinator.
+#: Per-process worker state: the runner of the stream whose token this
+#: worker last saw.  A block of a new stream replaces it, so a pool that
+#: lives for a whole suite builds each cell's engine (SUT, parse, view,
+#: baseline) once per worker that pulls one of the cell's blocks.  With a
+#: fault policy on the spec the runner is a GuardedWorker, so ordinary hangs
+#: are resolved *inside* the worker process and never reach the coordinator.
+_PROCESS_TOKEN: int | None = None
 _PROCESS_RUNNER: InjectionEngine | GuardedWorker | None = None
-_PROCESS_SCENARIOS: tuple[FaultScenario, ...] = ()
-_PROCESS_INIT_ERROR: str | None = None
 
 
-def _initialize_process_worker(spec: WorkerSpec, scenarios: tuple[FaultScenario, ...]) -> None:
-    """Pool initializer: build this process's injection engine exactly once."""
-    global _PROCESS_RUNNER, _PROCESS_SCENARIOS, _PROCESS_INIT_ERROR
+def _initialize_process_worker() -> None:
+    """Pool initializer: restore the default SIGTERM disposition."""
     # A forked worker inherits the parent's handlers; the CLI folds SIGTERM
     # into KeyboardInterrupt, which would turn _terminate_pool's kill into a
     # traceback (and can wedge the pool's shutdown) instead of a quiet exit.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    try:
-        _PROCESS_RUNNER = _make_runner(spec)
-        _PROCESS_SCENARIOS = tuple(scenarios)
-        _PROCESS_INIT_ERROR = None
-    except BaseException as exc:  # noqa: BLE001 - a raising initializer breaks
-        # the whole pool with an opaque BrokenProcessPool; stash the cause and
-        # report it from the first block task instead, with a real message
-        _PROCESS_RUNNER = None
-        _PROCESS_INIT_ERROR = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
 
 
-def _run_scenario_block(indices: Sequence[int]) -> list[tuple[int, InjectionRecord]]:
-    """Block task: run the given scenario indices on this worker's engine."""
-    if _PROCESS_RUNNER is None:
-        raise CampaignError(
-            "process worker failed to build its injection context: "
-            + (_PROCESS_INIT_ERROR or "initializer did not run")
-        )
-    return [(index, _PROCESS_RUNNER.run_scenario(_PROCESS_SCENARIOS[index])) for index in indices]
+def _process_runner(token: int, shipped_spec: bytes) -> InjectionEngine | GuardedWorker:
+    """This worker's runner for stream ``token``, built on the first block."""
+    global _PROCESS_TOKEN, _PROCESS_RUNNER
+    if token != _PROCESS_TOKEN:
+        _close_runner(_PROCESS_RUNNER)
+        _PROCESS_TOKEN = _PROCESS_RUNNER = None
+        try:
+            _PROCESS_RUNNER = _make_runner(pickle.loads(shipped_spec))
+        except BaseException as exc:  # noqa: BLE001 - reported with its cause
+            raise CampaignError(
+                "process worker failed to build its injection context: "
+                f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+            ) from exc
+        _PROCESS_TOKEN = token
+    return _PROCESS_RUNNER
+
+
+def _run_scenario_block(
+    token: int, shipped_spec: bytes, shipped_block: bytes
+) -> list[tuple[int, InjectionRecord]]:
+    """Block task: run the block's ``(index, scenario)`` pairs on this worker's runner."""
+    runner = _process_runner(token, shipped_spec)
+    block = pickle.loads(shipped_block)
+    return [(index, runner.run_scenario(scenario)) for index, scenario in block]
 
 
 class ProcessPoolCampaignExecutor(CampaignExecutor):
     """OS processes pulling scenario blocks from the pool's shared call queue.
 
-    The pool initializer ships ``(spec, scenarios)`` once per worker process
-    and builds the injection engine there; block tasks then carry only
-    scenario *indices*, so per-block pickling cost is a few integers.  Block
-    results stream back as their futures complete.
+    The strategy owns one pool of ``jobs`` workers, forked at the first
+    block.  Inside a ``with`` block -- :meth:`CampaignSuite.run
+    <repro.core.suite.CampaignSuite.run>` wraps every cell in one -- that
+    pool serves every stream and closes when the block exits; a stream
+    started outside one closes its pool when it ends.  Each stream pickles
+    its :class:`WorkerSpec` once and each block's ``(index, scenario)``
+    pairs once; a block task carries both plus the stream's token, and a
+    worker builds its runner when it first sees a token.  Block results
+    stream back as their futures complete.
     """
 
     name = "process"
+
+    def __init__(self, jobs: int = 1, block_size: int | None = None):
+        super().__init__(jobs, block_size)
+        self._pool: ProcessPoolExecutor | None = None
+        #: True inside a ``with`` block: the pool outlives each stream.
+        self._shared = False
+        self._tokens = itertools.count()
+
+    def __enter__(self) -> "ProcessPoolCampaignExecutor":
+        self._shared = True
+        return self
+
+    def close(self) -> None:
+        """Shut the pool down, waiting for its idle workers to exit."""
+        self._shared = False
+        self._drop_pool(kill=False)
+
+    def _worker_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_initialize_process_worker
+            )
+        return self._pool
+
+    def _drop_pool(self, *, kill: bool) -> None:
+        """Retire the pool; the next block forks a fresh one.
+
+        ``kill`` terminates the workers first, for a pool whose workers may
+        be wedged or dead; otherwise queued blocks are cancelled and running
+        ones finish.
+        """
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if kill:
+            _terminate_pool(pool)
+        else:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def stream(self, spec, scenarios, engine=None):
         """Stream block results; ``spec.policy`` decides what a dead worker costs.
@@ -404,13 +474,13 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
         * **worker death** (``os._exit``, segfault, OOM-kill).  The stdlib
           pool declares itself wholly broken, so every unfinished block --
           guilty and innocent alike -- is lost.  Blocks are submitted
-          through a bounded window to cap that blast radius, the pool is
-          respawned for the remaining queue, and the lost scenarios go to a
-          *suspect* list.
+          through a bounded window to cap that blast radius, the strategy's
+          pool is replaced by a fresh one for the remaining queue (and for
+          later streams), and the lost scenarios go to a *suspect* list.
         * **a wedged worker** (hung beyond the reach of its own watchdog
           thread).  Detected by the coordinator-side hard deadline; the
-          pool's processes are killed outright and in-flight blocks become
-          suspects.
+          pool's processes are killed outright, the pool is replaced, and
+          in-flight blocks become suspects.
 
         Suspects are then re-run one at a time in **singleton pools**: an
         innocent scenario simply succeeds in isolation (its record identical
@@ -419,20 +489,26 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
         seeded backoff -- is quarantined with a ``HARNESS_ERROR`` record.
         Attribution is therefore exact: no innocent scenario is ever
         quarantined for a neighbour's crash.
+
+        A stream that ends early (a raising worker, or a consumer that
+        stops reading) retires the pool it leaves work in: without a policy
+        it waits for the running blocks, with one it kills the workers.
         """
-        scenario_list = list(scenarios)
-        if not scenario_list:
+        indexed = list(enumerate(scenarios))
+        if not indexed:
             return
-        workers = min(self.jobs, len(scenario_list))
+        workers = min(self.jobs, len(indexed))
         if workers <= 1:
-            yield from _serial_stream(spec, list(enumerate(scenario_list)), engine)
+            yield from _serial_stream(spec, indexed, engine)
             return
-        # Pre-flight the pickle round-trip so an unshippable campaign fails
-        # with a pointed message; inside the pool a pickling error would be
-        # indistinguishable from a genuine worker-side bug, which must keep
-        # its own traceback.
+        blocks = make_blocks(indexed, resolve_block_size(len(indexed), workers, self.block_size))
+        # Pickling every payload up front is also the pre-flight: an
+        # unshippable campaign fails here with a pointed message, where
+        # inside the pool a pickling error would be indistinguishable from a
+        # genuine worker-side bug, which must keep its own traceback.
         try:
-            pickle.dumps((spec, scenario_list))
+            shipped_spec = pickle.dumps(spec)
+            pending = deque((block, pickle.dumps(block)) for block in blocks)
         except Exception as exc:
             raise CampaignError(
                 "process executor could not ship the campaign to workers "
@@ -441,21 +517,22 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
             ) from exc
 
         policy = spec.policy
-        total = len(scenario_list)
-        block_size = resolve_block_size(total, workers, self.block_size)
-        pending_blocks: deque[list[int]] = deque(make_blocks(range(total), block_size))
+        token = next(self._tokens)
         suspects: deque[int] = deque()
-        window = workers * 2 if policy is not None else len(pending_blocks)
-
-        while pending_blocks:
-            pool = self._spawn_pool(spec, scenario_list, min(workers, len(pending_blocks)))
-            in_flight: dict = {}
-            broken = False
-            try:
-                while (pending_blocks or in_flight) and not broken:
-                    while pending_blocks and len(in_flight) < window:
+        window = workers * 2 if policy is not None else len(pending)
+        completed = False
+        try:
+            while pending:
+                pool = self._worker_pool()
+                in_flight: dict = {}
+                broken = False
+                while (pending or in_flight) and not broken:
+                    while pending and len(in_flight) < window:
+                        block, shipped_block = pending[0]
                         try:
-                            future = pool.submit(_run_scenario_block, pending_blocks[0])
+                            future = pool.submit(
+                                _run_scenario_block, token, shipped_spec, shipped_block
+                            )
                         except BrokenProcessPool:
                             # A worker died after the last wait returned: the
                             # unsubmitted block stays queued for the respawn.
@@ -463,7 +540,8 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
                                 raise
                             broken = True
                             break
-                        in_flight[future] = pending_blocks.popleft()
+                        pending.popleft()
+                        in_flight[future] = block
                     if broken:
                         break
                     deadline = None if policy is None else policy.block_deadline(
@@ -473,10 +551,9 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
                     if not done:
                         # No progress within the hard deadline: the workers
                         # are wedged beyond their own watchdogs.  Kill them.
-                        _terminate_pool(pool)
+                        self._drop_pool(kill=True)
                         for block in in_flight.values():
-                            suspects.extend(block)
-                        in_flight = {}
+                            suspects.extend(index for index, _ in block)
                         break
                     for future in done:
                         block = in_flight.pop(future)
@@ -485,36 +562,35 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
                         except BrokenProcessPool:
                             if policy is None:
                                 raise
-                            suspects.extend(block)
+                            suspects.extend(index for index, _ in block)
                             broken = True
-                # Pool broke: the stdlib fails *every* unfinished future, but
-                # ones that finished before the break still hold real results.
-                for future, block in in_flight.items():
-                    try:
-                        yield from future.result()
-                    except BrokenProcessPool:
-                        suspects.extend(block)
-            finally:
-                # Abandoned mid-stream (consumer failure/kill): drop the
-                # queued blocks.  Without a policy wait for the running ones;
-                # with one a worker may be wedged, so never wait on it.
-                pool.shutdown(wait=policy is None, cancel_futures=True)
+                if broken:
+                    # The stdlib fails *every* unfinished future of a broken
+                    # pool, but ones that finished before the break still
+                    # hold real results.
+                    for future, block in in_flight.items():
+                        try:
+                            yield from future.result()
+                        except BrokenProcessPool:
+                            suspects.extend(index for index, _ in block)
+                    self._drop_pool(kill=True)
+            completed = True
+        finally:
+            if not completed:
+                # Failed or abandoned mid-stream: this stream's blocks may
+                # still be queued or running.  Without a policy wait for the
+                # running ones; with one a worker may be wedged, so kill it.
+                self._drop_pool(kill=policy is not None)
+            if not self._shared:
+                self.close()
 
-        yield from self._isolate_suspects(spec, scenario_list, suspects, policy)
+        yield from self._isolate_suspects(token, shipped_spec, indexed, suspects, policy)
 
-    def _spawn_pool(
-        self, spec: WorkerSpec, scenario_list: list[FaultScenario], workers: int
-    ) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_initialize_process_worker,
-            initargs=(spec, tuple(scenario_list)),
-        )
-
+    @staticmethod
     def _isolate_suspects(
-        self,
-        spec: WorkerSpec,
-        scenario_list: list[FaultScenario],
+        token: int,
+        shipped_spec: bytes,
+        indexed: list[tuple[int, FaultScenario]],
         suspects: deque,
         policy: FaultPolicy | None,
     ) -> Iterator[tuple[int, InjectionRecord]]:
@@ -525,13 +601,15 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
         attempts: dict[int, int] = {}
         while suspects:
             index = suspects.popleft()
-            scenario = scenario_list[index]
+            scenario = indexed[index][1]
             previous = attempts.get(index, 0)
             if previous:
                 time.sleep(policy.backoff_delay(scenario.scenario_id, previous))
-            pool = self._spawn_pool(spec, scenario_list, 1)
+            pool = ProcessPoolExecutor(max_workers=1, initializer=_initialize_process_worker)
             try:
-                future = pool.submit(_run_scenario_block, [index])
+                future = pool.submit(
+                    _run_scenario_block, token, shipped_spec, pickle.dumps([indexed[index]])
+                )
                 try:
                     pairs = future.result(timeout=policy.block_deadline(1))
                 except BrokenProcessPool:
@@ -545,30 +623,34 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
                     else:
                         suspects.append(index)
                 except FuturesTimeoutError:
-                    _terminate_pool(pool)
                     yield index, timeout_record(
                         scenario, policy.timeout_seconds, wedged=True
                     )
                 else:
                     yield from pairs
             finally:
-                pool.shutdown(wait=False, cancel_futures=True)
+                # idle, dead or wedged alike: a singleton pool serves one attempt
+                _terminate_pool(pool)
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Kill a pool whose workers are wedged beyond cooperative shutdown.
+    """Kill a pool whose workers may be wedged beyond cooperative shutdown.
 
     Reaches into the executor's private process table -- there is no public
-    API for "stop waiting for these workers" -- and terminates each one, so
-    ``shutdown`` cannot block on a process that will never answer.
+    API for "stop waiting for these workers" -- terminates each one, so
+    ``shutdown`` cannot block on a process that will never answer, and then
+    reaps them, so no worker outlives its pool.  Safe on a pool already
+    terminated.
     """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    for process in processes:
         try:
             process.terminate()
         except Exception:  # pragma: no cover - already-dead worker
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.join()
 
 
 _EXECUTORS: dict[str, type[CampaignExecutor]] = {

@@ -50,7 +50,7 @@ JSON-object reader (:func:`~repro.core.durable.read_json_object`).  Every
 failure raises :class:`~repro.errors.StoreError` with a ``code`` from
 :data:`~repro.errors.STORE_ERROR_CODES`: ``store/missing``,
 ``store/exists``, ``store/locked``, ``store/incompatible``,
-``store/corrupt-line`` or ``store/manifest-shape``.
+``store/corrupt-line``, ``store/manifest-shape`` or ``store/index-shape``.
 
 Concurrency contract, precisely:
 
@@ -581,21 +581,35 @@ class ResultStore:
         return dropped
 
     # ------------------------------------------------------------- systems index
+    def _read_systems_index(self) -> dict[str, str]:
+        """``systems.json`` as it is on disk; {} when absent.
+
+        Raises :class:`StoreError` ``store/index-shape`` when the file is
+        not a JSON object mapping keys to file names.
+        """
+        path = self.root / _SYSTEMS_INDEX_NAME
+        try:
+            raw = read_json_object(path)
+        except FileNotFoundError:
+            return {}
+        except (OSError, ValueError) as exc:
+            raise StoreError(f"{path} is unreadable: {exc}", "store/index-shape") from exc
+        if not all(isinstance(value, str) for value in raw.values()):
+            raise StoreError(f"{path} maps a key to a non-string file name", "store/index-shape")
+        return raw
+
     def _load_systems_index(self) -> dict[str, str]:
         """The ``systems.json`` key -> file-name index (cached; {} when absent).
 
-        A corrupt index (crash mid-rewrite) degrades to {} rather than
-        raising: the index is recovery metadata, and the next append rewrites
-        it whole.
+        A damaged index degrades to {} rather than raising: the index is
+        recovery metadata, :meth:`verify` reports it, and :meth:`repair` or
+        the next append rewrites it whole.
         """
         if self._systems_index is None:
             try:
-                raw = read_json_object(self.root / _SYSTEMS_INDEX_NAME)
-            except (OSError, ValueError):
-                raw = {}
-            self._systems_index = {
-                key: value for key, value in raw.items() if isinstance(value, str)
-            }
+                self._systems_index = self._read_systems_index()
+            except StoreError:
+                self._systems_index = {}
         return self._systems_index
 
     def _register_system(self, system: str) -> None:
@@ -753,7 +767,11 @@ class ResultStore:
         manifest_error = self._manifest_error()
         if manifest_error is not None:
             report.problems.append(f"{manifest_error.code}: {manifest_error}")
-        index = self._load_systems_index()
+        try:
+            index = self._read_systems_index()
+        except StoreError as exc:
+            report.problems.append(f"{exc.code}: {exc}")
+            index = {}
         for system, filename in sorted(index.items()):
             if not (self.root / filename).is_file() and not self._handles.get(system):
                 report.problems.append(

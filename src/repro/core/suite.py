@@ -140,7 +140,8 @@ class CampaignSuite:
     jobs / executor / block_size:
         Worker fan-out of every (system, plugin) cell: one executor strategy
         (:func:`~repro.core.executor.resolve_executor`) streams every cell's
-        scenarios; ``jobs > 1`` needs factories, not live instances.
+        scenarios, and a process strategy's one pool serves the whole run;
+        ``jobs > 1`` needs factories, not live instances.
     policy:
         Optional :class:`~repro.core.faults.FaultPolicy` opting every
         campaign into the fault-tolerance layer.  Scenarios it gives up on
@@ -318,6 +319,21 @@ class CampaignSuite:
                 store.write_manifest(manifest)
 
         result = SuiteResult(system_names=dict(manifest["systems"]))
+        # one strategy context around every cell: the process strategy forks
+        # its workers once per run and shuts them down however the run ends
+        with strategy:
+            self._run_cells(strategy, split, store, resume, result)
+        return result
+
+    def _run_cells(
+        self,
+        strategy: CampaignExecutor,
+        split: dict[str, tuple[SystemUnderTest, Callable[[], SystemUnderTest] | None]],
+        store: ResultStore | None,
+        resume: bool,
+        result: SuiteResult,
+    ) -> None:
+        """Run every (system, plugin) cell, filling ``result`` as each ends."""
         for system_key in self.systems:
             self._check_cancelled()
             sut, sut_factory = split.pop(system_key)  # released once its cells ran
@@ -364,7 +380,6 @@ class CampaignSuite:
                 )
                 executed[plugin.name] = len(records)
                 skipped[plugin.name] = len(scenarios) - len(kept)
-        return result
 
     @staticmethod
     def _run_cell(

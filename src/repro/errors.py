@@ -123,6 +123,7 @@ STORE_ERROR_CODES = (
     "store/incompatible",
     "store/corrupt-line",
     "store/manifest-shape",
+    "store/index-shape",
 )
 
 
@@ -135,8 +136,9 @@ class StoreError(_CodedError):
     at an existing store), ``store/locked`` (another live writer),
     ``store/incompatible`` (another experiment, manifest version or
     artefact), ``store/corrupt-line`` (an unreadable interior record line)
-    or ``store/manifest-shape`` (a manifest that is not a JSON object, or
-    lacks its ``systems`` mapping)."""
+    ``store/manifest-shape`` (a manifest that is not a JSON object, or
+    lacks its ``systems`` mapping) or ``store/index-shape`` (a
+    ``systems.json`` index that is not a JSON object of file names)."""
 
     CODES = STORE_ERROR_CODES
 

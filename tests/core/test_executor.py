@@ -9,6 +9,7 @@ running, and (c) build each worker's SUT/parse/view/baseline context once
 per plugin run, however many blocks the worker pulls.
 """
 
+import multiprocessing
 import os
 import random
 import signal
@@ -30,12 +31,14 @@ from repro.core.executor import (
     resolve_block_size,
     resolve_executor,
 )
+from repro.core.store import ResultStore, diff_stores
 from repro.core.suite import CampaignSuite
-from repro.errors import CampaignError
+from repro.errors import CampaignError, CancelledRun
 from repro.plugins import OmissionDuplicationPlugin, SpellingMistakesPlugin, StructuralErrorsPlugin
 from repro.registry import get_system
 from repro.sut.base import StartResult
 from repro.sut.chaos import ChaosFactory
+from repro.sut.mysql import SimulatedMySQL
 from repro.sut.postgres import SimulatedPostgres
 
 SEED = 2008
@@ -271,6 +274,127 @@ class TestOnePathPerStrategy:
         consumer.join(timeout=60)
         assert not consumer.is_alive(), "process stream hung after a worker died"
         assert isinstance(outcome.get("error"), BrokenProcessPool), outcome
+
+
+def _fails_in_workers():
+    """Postgres on the coordinator; a failing factory in a pool worker."""
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError("factory fails in the worker process")
+    return SimulatedPostgres()
+
+
+def _three_by_two(**execution) -> CampaignSuite:
+    """Three systems x two plugins, baseline check off."""
+    return CampaignSuite(
+        {key: get_system(key) for key in ("mysql", "postgres", "bind")},
+        [
+            SpellingMistakesPlugin(mutations_per_token=1),
+            StructuralErrorsPlugin(include=["omit-directive"]),
+        ],
+        seed=SEED,
+        check_baseline=False,
+        **execution,
+    )
+
+
+class TestOnePoolPerSuite:
+    """A process suite forks its workers once and none outlive the run."""
+
+    @pytest.mark.parametrize("jobs,block_size", [(2, None), (3, 1)])
+    def test_one_pool_serves_every_cell_and_matches_serial(
+        self, tmp_path, process_pools, jobs, block_size
+    ):
+        serial = ResultStore(tmp_path / "serial")
+        _three_by_two().run(store=serial)
+        assert not process_pools
+        process = ResultStore(tmp_path / "process")
+        result = _three_by_two(jobs=jobs, executor="process", block_size=block_size).run(
+            store=process
+        )
+        assert len(process_pools) == 1
+        (pool, tokens), = process_pools
+        assert pool._max_workers == jobs
+        # every cell with more than one scenario streamed through that pool
+        fanned = sum(
+            1 for per_plugin in result.executed.values() for count in per_plugin.values()
+            if count > 1
+        )
+        assert len(set(tokens)) == fanned == 6
+        serial.close()
+        process.close()
+        assert diff_stores(process, serial) == []
+        assert multiprocessing.active_children() == []
+
+    def test_failing_cell_after_a_good_one_reports_the_injection_context(self):
+        suite = CampaignSuite(
+            {"mysql": SimulatedMySQL, "postgres": _fails_in_workers},
+            [SpellingMistakesPlugin(mutations_per_token=1)],
+            seed=SEED,
+            check_baseline=False,
+            jobs=2,
+            executor="process",
+        )
+        with pytest.raises(CampaignError, match="injection context") as raised:
+            suite.run()
+        assert "factory fails in the worker process" in str(raised.value)
+        assert multiprocessing.active_children() == []
+
+    def test_cancelled_run_leaves_no_worker(self):
+        seen = []
+        suite = _three_by_two(
+            jobs=2,
+            executor="process",
+            record_observer=lambda _system, _plugin, record: seen.append(record),
+            cancel_check=lambda: len(seen) >= 50,
+        )
+        with pytest.raises(CancelledRun):
+            suite.run()
+        assert len(seen) == 50
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_abandoned_stream_leaves_no_worker(self, process_pools, shared):
+        spec = WorkerSpec(
+            sut_factory=get_system("postgres"),
+            plugin=SpellingMistakesPlugin(mutations_per_token=1),
+        )
+        strategy = ProcessPoolCampaignExecutor(jobs=2, block_size=1)
+        if shared:
+            strategy.__enter__()
+        stream = strategy.stream(spec, _scenarios(spec.plugin))
+        next(stream)
+        stream.close()
+        # abandoned mid-stream, the pool is retired even inside a with block
+        assert multiprocessing.active_children() == []
+        assert strategy._pool is None
+        strategy.close()
+        assert len(process_pools) == 1
+
+    def test_stream_outside_a_with_block_closes_its_pool(self, process_pools):
+        spec = WorkerSpec(
+            sut_factory=get_system("postgres"),
+            plugin=SpellingMistakesPlugin(mutations_per_token=1),
+        )
+        strategy = ProcessPoolCampaignExecutor(jobs=2)
+        scenarios = _scenarios(spec.plugin)
+        for _ in range(2):
+            assert len(list(strategy.stream(spec, scenarios))) == len(scenarios)
+            assert multiprocessing.active_children() == []
+        assert len(process_pools) == 2
+
+    def test_unshippable_campaign_fails_before_any_worker_forks(self, process_pools):
+        suite = CampaignSuite(
+            {"postgres": lambda: SimulatedPostgres()},
+            [SpellingMistakesPlugin(mutations_per_token=1)],
+            seed=SEED,
+            check_baseline=False,
+            jobs=2,
+            executor="process",
+        )
+        with pytest.raises(CampaignError, match="could not ship the campaign"):
+            suite.run()
+        assert not process_pools
+        assert multiprocessing.active_children() == []
 
 
 class _SigtermProbePostgres(SimulatedPostgres):

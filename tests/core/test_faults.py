@@ -8,6 +8,7 @@ scenario must surface exactly once as a quarantined ``TIMEOUT`` /
 ``HARNESS_ERROR`` record -- never silently vanish, never duplicate.
 """
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -22,7 +23,7 @@ from repro.core.faults import (
 )
 from repro.core.profile import InjectionOutcome
 from repro.core.spec import ExecutionSpec
-from repro.core.store import ResultStore
+from repro.core.store import ResultStore, diff_stores
 from repro.core.suite import CampaignSuite
 from repro.core.templates.base import FaultScenario
 from repro.plugins import SpellingMistakesPlugin
@@ -282,6 +283,51 @@ class TestChaosCrashes:
                 if r.outcome is InjectionOutcome.HARNESS_ERROR
             }
         assert by_executor["thread"] == by_executor["process"]
+
+
+def _chaos_then_clean(store, executor, factory=None):
+    """A worker-killing djbdns cell, then a clean Postgres cell, stored."""
+    if factory is None:
+        factory = ChaosFactory(
+            get_system("djbdns"), crash_fraction=CHAOS_FRACTION, seed=SEED, hang_seconds=30.0
+        )
+    suite = CampaignSuite(
+        {"djbdns": factory, "postgres": get_system("postgres")},
+        [SpellingMistakesPlugin(mutations_per_token=1)],
+        seed=SEED,
+        check_baseline=False,
+        jobs=4,
+        executor=executor,
+        policy=FAST_POLICY,
+    )
+    suite.run(store=store)
+    store.close()
+    return store
+
+
+class TestSharedPoolUnderChaos:
+    """Respawn and isolation on the one pool a process suite keeps."""
+
+    def test_respawned_pool_serves_the_next_cell(self, tmp_path, process_pools):
+        chaos = _chaos_then_clean(ResultStore(tmp_path / "process"), "process")
+        shared = [(pool, tokens) for pool, tokens in process_pools if pool._max_workers == 4]
+        assert len(shared) >= 2, "the chaos cell must break and respawn the pool"
+        chaos_token, clean_token = dict.fromkeys(t for _pool, tokens in shared for t in tokens)
+        serving_clean = [tokens for _pool, tokens in shared if clean_token in tokens]
+        # one pool served the clean cell: the last one the chaos cell respawned
+        assert serving_clean == [shared[-1][1]]
+        assert chaos_token in shared[-1][1]
+        # singleton pools re-ran the suspects; none served the clean cell
+        singles = [tokens for pool, tokens in process_pools if pool._max_workers == 1]
+        assert singles and all(tokens == [chaos_token] for tokens in singles)
+
+        plain = _chaos_then_clean(ResultStore(tmp_path / "plain"), None, get_system("djbdns"))
+        assert diff_stores(chaos, plain) == []
+        assert not chaos.quarantined_ids("postgres")
+        threads = _chaos_then_clean(ResultStore(tmp_path / "thread"), "thread")
+        assert chaos.quarantined_ids("djbdns") == threads.quarantined_ids("djbdns")
+        assert chaos.quarantined_ids("djbdns")
+        assert multiprocessing.active_children() == []
 
 
 # -------------------------------------------------- quarantine-then-resume

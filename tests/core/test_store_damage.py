@@ -177,3 +177,17 @@ def test_manifest_without_systems_is_a_verify_problem_repair_refuses(pristine, t
         ResultStore(root).repair()
     assert excinfo.value.code == "store/manifest-shape"
     assert contents() == before
+
+
+@pytest.mark.parametrize("body", [b"\xff", b"[1,2]", b'{"postgres": 5}'])
+def test_damaged_systems_index_is_a_verify_problem_repair_mends(pristine, tmp_path, body):
+    root = tmp_path / "store"
+    shutil.copytree(pristine, root)
+    index = (root / "systems.json").read_bytes()
+    (root / "systems.json").write_bytes(body)
+    report = ResultStore(root).verify()
+    assert [problem.split(":")[0] for problem in report.problems] == ["store/index-shape"]
+    assert not report.clean
+    ResultStore(root).repair()
+    assert (root / "systems.json").read_bytes() == index
+    assert ResultStore(root).verify().clean
