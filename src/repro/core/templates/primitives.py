@@ -175,32 +175,30 @@ class MoveTemplate(TargetedTemplate):
         scenarios = []
         ordinal = 0
         addresses = AddressIndex(config_set)
+        # destinations do not depend on the target: select and label them once
+        destinations = []
+        for tree in config_set:
+            for dest in self.destination.select(tree.root):
+                dest_address = addresses.address_of(dest)
+                destinations.append((dest_address, str(dest_address), _node_label(dest)))
         for node, address in self.select_targets(config_set, addresses):
-            for tree in config_set:
-                for dest in self.destination.select(tree.root):
-                    dest_address = addresses.address_of(dest)
-                    if dest_address.tree == address.tree:
-                        if dest_address.path[: len(address.path)] == address.path:
-                            continue  # the node itself or its own subtree
-                        if not self.include_current_parent and dest_address.path == address.path[:-1]:
-                            continue
-                    scenarios.append(
-                        FaultScenario(
-                            scenario_id=f"move-{ordinal}-{_node_label(node)}",
-                            description=(
-                                f"move {_node_label(node)} from {address} "
-                                f"into {_node_label(dest)} ({dest_address})"
-                            ),
-                            category=self.category,
-                            operations=(MoveOperation(address, dest_address),),
-                            metadata={
-                                "target": str(address),
-                                "destination": str(dest_address),
-                                "node": _node_label(node),
-                            },
-                        )
+            label, where = _node_label(node), str(address)
+            for dest_address, dest_where, dest_label in destinations:
+                if dest_address.tree == address.tree:
+                    if dest_address.path[: len(address.path)] == address.path:
+                        continue  # the node itself or its own subtree
+                    if not self.include_current_parent and dest_address.path == address.path[:-1]:
+                        continue
+                scenarios.append(
+                    FaultScenario(
+                        scenario_id=f"move-{ordinal}-{label}",
+                        description=f"move {label} from {where} into {dest_label} ({dest_where})",
+                        category=self.category,
+                        operations=(MoveOperation(address, dest_address),),
+                        metadata={"target": where, "destination": dest_where, "node": label},
                     )
-                    ordinal += 1
+                )
+                ordinal += 1
         return scenarios
 
 

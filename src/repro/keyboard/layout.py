@@ -66,6 +66,8 @@ class KeyboardLayout:
         #: ``neighbour_characters`` answers by (character, max_distance,
         #: keep_modifiers); geometry is constant until the next ``add_key``.
         self._neighbour_table: dict[tuple[str, float, bool], tuple[str, ...]] = {}
+        #: ``characters_near`` answers by (character, max_distance), likewise.
+        self._near_table: dict[tuple[str, float], tuple[str, ...]] = {}
         for key in keys:
             self.add_key(key)
 
@@ -73,6 +75,7 @@ class KeyboardLayout:
         """Register ``key`` and index every character it can produce."""
         self._keys[key.key_id] = key
         self._neighbour_table.clear()
+        self._near_table.clear()
         for modifiers, character in key.outputs.items():
             # first registration wins so base characters stay canonical
             self._char_index.setdefault(character, (key, modifiers))
@@ -126,7 +129,8 @@ class KeyboardLayout:
         """Characters an operator might type instead of ``character``.
 
         Locates the key and modifiers producing ``character`` and returns the
-        characters produced by neighbouring keys.  When ``keep_modifiers`` is
+        characters produced by neighbouring keys, nearest first, each once
+        and never ``character`` itself.  When ``keep_modifiers`` is
         true (the paper's model) the same modifier combination is applied to
         the neighbouring keys; neighbours that produce nothing under those
         modifiers are skipped.  Answers come from a per-layout table filled
@@ -141,12 +145,26 @@ class KeyboardLayout:
                 return []
             key, modifiers = located
             wanted = modifiers if keep_modifiers else NO_MODIFIERS
-            outputs = []
+            outputs: dict[str, None] = {}
             for neighbour in self.neighbours(key, max_distance):
                 produced = neighbour.character(wanted)
                 if produced is not None and produced != character:
-                    outputs.append(produced)
+                    outputs.setdefault(produced)
             answer = self._neighbour_table[table_key] = tuple(outputs)
+        return list(answer)
+
+    def characters_near(self, character: str, max_distance: float = 1.5) -> list[str]:
+        """``character`` itself, then its :meth:`neighbour_characters`, each once.
+
+        What a press aimed at ``character`` may type.  Answers come from a
+        per-layout table like :meth:`neighbour_characters`'; each call
+        returns a fresh list.
+        """
+        table_key = (character, max_distance)
+        answer = self._near_table.get(table_key)
+        if answer is None:
+            neighbours = self.neighbour_characters(character, max_distance=max_distance)
+            answer = self._near_table[table_key] = (character, *neighbours)
         return list(answer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

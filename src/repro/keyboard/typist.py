@@ -31,7 +31,8 @@ class Typist:
 
         The same modifier combination as the intended character is kept, per
         the paper's model (an operator holding Shift who misses ``A`` will
-        produce another *capital* letter).
+        produce another *capital* letter).  Each candidate appears once, and
+        ``character`` itself never does.
         """
         return self.layout.neighbour_characters(character, max_distance=self.reach)
 
@@ -42,12 +43,10 @@ class Typist:
         An accidental double press of a nearby key inserts one of its
         characters; the intended character itself is also a realistic
         insertion (key bounce / double tap), so it is included first.
+        Answers come from the layout's :meth:`~KeyboardLayout.characters_near`
+        table; each call returns a fresh list.
         """
-        candidates = [character]
-        for neighbour in self.layout.neighbour_characters(character, max_distance=self.reach):
-            if neighbour not in candidates:
-                candidates.append(neighbour)
-        return candidates
+        return self.layout.characters_near(character, max_distance=self.reach)
 
     # ---------------------------------------------------------------- shifting
     def requires_shift(self, character: str) -> bool | None:

@@ -15,15 +15,21 @@ triphone classification of van Berkel & De Smedt:
 Each submodel extends the abstract modify template; the plugin composes them
 over the token view and can either enumerate all possible typos or select a
 bounded random subset per target token (the paper's case studies pick a
-handful of random typos per directive).
+handful of random typos per directive).  A sampled typo is drawn by index
+from the models' :meth:`TypoModel.variants`, so only the drawn typos are
+built.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import accumulate, repeat
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.infoset import ConfigNode, ConfigSet
 from repro.core.templates.base import AddressIndex, FaultScenario, SetFieldOperation
@@ -46,6 +52,7 @@ from repro.plugins.base import (
 
 __all__ = [
     "TypoModel",
+    "TypoVariants",
     "OmissionModel",
     "InsertionModel",
     "SubstitutionModel",
@@ -57,9 +64,103 @@ __all__ = [
 ]
 
 
+# ------------------------------------------------------------------- sequences
+class _Chained(Sequence):
+    """A read-only sequence made of consecutive parts, located by bisection.
+
+    ``sizes`` are the part lengths; ``[j]`` finds the part holding item
+    ``j`` and asks :meth:`_item` for it, so no part is materialised.
+    """
+
+    __slots__ = ("_ends",)
+
+    def __init__(self, sizes: Iterable[int]):
+        self._ends = list(accumulate(sizes))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        index = operator.index(index)
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        part = bisect_right(self._ends, index)
+        return self._item(part, index - (self._ends[part - 1] if part else 0))
+
+    @abstractmethod
+    def _item(self, part: int, offset: int):
+        """Item ``offset`` of part ``part``."""
+
+
+#: One group of typos of a word: ``word[start:end]`` replaced by each of
+#: the replacements in turn.
+_Edit = tuple[int, int, tuple[str, ...]]
+
+
+class TypoVariants(_Chained):
+    """The distinct typos of one word under one model, built when asked for.
+
+    Holds the model's edit groups, which are pairwise distinct by
+    construction: ``len()`` sums their sizes and ``[j]`` builds the one
+    string it names, both in O(len(word)).  Iteration builds the strings in
+    order directly, so enumerating costs what building a list does.
+    """
+
+    __slots__ = ("word", "_edits")
+
+    def __init__(self, word: str, edits: list[_Edit]):
+        super().__init__(map(len, map(operator.itemgetter(2), edits)))
+        self.word = word
+        self._edits = edits
+
+    def _item(self, part: int, offset: int) -> str:
+        start, end, replacements = self._edits[part]
+        return self.word[:start] + replacements[offset] + self.word[end:]
+
+    def __iter__(self) -> Iterator[str]:
+        word = self.word
+        for start, end, replacements in self._edits:
+            head, tail = word[:start], word[end:]
+            for replacement in replacements:
+                yield head + replacement + tail
+
+
+class _TokenTypos(_Chained):
+    """(model, typo) pairs of one token: each model's variants in turn."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, parts: list[tuple[TypoModel, Sequence[str]]]):
+        super().__init__(map(len, map(operator.itemgetter(1), parts)))
+        self._parts = parts
+
+    def _item(self, part: int, offset: int) -> tuple[TypoModel, str]:
+        model, variants = self._parts[part]
+        return model, variants[offset]
+
+    def __iter__(self) -> Iterator[tuple[TypoModel, str]]:
+        for model, variants in self._parts:
+            yield from zip(repeat(model), variants)
+
+
 # ----------------------------------------------------------------------- models
 class TypoModel(ABC):
-    """One category of single-keystroke error."""
+    """One category of single-keystroke error.
+
+    A model answers two questions about a word.  :meth:`mutations` lists
+    its distinct faulty spellings.  :meth:`variants` is the same typos as an
+    immutable :class:`~collections.abc.Sequence`: ``len()`` is their number
+    and ``[j]`` the j-th of them in :meth:`mutations` order.  The spelling
+    plugin draws typos from :meth:`variants` by index.
+
+    A custom model needs only :meth:`mutations`; the default
+    :meth:`variants` wraps its list.  The built-in models index instead:
+    ``len()`` and each ``[j]`` cost O(len(word)) and build no other typo,
+    and :meth:`mutations` is ``list(variants(word))``.
+    """
 
     #: Identifier used in scenario categories (``typo-<name>``).
     name: str = "typo"
@@ -68,26 +169,54 @@ class TypoModel(ABC):
     def mutations(self, word: str) -> list[str]:
         """All distinct faulty spellings of ``word`` under this model."""
 
+    def variants(self, word: str) -> Sequence[str]:
+        """:meth:`mutations` as an immutable sequence (built in full here)."""
+        return tuple(self.mutations(word))
+
     def category(self) -> str:
         """Scenario category for this model."""
         return f"typo-{self.name}"
 
 
-class OmissionModel(TypoModel):
+class _EditModel(TypoModel):
+    """A built-in model: its typos are per-position edits of the word.
+
+    :meth:`_edits` derives the groups from the word's characters and their
+    keyboard candidates in O(len(word)), without building a typo string.
+    """
+
+    def mutations(self, word: str) -> list[str]:
+        return list(self.variants(word))
+
+    def variants(self, word: str) -> TypoVariants:
+        return TypoVariants(word, self._edits(word))
+
+    @abstractmethod
+    def _edits(self, word: str) -> list[_Edit]:
+        """Edit groups yielding every distinct typo once, none equal to ``word``."""
+
+
+#: The one replacement of an omission.
+_DROP = ("",)
+
+
+class OmissionModel(_EditModel):
     """Drop one character (hurried typing misses a keystroke)."""
 
     name = "omission"
 
-    def mutations(self, word: str) -> list[str]:
+    def _edits(self, word: str) -> list[_Edit]:
         if len(word) < 2:
             return []  # dropping the only character deletes the word, not a typo
-        seen: dict[str, None] = {}
-        for index in range(len(word)):
-            seen.setdefault(word[:index] + word[index + 1:], None)
-        return [variant for variant in seen if variant != word]
+        # dropping any character of a run of equal ones gives the same typo
+        return [
+            (index, index + 1, _DROP)
+            for index, char in enumerate(word)
+            if index == 0 or char != word[index - 1]
+        ]
 
 
-class InsertionModel(TypoModel):
+class InsertionModel(_EditModel):
     """Insert a spurious character next to an intended keystroke."""
 
     name = "insertion"
@@ -95,22 +224,29 @@ class InsertionModel(TypoModel):
     def __init__(self, typist: Typist | None = None):
         self.typist = typist or Typist()
 
-    def mutations(self, word: str) -> list[str]:
+    def _edits(self, word: str) -> list[_Edit]:
         if not word:
             return []
-        seen: dict[str, None] = {}
         # A slip can land *before* the first keystroke too: the spurious
         # character comes from the first intended key or its neighbours
         # (Section 4.1's insertion model covers both sides of a keypress).
-        for candidate in self.typist.insertion_candidates(word[0]):
-            seen.setdefault(candidate + word, None)
-        for index, char in enumerate(word):
-            for candidate in self.typist.insertion_candidates(char):
-                seen.setdefault(word[: index + 1] + candidate + word[index + 1:], None)
-        return [variant for variant in seen if variant != word]
+        # Gap g > 0 follows keystroke g - 1 and slips from its key.
+        per_char = list(map(self.typist.insertion_candidates, word))
+        previous = per_char[0]
+        edits = [(0, 0, tuple(previous))]
+        for gap, (char, candidates) in enumerate(zip(word, per_char), start=1):
+            kept = candidates
+            if char in previous:
+                # ``char`` inserted on either side of a typed ``char`` spells
+                # the same typo, already made one gap earlier
+                kept = [candidate for candidate in candidates if candidate != char]
+            if kept:
+                edits.append((gap, gap, tuple(kept)))
+            previous = candidates
+        return edits
 
 
-class SubstitutionModel(TypoModel):
+class SubstitutionModel(_EditModel):
     """Replace a character with the output of a neighbouring key."""
 
     name = "substitution"
@@ -118,49 +254,61 @@ class SubstitutionModel(TypoModel):
     def __init__(self, typist: Typist | None = None):
         self.typist = typist or Typist()
 
-    def mutations(self, word: str) -> list[str]:
-        seen: dict[str, None] = {}
-        for index, char in enumerate(word):
-            for candidate in self.typist.substitution_candidates(char):
-                seen.setdefault(word[:index] + candidate + word[index + 1:], None)
-        return [variant for variant in seen if variant != word]
+    def _edits(self, word: str) -> list[_Edit]:
+        # candidates are distinct and never the character itself, so typos
+        # at one position differ, and so do typos at different positions
+        return [
+            (index, index + 1, tuple(candidates))
+            for index, candidates in enumerate(map(self.typist.substitution_candidates, word))
+            if candidates
+        ]
 
 
-class CaseAlterationModel(TypoModel):
+class CaseAlterationModel(_EditModel):
     """Swap the case of adjacent letters (Shift-key miscoordination)."""
 
     name = "case-alteration"
 
-    def mutations(self, word: str) -> list[str]:
-        seen: dict[str, None] = {}
+    def _edits(self, word: str) -> list[_Edit]:
+        if not any(map(str.isupper, word)):
+            return []  # both alterations need a capital
+        # Each alteration, with the characters it leaves unchanged trimmed
+        # off, is a (start, end, replacement) edit: equal typos meet as
+        # equal edits, and a no-op edit is dropped.
+        edits: list[tuple[int, int, str]] = []
         for index in range(len(word) - 1):
             first, second = word[index], word[index + 1]
             if not (first.isalpha() and second.isalpha()):
                 continue
             if first.isupper() == second.isupper():
                 continue
-            swapped = word[:index] + first.swapcase() + second.swapcase() + word[index + 2:]
-            seen.setdefault(swapped, None)
+            new_first, new_second = first.swapcase(), second.swapcase()
+            if new_first == first:
+                if new_second != second:
+                    edits.append((index + 1, index + 2, new_second))
+            elif new_second == second:
+                edits.append((index, index + 1, new_first))
+            else:
+                edits.append((index, index + 2, new_first + new_second))
         # A lone capital at a word boundary can also lose or gain its Shift.
         for index, char in enumerate(word):
-            if char.isalpha() and char.isupper():
-                seen.setdefault(word[:index] + char.lower() + word[index + 1:], None)
-        return [variant for variant in seen if variant != word]
+            if char.isalpha() and char.isupper() and char.lower() != char:
+                edits.append((index, index + 1, char.lower()))
+        return [(start, end, (replacement,)) for start, end, replacement in dict.fromkeys(edits)]
 
 
-class TranspositionModel(TypoModel):
+class TranspositionModel(_EditModel):
     """Swap two adjacent characters within a word."""
 
     name = "transposition"
 
-    def mutations(self, word: str) -> list[str]:
-        seen: dict[str, None] = {}
-        for index in range(len(word) - 1):
-            if word[index] == word[index + 1]:
-                continue
-            swapped = word[:index] + word[index + 1] + word[index] + word[index + 2:]
-            seen.setdefault(swapped, None)
-        return [variant for variant in seen if variant != word]
+    def _edits(self, word: str) -> list[_Edit]:
+        # swaps of distinct neighbours never coincide; equal ones are no-ops
+        return [
+            (index, index + 2, (word[index + 1] + word[index],))
+            for index in range(len(word) - 1)
+            if word[index] != word[index + 1]
+        ]
 
 
 def default_models(typist: Typist | None = None) -> list[TypoModel]:
@@ -240,6 +388,11 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
     mutations_per_token:
         When set, at most this many randomly chosen typos are produced per
         target token; when None, every possible typo becomes a scenario.
+        A token's candidates are the models' :meth:`~TypoModel.variants`
+        chained lazily, and ``random.sample`` indexes them: with the
+        built-in models a token costs O(len(word)) per model plus one
+        typo string per draw, not the hundreds of typos a long value has.
+        Unset, every typo is built once, in order.
     directives_per_section:
         When set, only this many directives per section (or file root) are
         targeted -- the paper's Table 1 selection.  The pick is the
@@ -356,14 +509,16 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
         selected = _select_directives(tokens, self.directives_per_section)
         return [token for token in tokens if _directive_of(token) in selected]
 
-    def mutations_for_token(self, token: ConfigNode) -> list[tuple[TypoModel, str]]:
-        """Every (model, faulty spelling) pair applicable to ``token``."""
+    def mutations_for_token(self, token: ConfigNode) -> Sequence[tuple[TypoModel, str]]:
+        """Every (model, faulty spelling) pair applicable to ``token``.
+
+        A lazy sequence over the models' :meth:`~TypoModel.variants`.
+        ``random.sample`` takes its ``len()`` and indexes it (a population
+        of a few dozen or fewer it copies to a list first), so drawing k
+        typos of a long token builds k strings.
+        """
         word = token.value or ""
-        result: list[tuple[TypoModel, str]] = []
-        for model in self.models:
-            for variant in model.mutations(word):
-                result.append((model, variant))
-        return result
+        return _TokenTypos([(model, model.variants(word)) for model in self.models])
 
     def generate(self, view_set: ConfigSet, rng: random.Random) -> list[FaultScenario]:
         scenarios: list[FaultScenario] = []

@@ -20,7 +20,9 @@ from repro.core.templates import (
     SetValueTemplate,
     resolve_address,
 )
+from repro.core.path import PathExpr
 from repro.core.templates.base import AddressIndex
+from repro.core.templates.primitives import _node_label
 from repro.errors import TemplateError
 
 
@@ -43,6 +45,38 @@ def build_set() -> ConfigSet:
         dialect="ini",
     )
     return ConfigSet([tree])
+
+
+def _nested_move_scenarios(template: MoveTemplate, config_set: ConfigSet) -> list[FaultScenario]:
+    """``MoveTemplate.generate`` as a nested loop that reselects destinations per target."""
+    scenarios = []
+    addresses = AddressIndex(config_set)
+    for node, address in template.select_targets(config_set, addresses):
+        for tree in config_set:
+            for dest in template.destination.select(tree.root):
+                dest_address = addresses.address_of(dest)
+                if dest_address.tree == address.tree:
+                    if dest_address.path[: len(address.path)] == address.path:
+                        continue
+                    if not template.include_current_parent and dest_address.path == address.path[:-1]:
+                        continue
+                scenarios.append(
+                    FaultScenario(
+                        scenario_id=f"move-{len(scenarios)}-{_node_label(node)}",
+                        description=(
+                            f"move {_node_label(node)} from {address} "
+                            f"into {_node_label(dest)} ({dest_address})"
+                        ),
+                        category=template.category,
+                        operations=(MoveOperation(address, dest_address),),
+                        metadata={
+                            "target": str(address),
+                            "destination": str(dest_address),
+                            "node": _node_label(node),
+                        },
+                    )
+                )
+    return scenarios
 
 
 @pytest.fixture
@@ -241,6 +275,26 @@ class TestPrimitiveTemplates:
             "//directive[@name='port']", "//section", include_current_parent=True
         ).generate(config_set, rng)
         assert len(scenarios) == 2
+
+    def test_move_template_selects_destinations_once_per_tree(self, config_set, rng, monkeypatch):
+        second = build_set().get("app.conf")
+        second.name = "other.conf"
+        config_set.add(second)
+        template = MoveTemplate("//directive", "//section")
+        calls = []
+        original_select = PathExpr.select
+
+        def counting_select(self, root):
+            if self is template.destination:
+                calls.append(root)
+            return original_select(self, root)
+
+        monkeypatch.setattr(PathExpr, "select", counting_select)
+        scenarios = template.generate(config_set, rng)
+        assert calls == [tree.root for tree in config_set]
+        monkeypatch.undo()
+        assert scenarios == _nested_move_scenarios(template, config_set)
+        assert len(scenarios) == 6 * 3  # 6 directives, each into 3 of the 4 sections
 
     def test_insert_template(self, config_set, rng):
         foreign = ConfigNode("directive", "borrowed", "1")

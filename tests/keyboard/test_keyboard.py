@@ -54,7 +54,8 @@ def _recomputed(layout, character, reach, keep_modifiers):
     key, modifiers = layout.locate(character)
     wanted = modifiers if keep_modifiers else NO_MODIFIERS
     produced = (neighbour.character(wanted) for neighbour in layout.neighbours(key, reach))
-    return [output for output in produced if output is not None and output != character]
+    kept = (output for output in produced if output is not None and output != character)
+    return list(dict.fromkeys(kept))  # each character once
 
 
 class TestNeighbourTable:
@@ -91,10 +92,57 @@ class TestNeighbourTable:
         assert layout.neighbour_characters("A") == ["B", "C"]
         assert layout.neighbour_characters("c") == ["a", "b"]
 
+    def test_a_character_two_neighbours_produce_is_listed_once(self):
+        layout = build_rows("twins", [(0, 0.0, "ab", None)])
+        layout.add_key(Key("b2", 1, 0.0, outputs={NO_MODIFIERS: "b"}))
+        assert [key.key_id for key in layout.neighbours(layout.key("a"))] == ["b", "b2"]
+        assert layout.neighbour_characters("a") == ["b"]
+        assert Typist(layout).insertion_candidates("a") == ["a", "b"]
+
     def test_extra_keys_join_the_neighbours(self):
         """``build_rows(extra_keys=...)`` registers its keys through ``add_key``."""
         assert " " in qwerty_us().neighbour_characters("v")
         assert " " in qwerty_us().neighbour_characters("V")
+
+
+def _insertion_recomputed(typist: Typist, character: str) -> list[str]:
+    """``Typist.insertion_candidates`` rebuilt from the geometry on every call."""
+    candidates = [character]
+    for neighbour in _recomputed(typist.layout, character, typist.reach, True):
+        if neighbour not in candidates:
+            candidates.append(neighbour)
+    return candidates
+
+
+class TestInsertionTable:
+    """``insertion_candidates`` answers from the layout's ``characters_near``
+    table; the answers must be the recomputed ones, whatever was asked before."""
+
+    @pytest.mark.parametrize("name", ["qwerty-us", "azerty-fr", "dvorak"])
+    def test_every_answer_matches_a_recomputation(self, name):
+        layout = get_layout(name)
+        for reach in (1.0, 1.5, 2.0):
+            typist = Typist(layout, reach=reach)
+            for character in sorted(layout.supported_characters()):
+                expected = _insertion_recomputed(typist, character)
+                for _asked_again in range(2):
+                    assert typist.insertion_candidates(character) == expected, (character, reach)
+
+    def test_answers_are_fresh_lists(self):
+        typist = Typist()
+        first = typist.insertion_candidates("g")
+        expected = list(first)
+        first.append("!")
+        first.clear()
+        assert typist.insertion_candidates("g") == expected
+
+    def test_a_key_added_after_a_lookup_is_seen(self):
+        layout = build_rows("tiny", [(0, 0.0, "ab", "AB")])
+        typist = Typist(layout)
+        assert typist.insertion_candidates("a") == ["a", "b"]
+        layout.add_key(Key("c", 1, 0.0, outputs={NO_MODIFIERS: "c", SHIFT_ONLY: "C"}))
+        assert typist.insertion_candidates("a") == ["a", "b", "c"]
+        assert typist.insertion_candidates("C") == ["C", "A", "B"]
 
 
 class TestBundledLayouts:

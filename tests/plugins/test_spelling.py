@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.infoset import ConfigSet
+from repro.core.infoset import ConfigNode, ConfigSet
 from repro.core.views.token_view import TOKEN_DIRECTIVE_NAME, TOKEN_DIRECTIVE_VALUE
 from repro.errors import PluginError
 from repro.keyboard import Typist, get_layout
+from repro.keyboard.layout import Key, NO_MODIFIERS, SHIFT_ONLY, build_rows
 from repro.parsers.base import get_dialect, serialize_tree
 from repro.plugins.spelling import (
     CaseAlterationModel,
@@ -16,6 +18,7 @@ from repro.plugins.spelling import (
     SpellingMistakesPlugin,
     SubstitutionModel,
     TranspositionModel,
+    TypoModel,
     TypoTemplate,
     default_models,
 )
@@ -223,3 +226,174 @@ class TestSpellingPlugin:
     def test_unknown_layout_raises(self):
         with pytest.raises(KeyError):
             SpellingMistakesPlugin(layout_name="colemak")
+
+
+# ------------------------------------------------------------------ exactness
+def _enumerated(model: TypoModel, word: str) -> list[str]:
+    """Every typo of ``word`` built and deduplicated one by one.
+
+    The reference the indexed :meth:`TypoModel.variants` must reproduce,
+    order included: each model's typos are enumerated position by position
+    and the first spelling of each distinct string is kept.
+    """
+    if isinstance(model, OmissionModel):
+        if len(word) < 2:
+            return []
+        built = [word[:index] + word[index + 1:] for index in range(len(word))]
+    elif isinstance(model, InsertionModel):
+        if not word:
+            return []
+        built = [c + word for c in model.typist.insertion_candidates(word[0])]
+        for index, char in enumerate(word):
+            for candidate in model.typist.insertion_candidates(char):
+                built.append(word[: index + 1] + candidate + word[index + 1:])
+    elif isinstance(model, SubstitutionModel):
+        built = [
+            word[:index] + candidate + word[index + 1:]
+            for index, char in enumerate(word)
+            for candidate in model.typist.substitution_candidates(char)
+        ]
+    elif isinstance(model, CaseAlterationModel):
+        built = []
+        for index in range(len(word) - 1):
+            first, second = word[index], word[index + 1]
+            if first.isalpha() and second.isalpha() and first.isupper() != second.isupper():
+                built.append(word[:index] + first.swapcase() + second.swapcase() + word[index + 2:])
+        for index, char in enumerate(word):
+            if char.isalpha() and char.isupper():
+                built.append(word[:index] + char.lower() + word[index + 1:])
+    elif isinstance(model, TranspositionModel):
+        built = [
+            word[:index] + word[index + 1] + word[index] + word[index + 2:]
+            for index in range(len(word) - 1)
+            if word[index] != word[index + 1]
+        ]
+    else:
+        raise AssertionError(f"no reference enumeration for {model!r}")
+    return [variant for variant in dict.fromkeys(built) if variant != word]
+
+
+LAYOUTS = ("qwerty-us", "azerty-fr", "dvorak")
+MODELS_BY_LAYOUT = {name: default_models(Typist(get_layout(name))) for name in LAYOUTS}
+
+#: Letters of both cases, digits, punctuation, whitespace and characters no
+#: bundled layout types (accented letters, case mappings that are no-ops or
+#: change length).
+ALPHABET = "abcdeklmoszABCDEKLMOSZ0159.,;:-_/'\"!? \téÉçÇñßªİ€µΣς"
+characters = st.sampled_from(ALPHABET)
+words = st.one_of(
+    st.text(characters, max_size=14),
+    # runs of equal characters, where omission and insertion typos coincide
+    st.lists(st.tuples(characters, st.integers(1, 4)), max_size=6).map(
+        lambda runs: "".join(char * count for char, count in runs)
+    ),
+)
+
+
+class TestIndexedVariants:
+    """``variants`` indexes exactly the typos the enumeration builds."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @given(word=words)
+    @settings(max_examples=150, deadline=None)
+    def test_variants_equal_the_enumeration(self, layout, word):
+        for model in MODELS_BY_LAYOUT[layout]:
+            expected = _enumerated(model, word)
+            variants = model.variants(word)
+            assert list(variants) == expected, (model.name, word)
+            assert len(variants) == len(expected), (model.name, word)
+            assert [variants[j] for j in range(len(variants))] == expected, (model.name, word)
+            assert model.mutations(word) == expected
+            for outside in (len(expected), len(expected) + 3, -len(expected) - 1):
+                with pytest.raises(IndexError):
+                    variants[outside]
+
+    def test_edge_words(self):
+        for model in MODELS_BY_LAYOUT["qwerty-us"]:
+            for word in ("", "a", "A", "aa", "aaa", "aA", "Aa", "€", "€€", "ß", "Aß", "Aª", "ªA"):
+                assert list(model.variants(word)) == _enumerated(model, word), (model.name, word)
+
+    def test_variants_are_read_only_sequences(self):
+        variants = SubstitutionModel().variants("port")
+        assert variants[-1] == list(variants)[-1]
+        with pytest.raises(TypeError):
+            variants[0] = "x"  # type: ignore[index]
+
+    def test_a_key_added_after_a_lookup_is_seen(self):
+        layout = build_rows("tiny", [(0, 0.0, "ab", "AB")])
+        typist = Typist(layout)
+        insertion, substitution = InsertionModel(typist), SubstitutionModel(typist)
+        assert substitution.mutations("a") == ["b"]
+        assert insertion.mutations("a") == ["aa", "ba", "ab"]
+        layout.add_key(Key("c", 1, 0.0, outputs={NO_MODIFIERS: "c", SHIFT_ONLY: "C"}))
+        assert substitution.mutations("a") == ["b", "c"]
+        assert insertion.mutations("a") == ["aa", "ba", "ca", "ab", "ac"]
+
+    def test_keys_producing_one_character_twice(self):
+        layout = build_rows("twins", [(0, 0.0, "ab", "AB")])
+        layout.add_key(Key("b2", 1, 0.0, outputs={NO_MODIFIERS: "b", SHIFT_ONLY: "B"}))
+        for model in default_models(Typist(layout)):
+            for word in ("a", "ab", "aB", "Aab", "ba"):
+                assert list(model.variants(word)) == _enumerated(model, word), (model.name, word)
+
+
+def _token(word: str) -> ConfigNode:
+    return ConfigNode("token", value=word)
+
+
+class TestSamplingByIndex:
+    """Sampling the lazy candidates draws what sampling their list draws."""
+
+    @given(
+        word=st.text(characters, max_size=24),
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(LAYOUTS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sample_matches_the_materialised_list(self, word, seed, layout):
+        plugin = SpellingMistakesPlugin(models=MODELS_BY_LAYOUT[layout])
+        lazy = plugin.mutations_for_token(_token(word))
+        materialised = list(lazy)
+        assert len(lazy) == len(materialised)
+        assert materialised == [
+            (model, variant) for model in plugin.models for variant in _enumerated(model, word)
+        ]
+        for k in (1, 2, 5, 6, 64):
+            if k > len(materialised):
+                continue
+            assert random.Random(seed).sample(lazy, k) == random.Random(seed).sample(materialised, k)
+
+    def test_populations_cross_the_set_size_switch(self):
+        # random.sample copies a population of up to 21 items (277 for
+        # k = 64) and indexes a bigger one: the words above reach both sides
+        plugin = SpellingMistakesPlugin()
+        sizes = [len(plugin.mutations_for_token(_token(ALPHABET[:n]))) for n in range(25)]
+        assert sizes[0] == 0
+        assert any(0 < size <= 21 for size in sizes)
+        assert any(21 < size <= 277 for size in sizes) and max(sizes) > 277
+
+
+class _Doubling(TypoModel):
+    """A custom model that defines only ``mutations``."""
+
+    name = "doubling"
+
+    def mutations(self, word: str) -> list[str]:
+        return [word[: i + 1] + word[i:] for i in range(len(word))]
+
+
+def test_a_custom_model_samples_as_a_list(config_set):
+    models = [_Doubling(), OmissionModel()]
+    plugin = SpellingMistakesPlugin(models=models, mutations_per_token=2)
+    view_set = plugin.view.transform(config_set)
+    drawn = [
+        (s.metadata["model"], s.metadata["mutated"])
+        for s in plugin.generate(view_set, random.Random(11))
+    ]
+    rng = random.Random(11)
+    expected = []
+    for token in plugin.target_tokens(view_set):
+        pairs = [(m.name, v) for m in models for v in m.mutations(token.value)]
+        expected += rng.sample(pairs, 2) if len(pairs) > 2 else pairs
+    assert drawn == expected
+    assert isinstance(_Doubling().variants("ab"), tuple)
