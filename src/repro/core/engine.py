@@ -37,9 +37,11 @@ from repro.plugins.base import ErrorGeneratorPlugin
 from repro.sut.base import SystemUnderTest, split_sut
 from repro.sut.incremental import (
     BaselineValidation,
+    ChildEntry,
     ChildrenChange,
     NodeChange,
     ScenarioDelta,
+    Splice,
     node_at,
     node_from_change,
 )
@@ -105,7 +107,7 @@ def _reparse_alone(node: ConfigNode, filename: str, dialect) -> ConfigNode | Non
 def _children_vetted(
     change: ChildrenChange, container: ConfigNode, filename: str, dialect
 ) -> bool:
-    """Whether a patched child list means what a full parse would read.
+    """Whether a spliced child list means what a full parse would read.
 
     Sound when three things hold:
 
@@ -121,24 +123,39 @@ def _children_vetted(
       without a final newline vanishes on reparse), so the file must
       keep at least two children, and a file without a final newline
       must keep its baseline last child last.
+
+    The checks read the splices only, never the untouched children.
     """
     if not dialect.sibling_independent:
         return False
-    entries = change.children
+    splices = change.splices
     if not change.path:
-        if len(entries) < 2:
+        count = len(container.children)
+        length = count + sum(len(entries) - (stop - start) for start, stop, entries in splices)
+        if length < 2:
             return False
-        last = len(container.children) - 1
-        if not container.get("trailing_newline", True) and not (
-            isinstance(entries[-1], int) and entries[-1] == last
-        ):
+        if not container.get("trailing_newline", True) and _last_child(splices, count) != count - 1:
             return False
-    for entry in entries:
-        if isinstance(entry, ConfigNode):
-            reparsed = _reparse_alone(entry, filename, dialect)
-            if reparsed is None or not reparsed.structurally_equal(entry):
-                return False
+    for _start, _stop, entries in splices:
+        for entry in entries:
+            if isinstance(entry, ConfigNode):
+                reparsed = _reparse_alone(entry, filename, dialect)
+                if reparsed is None or not reparsed.structurally_equal(entry):
+                    return False
     return True
+
+
+def _last_child(splices: tuple[Splice, ...], count: int) -> ChildEntry | None:
+    """The last entry of a child list of ``count`` baseline children after
+    ``splices`` (a kept baseline child as its index); None when empty."""
+    end = count
+    for start, stop, entries in reversed(splices):
+        if stop < end:
+            break
+        if entries:
+            return entries[-1]
+        end = start
+    return end - 1 if end > 0 else None
 
 
 class InjectionEngine:

@@ -12,7 +12,7 @@ import random
 from typing import Callable, Sequence
 
 from repro.core.infoset import ConfigSet
-from repro.core.templates.base import FaultScenario, Template
+from repro.core.templates.base import AddressIndex, FaultScenario, Template
 from repro.errors import TemplateError
 
 __all__ = ["UnionTemplate", "RandomSubsetTemplate", "LimitTemplate", "FilterTemplate"]
@@ -64,8 +64,15 @@ class RandomSubsetTemplate(Template):
         self.template = template
         self.size = size
 
-    def generate(self, config_set: ConfigSet, rng: random.Random) -> list[FaultScenario]:
-        scenarios = self.template.generate(config_set, rng)
+    def generate(
+        self, config_set: ConfigSet, rng: random.Random, addresses: AddressIndex | None = None
+    ) -> list[FaultScenario]:
+        """The subset; ``addresses`` is handed to the wrapped template, which
+        must then accept it (every targeted template does)."""
+        if addresses is None:
+            scenarios = self.template.generate(config_set, rng)
+        else:
+            scenarios = self.template.generate(config_set, rng, addresses)
         if len(scenarios) <= self.size:
             return scenarios
         return rng.sample(scenarios, self.size)

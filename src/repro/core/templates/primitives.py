@@ -52,7 +52,13 @@ def _node_label(node: ConfigNode) -> str:
 
 
 class TargetedTemplate(Template):
-    """Base for templates whose candidates are selected by a path expression."""
+    """Base for templates whose candidates are selected by a path expression.
+
+    ``generate`` takes an optional :class:`AddressIndex` of ``config_set``,
+    so a caller running several targeted templates over one set walks it
+    once (the structural plugin builds one per ``generate``); without one,
+    each call builds its own.
+    """
 
     def __init__(self, target: str | PathExpr, category: str | None = None):
         self.target = _compile(target)
@@ -80,9 +86,11 @@ class DeleteTemplate(TargetedTemplate):
 
     category = "omission"
 
-    def generate(self, config_set: ConfigSet, rng: random.Random) -> list[FaultScenario]:
+    def generate(
+        self, config_set: ConfigSet, rng: random.Random, addresses: AddressIndex | None = None
+    ) -> list[FaultScenario]:
         scenarios = []
-        for ordinal, (node, address) in enumerate(self.select_targets(config_set)):
+        for ordinal, (node, address) in enumerate(self.select_targets(config_set, addresses)):
             scenarios.append(
                 FaultScenario(
                     scenario_id=f"delete-{ordinal}-{_node_label(node)}",
@@ -114,10 +122,12 @@ class DuplicateTemplate(TargetedTemplate):
         super().__init__(target, category)
         self.destination = _compile(destination) if destination is not None else None
 
-    def generate(self, config_set: ConfigSet, rng: random.Random) -> list[FaultScenario]:
+    def generate(
+        self, config_set: ConfigSet, rng: random.Random, addresses: AddressIndex | None = None
+    ) -> list[FaultScenario]:
         scenarios = []
         ordinal = 0
-        addresses = AddressIndex(config_set)
+        addresses = addresses or AddressIndex(config_set)
         for node, address in self.select_targets(config_set, addresses):
             if self.destination is None:
                 # a root has no parent to paste the copy into
@@ -171,10 +181,12 @@ class MoveTemplate(TargetedTemplate):
         self.destination = _compile(destination)
         self.include_current_parent = include_current_parent
 
-    def generate(self, config_set: ConfigSet, rng: random.Random) -> list[FaultScenario]:
+    def generate(
+        self, config_set: ConfigSet, rng: random.Random, addresses: AddressIndex | None = None
+    ) -> list[FaultScenario]:
         scenarios = []
         ordinal = 0
-        addresses = AddressIndex(config_set)
+        addresses = addresses or AddressIndex(config_set)
         # destinations do not depend on the target: select and label them once
         destinations = []
         for tree in config_set:
@@ -222,10 +234,12 @@ class InsertTemplate(TargetedTemplate):
         if not self.nodes:
             raise TemplateError("InsertTemplate requires at least one node to insert")
 
-    def generate(self, config_set: ConfigSet, rng: random.Random) -> list[FaultScenario]:
+    def generate(
+        self, config_set: ConfigSet, rng: random.Random, addresses: AddressIndex | None = None
+    ) -> list[FaultScenario]:
         scenarios = []
         ordinal = 0
-        for parent, parent_address in self.select_targets(config_set):
+        for parent, parent_address in self.select_targets(config_set, addresses):
             for node in self.nodes:
                 scenarios.append(
                     FaultScenario(
@@ -274,10 +288,12 @@ class ModifyTemplate(TargetedTemplate):
             return node.attrs.get(self.field_name[len("attr:"):])
         raise TemplateError(f"unknown field {self.field_name!r}")
 
-    def generate(self, config_set: ConfigSet, rng: random.Random) -> list[FaultScenario]:
+    def generate(
+        self, config_set: ConfigSet, rng: random.Random, addresses: AddressIndex | None = None
+    ) -> list[FaultScenario]:
         scenarios = []
         ordinal = 0
-        for node, address in self.select_targets(config_set):
+        for node, address in self.select_targets(config_set, addresses):
             original = self.current_value(node)
             for label, new_value in self.mutations_for(node, rng):
                 scenarios.append(

@@ -116,7 +116,7 @@ class IdentityView(View):
     ) -> Optional[list[NodeChange | ChildrenChange]]:
         # Identity mapping: a view path *is* the system-tree path, so a
         # field edit maps one-to-one onto a baseline node, and a lone
-        # structural operation onto the child lists it rewrites.
+        # structural operation onto splices of the child lists it edits.
         from repro.core.templates.base import SetFieldOperation  # cycle guard
 
         operations = scenario.operations
@@ -146,14 +146,16 @@ class IdentityView(View):
 
 
 def _children_changes(operation, baseline_trees: ConfigSet) -> Optional[list[ChildrenChange]]:
-    """The child lists one structural operation rewrites, in baseline terms.
+    """The splices one structural operation makes, in baseline terms.
 
     Every address of a lone operation is a baseline address (the pristine
-    view mirrors the baseline trees), so each rewritten container is
-    described by the indices of its baseline children it keeps, in their
-    new order.  Inserted nodes are the operation's own snapshot, which
-    every application clones and nothing mutates; a moved node is named by
-    its baseline path.  Cross-file moves and unknown operations give None.
+    view mirrors the baseline trees), so each edited container gets the
+    splices of its baseline child list the operation makes: a removal
+    ``(p, p + 1, ())``, an insertion ``(q, q, (node,))`` or a reordered
+    prefix ``(0, k, permutation)``.  Inserted nodes are the operation's own
+    snapshot, which every application clones and nothing mutates; a moved
+    node is named by its index in its own container or by its baseline
+    path in another.  Cross-file moves and unknown operations give None.
     """
     from repro.core.templates.base import (  # cycle guard
         DeleteOperation,
@@ -167,14 +169,6 @@ def _children_changes(operation, baseline_trees: ConfigSet) -> Optional[list[Chi
             return None
         return node_at(baseline_trees.get(address.tree), address.path)
 
-    def placed(layout: list, entry, index: Optional[int]) -> tuple:
-        # the insertion rule of InsertOperation and MoveOperation
-        if index is None or index >= len(layout):
-            layout.append(entry)
-        else:
-            layout.insert(index, entry)
-        return tuple(layout)
-
     if isinstance(operation, (DeleteOperation, MoveOperation)):
         target = operation.target
         if not target.path:
@@ -183,39 +177,55 @@ def _children_changes(operation, baseline_trees: ConfigSet) -> Optional[list[Chi
         position = target.path[-1]
         if source is None or position >= len(source.children):
             return None
-        kept = [index for index in range(len(source.children)) if index != position]
+        removal = (position, position + 1, ())
         if isinstance(operation, DeleteOperation):
-            return [ChildrenChange(target.tree, target.path[:-1], tuple(kept))]
+            return [ChildrenChange(target.tree, target.path[:-1], (removal,))]
         destination = operation.new_parent
         if destination.tree != target.tree:
             return None
         if destination.path == target.path[:-1]:
-            return [
-                ChildrenChange(
-                    target.tree, destination.path, placed(kept, position, operation.index)
-                )
-            ]
+            # the index counts the list without the moved child
+            point = _insertion_point(operation.index, len(source.children) - 1)
+            if point < position:
+                splices = ((point, point, (position,)), removal)
+            elif point == position:
+                splices = ((position, position + 1, (position,)),)
+            else:
+                splices = (removal, (point + 1, point + 1, (position,)))
+            return [ChildrenChange(target.tree, destination.path, splices)]
         new_parent = container(destination)
         if new_parent is None:
             return None
+        point = _insertion_point(operation.index, len(new_parent.children))
         return [
-            ChildrenChange(target.tree, target.path[:-1], tuple(kept)),
-            ChildrenChange(
-                target.tree,
-                destination.path,
-                placed(list(range(len(new_parent.children))), target.path, operation.index),
-            ),
+            ChildrenChange(target.tree, target.path[:-1], (removal,)),
+            ChildrenChange(target.tree, destination.path, ((point, point, (target.path,)),)),
         ]
     if isinstance(operation, InsertOperation):
         parent = container(operation.parent)
         if parent is None:
             return None
-        layout = placed(list(range(len(parent.children))), operation.node, operation.index)
-        return [ChildrenChange(operation.parent.tree, operation.parent.path, layout)]
+        point = _insertion_point(operation.index, len(parent.children))
+        splice = (point, point, (operation.node,))
+        return [ChildrenChange(operation.parent.tree, operation.parent.path, (splice,))]
     if isinstance(operation, PermuteChildrenOperation):
-        parent = container(operation.parent)
-        if parent is None:
+        if container(operation.parent) is None:
             return None
-        layout = (*operation.permutation, *range(len(operation.permutation), len(parent.children)))
-        return [ChildrenChange(operation.parent.tree, operation.parent.path, layout)]
+        permutation = tuple(operation.permutation)
+        splice = (0, len(permutation), permutation)
+        return [ChildrenChange(operation.parent.tree, operation.parent.path, (splice,))]
     return None
+
+
+def _insertion_point(index: Optional[int], length: int) -> int:
+    """Where an insertion at ``index`` lands in a list of ``length`` children.
+
+    The rule of ``InsertOperation`` and ``MoveOperation``: None or an index
+    past the end appends, and a negative index counts from the end, as
+    ``list.insert`` does.
+    """
+    if index is None or index >= length:
+        return length
+    if index < 0:
+        return max(0, length + index)
+    return index

@@ -264,8 +264,23 @@ class SubstitutionModel(_EditModel):
         ]
 
 
+def _shifted(char: str) -> str:
+    """What a Shift slip makes of ``char``: its other case when that is one
+    character whose other case is ``char`` again, else ``char`` itself.
+
+    So ``ß`` (whose upper case is ``SS``), ``ª`` (no other case) and ``İ``
+    (whose lower case is ``i`` plus a combining dot) stay as they are.
+    """
+    swapped = char.swapcase()
+    return swapped if len(swapped) == 1 and swapped.swapcase() == char else char
+
+
 class CaseAlterationModel(_EditModel):
-    """Swap the case of adjacent letters (Shift-key miscoordination)."""
+    """Swap the case of adjacent letters (Shift-key miscoordination).
+
+    A slip toggles only letters Shift can toggle (see :func:`_shifted`);
+    other letters keep their place and case.
+    """
 
     name = "case-alteration"
 
@@ -282,7 +297,7 @@ class CaseAlterationModel(_EditModel):
                 continue
             if first.isupper() == second.isupper():
                 continue
-            new_first, new_second = first.swapcase(), second.swapcase()
+            new_first, new_second = _shifted(first), _shifted(second)
             if new_first == first:
                 if new_second != second:
                     edits.append((index + 1, index + 2, new_second))
@@ -292,8 +307,10 @@ class CaseAlterationModel(_EditModel):
                 edits.append((index, index + 2, new_first + new_second))
         # A lone capital at a word boundary can also lose or gain its Shift.
         for index, char in enumerate(word):
-            if char.isalpha() and char.isupper() and char.lower() != char:
-                edits.append((index, index + 1, char.lower()))
+            if char.isalpha() and char.isupper():
+                lowered = _shifted(char)
+                if lowered != char:
+                    edits.append((index, index + 1, lowered))
         return [(start, end, (replacement,)) for start, end, replacement in dict.fromkeys(edits)]
 
 

@@ -23,6 +23,7 @@ from typing import Sequence
 
 from repro.core.infoset import ConfigNode, ConfigSet
 from repro.core.templates.base import (
+    AddressIndex,
     FaultScenario,
     NodeAddress,
     PermuteChildrenOperation,
@@ -138,10 +139,12 @@ class StructuralErrorsPlugin(ErrorGeneratorPlugin):
 
     def generate(self, view_set: ConfigSet, rng: random.Random) -> list[FaultScenario]:
         scenarios: list[FaultScenario] = []
+        # every template selects from the same set: index its addresses once
+        addresses = AddressIndex(view_set)
         for template in self._templates():
             if self.max_scenarios_per_class is not None:
                 template = RandomSubsetTemplate(template, self.max_scenarios_per_class)
-            scenarios.extend(template.generate(view_set, rng))
+            scenarios.extend(template.generate(view_set, rng, addresses))
         # namespacing avoids id collisions across classes
         return UnionTemplate([_Precomputed(scenarios)]).generate(view_set, rng)
 

@@ -233,8 +233,9 @@ class SystemUnderTest(ABC):
         pristine walk started the system, and before the stop.  Two
         families build one: :class:`~repro.sut.database.SimulatedDatabase`
         a positional index its :meth:`start_delta` splices field edits into,
-        and :class:`~repro.sut.apache.server.SimulatedApache` the table of
-        directive effects its walk replays.  The default is None.
+        and :class:`~repro.sut.apache.server.SimulatedApache` the directive
+        effects and top-level summaries its scoped delta walk reuses.  The
+        default is None.
         """
         return None
 
@@ -265,7 +266,11 @@ class SystemUnderTest(ABC):
         if patched is None:
             return None
         self.stop()
-        result = self._start_from_trees(patched, baseline.files)
+        return self._delta_outcome(baseline, self._start_from_trees(patched, baseline.files))
+
+    def _delta_outcome(self, baseline: BaselineValidation, result: StartResult) -> StartResult:
+        """``baseline.result`` itself when the delta start ``result`` is a
+        no-op (see :meth:`start_delta`), else ``result``."""
         if (
             result.started
             and result.warnings == baseline.result.warnings

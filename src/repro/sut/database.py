@@ -243,11 +243,4 @@ class SimulatedDatabase(SystemUnderTest):
             for position in sorted(merged):
                 warnings.extend(merged[position])
 
-        result = self._bring_up(settings, warnings)
-        if (
-            result.started
-            and warnings == baseline.result.warnings
-            and self._observable_state() == baseline.observable
-        ):
-            return baseline.result
-        return result
+        return self._delta_outcome(baseline, self._bring_up(settings, warnings))

@@ -7,20 +7,25 @@ delta protocol:
 
 * :class:`BaselineValidation` -- the result of fully validating the pristine
   file set once, including the parsed trees, the pristine observable state
-  and an opaque per-SUT reusable index (a splice index or a table of
-  directive effects).  The SUT instance that prepared it keeps it (see
-  ``SystemUnderTest.prepare``), so suite cells sharing that instance reuse
-  it and it is freed with the instance.
+  and an opaque per-SUT reusable index (a splice index, or directive
+  effects and summaries of top-level children).  The SUT instance that
+  prepared it keeps it (see ``SystemUnderTest.prepare``), so suite cells
+  sharing that instance reuse it and it is freed with the instance.
 * :class:`ScenarioDelta` -- a scenario reduced to detached change records
   addressing baseline nodes, in two kinds kept apart: :class:`NodeChange`
   (the new fields of one node, edited in place) and
-  :class:`ChildrenChange` (the new child list of one container, covering
-  deleted, inserted, moved and reordered children).  Changes never hold
-  view nodes, so they stay valid after the copy-on-write context manager
-  has undone the mutation and are safe to share across threads.
+  :class:`ChildrenChange` (splices of one container's child list, covering
+  deleted, inserted, moved and reordered children).  A splice
+  ``(start, stop, entries)`` says that the baseline children
+  ``[start:stop]`` become ``entries``, so a change costs what it edits, not
+  the length of the list it edits.  Changes never hold view nodes, so they
+  stay valid after the copy-on-write context manager has undone the
+  mutation and are safe to share across threads.
 * tree-patching helpers that build a revalidation tree by copying only the
   spine above each change, sharing every untouched subtree with the
-  baseline.
+  baseline, and :func:`patched_pieces`, the same patch of one container
+  told as runs of untouched baseline children and the nodes the changes
+  built, for a walk that reuses what the baseline knows of those runs.
 
 The engine decides *when* the delta path is sound (see
 ``InjectionEngine.prepare_incremental`` and its round-trip guard) and
@@ -34,7 +39,7 @@ the protocol can never change an experiment's outcome -- only its cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping, NamedTuple, Union
 
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
 
@@ -46,6 +51,7 @@ __all__ = [
     "node_at",
     "node_from_change",
     "patch_tree",
+    "patched_pieces",
     "patched_trees",
 ]
 
@@ -70,33 +76,42 @@ class NodeChange:
     attrs: Mapping[str, Any] = field(default_factory=dict)
 
 
-#: One child of a patched container: the index of one of the container's
-#: own baseline children, the baseline path of a node moved in from another
+#: One child a splice places: the index of one of the container's own
+#: baseline children, the baseline path of a node moved in from another
 #: container of the same tree, or a detached snapshot node.
 ChildEntry = Union[int, tuple[int, ...], ConfigNode]
+
+#: ``(start, stop, entries)``: the baseline children ``[start:stop]`` of a
+#: container become ``entries``.
+Splice = tuple[int, int, tuple[ChildEntry, ...]]
 
 
 @dataclass(frozen=True)
 class ChildrenChange:
-    """The new child list of one baseline container (a structural edit).
+    """Splices of one baseline container's child list (a structural edit).
 
-    ``tree``/``path`` address the container inside the baseline trees and
-    ``children`` lists its post-mutation children in order.  An ``int``
-    entry is the index of one of the container's own baseline children and
-    a ``tuple`` entry the baseline path of a node moved in from elsewhere
-    in the same tree: both are shared with the baseline.  A
-    :class:`~repro.core.infoset.ConfigNode` entry is a detached snapshot
-    the scenario inserts; it is read, never mutated.
+    ``tree``/``path`` address the container inside the baseline trees.
+    ``splices`` are sorted and do not overlap, in baseline index space: a
+    splice ``(start, stop, entries)`` replaces the baseline children
+    ``[start:stop]`` with ``entries``, and every baseline child outside all
+    splices keeps its place.  An ``int`` entry is the index of one of the
+    container's own baseline children and a ``tuple`` entry the baseline
+    path of a node moved in from elsewhere in the same tree: both are
+    shared with the baseline.  A :class:`~repro.core.infoset.ConfigNode`
+    entry is a detached snapshot the scenario inserts; it is read, never
+    mutated.
 
-    One record per touched container expresses every structural operation:
-    a deletion omits an index, an insertion (or duplication) adds a
-    snapshot, a move omits an index in one container and names its path in
-    another, and a permutation reorders the indices.
+    Each structural operation maps to splices of the containers it edits:
+    a deletion of child ``p`` is ``(p, p + 1, ())``, an insertion (or
+    duplication) before child ``q`` is ``(q, q, (snapshot,))``, a move
+    within one container is both in one record, a move across containers
+    one record per container, and a permutation of the first ``k``
+    children is ``(0, k, permutation)``.
     """
 
     tree: str
     path: tuple[int, ...]
-    children: tuple[ChildEntry, ...]
+    splices: tuple[Splice, ...]
 
 
 @dataclass(frozen=True)
@@ -127,8 +142,8 @@ class BaselineValidation:
     is the pristine walk's outcome, the one a full ``start()`` returns;
     ``state`` is what the family's ``_baseline_state`` builds while the
     pristine system runs: ``SimulatedDatabase``'s positional index for its
-    field-delta splice, ``SimulatedApache``'s table of directive effects
-    for its walk to replay, ``None`` for every other SUT;
+    field-delta splice, ``SimulatedApache``'s directive effects and
+    top-level summaries for its scoped walk, ``None`` for every other SUT;
     ``observable`` is a copy of the pristine system's ``_observable_state``,
     which a delta must reproduce to count as a no-op; ``functional`` records
     the diagnosis suite's outcomes on the pristine system as ``(passed,
@@ -170,26 +185,30 @@ def node_from_change(change: NodeChange, baseline_node: ConfigNode | None) -> Co
     return node
 
 
-def patch_tree(
-    tree: ConfigTree, changes: Iterable[NodeChange | ChildrenChange]
-) -> ConfigTree | None:
-    """Copy of ``tree`` with every change applied.
+#: One run of a patched child list: a ``range`` of baseline child indices
+#: whose baseline nodes stand unchanged, or one node the changes built.
+Piece = Union[range, ConfigNode]
 
-    Field changes replace a node's fields and child-list changes a
-    container's children.  Only the child lists on the spine from the root
-    down to each change are copied (a list copy plus index replacement);
-    every other node and subtree is shared with the baseline.  Returns None
-    when a change does not resolve in ``tree`` -- an unknown path, a field
-    change whose kind disagrees with the baseline node, or a child entry
-    that names no baseline node -- and the caller falls back to a full pass.
-    """
+
+class _Plan(NamedTuple):
+    tree: ConfigTree
+    fields: Mapping[tuple[int, ...], NodeChange]
+    layouts: Mapping[tuple[int, ...], ChildrenChange]
+    #: each spine node's child indices leading down to a change, sorted
+    spine: Mapping[tuple[int, ...], list[int]]
+
+
+def _plan(tree: ConfigTree, changes: Iterable[NodeChange | ChildrenChange]) -> _Plan | None:
+    """The changes grouped by path, or None when one does not resolve in ``tree``."""
     fields: dict[tuple[int, ...], NodeChange] = {}
     layouts: dict[tuple[int, ...], ChildrenChange] = {}
     for change in changes:
-        existing = node_at(tree, change.path)
+        existing = node_at(tree, change.path) if change.tree == tree.name else None
         if existing is None:
             return None
         if isinstance(change, ChildrenChange):
+            if change.path in layouts:
+                return None
             layouts[change.path] = change
         elif not change.path or existing.kind != change.kind:
             return None
@@ -201,73 +220,127 @@ def patch_tree(
     for path in (*fields, *layouts):
         for depth in range(len(path)):
             spine.setdefault(path[:depth], set()).add(path[depth])
-    root = _patch_node(tree.root, (), _Plan(tree, fields, layouts, spine))
+    return _Plan(tree, fields, layouts, {path: sorted(below) for path, below in spine.items()})
+
+
+def patch_tree(
+    tree: ConfigTree, changes: Iterable[NodeChange | ChildrenChange]
+) -> ConfigTree | None:
+    """Copy of ``tree`` with every change applied.
+
+    Field changes replace a node's fields and splices a container's
+    children.  Only the child lists on the spine from the root down to each
+    change are copied (list slices around the changed positions); every
+    other node and subtree is shared with the baseline.  Returns None when
+    a change does not resolve in ``tree`` -- one naming another tree, an
+    unknown path, a field change whose kind disagrees with the baseline
+    node, two child-list changes of one container, splices out of order or
+    out of range, or a child entry that names no baseline node -- and the
+    caller falls back to a full pass.
+    """
+    plan = _plan(tree, changes)
+    root = _patch_node(tree.root, (), plan) if plan is not None else None
     if root is None:
         return None
     return ConfigTree(tree.name, root, dialect=tree.dialect)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    tree: ConfigTree
-    fields: Mapping[tuple[int, ...], NodeChange]
-    layouts: Mapping[tuple[int, ...], ChildrenChange]
-    spine: Mapping[tuple[int, ...], set[int]]
+def patched_pieces(
+    tree: ConfigTree, changes: Iterable[NodeChange | ChildrenChange]
+) -> list[Piece] | None:
+    """The patched root's children, as :func:`patch_tree` would lay them out.
+
+    Runs of baseline root children that no change touches come back as one
+    ``range`` of their baseline indices (each run as long as it can be);
+    patched, moved-in and inserted top-level nodes come back as nodes.  The
+    cost is that of the changes, not of the root's length.  None exactly
+    when :func:`patch_tree` gives None.
+    """
+    plan = _plan(tree, changes)
+    return _pieces(tree.root, (), plan) if plan is not None else None
 
 
 def _patch_node(node: ConfigNode, path: tuple[int, ...], plan: _Plan) -> ConfigNode | None:
     """``node`` with the plan applied at and below ``path`` (None: unresolved)."""
     change = plan.fields.get(path)
-    layout = plan.layouts.get(path)
-    below = plan.spine.get(path, ())
-    if change is None and layout is None and not below:
-        return node
+    if path not in plan.layouts and path not in plan.spine:
+        return node if change is None else node_from_change(change, node)
+    pieces = _pieces(node, path, plan)
+    if pieces is None:
+        return None
     source = change if change is not None else node
     copy = ConfigNode(source.kind, name=source.name, value=source.value, attrs=source.attrs)
-    if layout is None:
-        children = list(node.children)
-        for index in below:
-            children[index] = _patch_node(children[index], path + (index,), plan)
-    else:
-        children = _laid_out(node, path, layout.children, below, plan)
-    if children is None or None in children:
-        return None
-    copy.children = children
+    own = node.children
+    for piece in pieces:
+        if type(piece) is range:
+            copy.children.extend(own[piece.start : piece.stop])
+        else:
+            copy.children.append(piece)
     return copy
 
 
-def _laid_out(
-    node: ConfigNode,
-    path: tuple[int, ...],
-    entries: Iterable[ChildEntry],
-    below: Iterable[int],
-    plan: _Plan,
-) -> list[ConfigNode | None] | None:
-    """Resolve a child list's entries against the baseline container ``node``.
+def _pieces(node: ConfigNode, path: tuple[int, ...], plan: _Plan) -> list[Piece] | None:
+    """The patched child list of the baseline container ``node`` at ``path``.
 
-    None when an entry names no baseline node, or would nest the container
-    (or one of its ancestors) inside itself.
+    None when a splice is out of order or out of range, or an entry names
+    no baseline node or would nest the container (or one of its ancestors)
+    inside itself.  Changes below a child that a splice removes go with it.
     """
     own = node.children
-    children: list[ConfigNode | None] = []
-    for entry in entries:
-        if type(entry) is int:
-            if not 0 <= entry < len(own):
-                return None
-            child = own[entry]
-            if entry in below:
-                child = _patch_node(child, path + (entry,), plan)
-        elif type(entry) is tuple:
-            moved = node_at(plan.tree, entry)
-            if moved is None or entry == path[: len(entry)]:
-                return None
-            child = _patch_node(moved, entry, plan)
-        elif isinstance(entry, ConfigNode):
-            child = entry
-        else:
+    count = len(own)
+    layout = plan.layouts.get(path)
+    below = plan.spine.get(path, ())
+    pieces: list[Piece] = []
+    at = 0  # the first baseline child not yet placed
+    pending = 0  # the first index of ``below`` not yet passed
+    for start, stop, entries in (*(layout.splices if layout else ()), (count, count, ())):
+        if not at <= start <= stop <= count:
             return None
-        children.append(child)
-    return children
+        while pending < len(below) and below[pending] < start:
+            index = below[pending]
+            pending += 1
+            if index < at:
+                continue
+            _keep(pieces, at, index)
+            child = _patch_node(own[index], path + (index,), plan)
+            if child is None:
+                return None
+            pieces.append(child)
+            at = index + 1
+        _keep(pieces, at, start)
+        for entry in entries:
+            if type(entry) is int:
+                if not 0 <= entry < count:
+                    return None
+                if entry not in below:
+                    _keep(pieces, entry, entry + 1)
+                    continue
+                child = _patch_node(own[entry], path + (entry,), plan)
+            elif type(entry) is tuple:
+                moved = node_at(plan.tree, entry)
+                if moved is None or entry == path[: len(entry)]:
+                    return None
+                child = _patch_node(moved, entry, plan)
+            elif isinstance(entry, ConfigNode):
+                child = entry
+            else:
+                return None
+            if child is None:
+                return None
+            pieces.append(child)
+        at = stop
+    return pieces
+
+
+def _keep(pieces: list[Piece], start: int, stop: int) -> None:
+    """Append the baseline children ``[start:stop]``, joining a run that ends at ``start``."""
+    if start >= stop:
+        return
+    last = pieces[-1] if pieces else None
+    if type(last) is range and last.stop == start:
+        pieces[-1] = range(last.start, stop)
+    else:
+        pieces.append(range(start, stop))
 
 
 def patched_trees(baseline_trees: ConfigSet, delta: ScenarioDelta) -> ConfigSet | None:

@@ -17,8 +17,9 @@ fallback machinery that makes the contract hold:
   through it),
 * what the delta path skips stays skipped without changing answers:
   ``prepare`` parses each pristine file once, the databases' splice and
-  Apache's baseline directive table agree with the walk that reuses
-  nothing, and Apache evaluates only directives its table lacks,
+  Apache's scoped walk over its baseline summaries and directive table
+  leave exactly the state of the walk that reuses nothing, and Apache
+  evaluates only directives its table lacks,
 * baseline ownership (one per SUT instance), per-engine counters and the
   spec/CLI knob.
 """
@@ -62,6 +63,7 @@ from repro.sut.incremental import (
     ScenarioDelta,
     node_at,
     patch_tree,
+    patched_pieces,
     patched_trees,
 )
 from repro.sut.mysql import MYSQLD_OPTIONS, SimulatedMySQL
@@ -381,11 +383,19 @@ class TestStructuralGuard:
         so the guard keeps such a file's last child in place."""
         dialect = get_dialect("apache")
         tree = dialect.parse("Listen 80\n\nServerName x", filename="t.conf")
-        drop_last = ChildrenChange("t.conf", (), (0, 1))
+        drop_last = ChildrenChange("t.conf", (), ((2, 3, ()),))
         patched = patch_tree(tree, [drop_last])
         assert not dialect.parse(dialect.serialize(patched)).structurally_equal(patched)
         assert not _children_vetted(drop_last, tree.root, "t.conf", dialect)
-        assert _children_vetted(ChildrenChange("t.conf", (), (1, 2)), tree.root, "t.conf", dialect)
+        drop_first = ChildrenChange("t.conf", (), ((0, 1, ()),))
+        assert _children_vetted(drop_first, tree.root, "t.conf", dialect)
+        # the last child may move away and back, or be re-listed last
+        for splices in (((2, 3, ()), (3, 3, (2,))), ((0, 3, (1, 0, 2)),)):
+            assert _children_vetted(ChildrenChange("t.conf", (), splices), tree.root, "t.conf", dialect)
+        for splices in (((0, 3, (2, 1, 0)),), ((3, 3, (0,)),), ((1, 3, ()),)):
+            assert not _children_vetted(
+                ChildrenChange("t.conf", (), splices), tree.root, "t.conf", dialect
+            )
 
 
 class TestPatchTree:
@@ -414,26 +424,69 @@ class TestPatchTree:
     def test_a_move_spans_two_containers(self, tree):
         section = next(i for i, n in enumerate(tree.root.children) if n.children)
         moved = (section, 0)
-        drop = ChildrenChange(
-            "httpd.conf", (section,), tuple(range(1, len(tree.root.children[section].children)))
-        )
-        append = ChildrenChange(
-            "httpd.conf", (), (*range(len(tree.root.children)), moved)
-        )
+        drop = ChildrenChange("httpd.conf", (section,), ((0, 1, ()),))
+        end = len(tree.root.children)
+        append = ChildrenChange("httpd.conf", (), ((end, end, (moved,)),))
         patched = patch_tree(tree, [drop, append])
         assert patched.root.children[-1] is tree.root.children[section].children[0]
         assert len(patched.root.children[section].children) == len(
             tree.root.children[section].children
         ) - 1
 
-    @pytest.mark.parametrize("entry", [-1, 10**6, (), (0,) * 9, "0"], ids=repr)
+    @pytest.mark.parametrize("entry", [-1, 10**6, (), (0,) * 9, "0", True], ids=repr)
     def test_unresolvable_entries_refuse_the_patch(self, tree, entry):
-        assert patch_tree(tree, [ChildrenChange("httpd.conf", (), (0, entry))]) is None
+        assert patch_tree(tree, [ChildrenChange("httpd.conf", (), ((1, 1, (entry,)),))]) is None
+
+    @pytest.mark.parametrize(
+        "splices",
+        [
+            ((2, 1, ()),),  # stop before start
+            ((-1, 0, ()),),
+            ((0, 10**6, ()),),  # past the end
+            ((3, 4, ()), (1, 2, ())),  # out of order
+            ((1, 3, ()), (2, 4, ())),  # overlapping
+        ],
+        ids=repr,
+    )
+    def test_malformed_splices_refuse_the_patch(self, tree, splices):
+        assert patch_tree(tree, [ChildrenChange("httpd.conf", (), splices)]) is None
+        assert patched_pieces(tree, [ChildrenChange("httpd.conf", (), splices)]) is None
+
+    def test_two_changes_of_one_container_refuse_the_patch(self, tree):
+        drop = ChildrenChange("httpd.conf", (), ((0, 1, ()),))
+        assert patch_tree(tree, [drop, drop]) is None
 
     def test_a_node_cannot_be_moved_into_itself(self, tree):
         section = next(i for i, n in enumerate(tree.root.children) if n.children)
-        into_itself = ChildrenChange("httpd.conf", (section,), (0, (section,)))
+        into_itself = ChildrenChange("httpd.conf", (section,), ((1, 1, ((section,),)),))
         assert patch_tree(tree, [into_itself]) is None
+
+    def test_pieces_are_runs_and_built_nodes(self, tree):
+        """The root's pieces: maximal runs of untouched baseline children and
+        the nodes the changes built, laid out as patch_tree lays them."""
+        count = len(tree.root.children)
+        section = next(i for i, n in enumerate(tree.root.children) if n.children)
+        inner = tree.root.children[section].children[0]
+        snapshot = ConfigNode("directive", name="Listen", value="81")
+        changes = [
+            ChildrenChange("httpd.conf", (), ((0, 1, ()), (5, 5, (snapshot, 3, 4)), (count, count, (1,)))),
+            NodeChange("httpd.conf", (section, 0), inner.kind, inner.name, "changed", inner.attrs),
+        ]
+        pieces = patched_pieces(tree, changes)
+        assert section > 5
+        patched_section = pieces[3]
+        assert pieces == [
+            range(1, 5), snapshot, range(3, section), patched_section, range(section + 1, count), range(1, 2)
+        ]
+        assert patched_section.children[0].value == "changed"
+        laid_out = [
+            node
+            for piece in pieces
+            for node in (tree.root.children[piece.start : piece.stop] if type(piece) is range else [piece])
+        ]
+        patched = patch_tree(tree, changes).root.children
+        assert len(patched) == len(laid_out)
+        assert all(a is b or a.structurally_equal(b) for a, b in zip(patched, laid_out))
 
 
 # ---------------------------------------------------- sibling independence
@@ -475,13 +528,15 @@ class TestSiblingIndependence:
             p for _node, p in tree.root.walk_with_paths() if p and path[: len(p)] != p
         ]
         count = len(container.children)
-        entries = []
+        entry = st.one_of(_inserted_nodes(tree), st.sampled_from(movable))
         if count:
-            entries = data.draw(st.lists(st.integers(0, count - 1), max_size=count))
-        extras = st.one_of(_inserted_nodes(tree), st.sampled_from(movable))
-        for extra in data.draw(st.lists(extras, max_size=3)):
-            entries.insert(data.draw(st.integers(0, len(entries))), extra)
-        change = ChildrenChange(filename, path, tuple(entries))
+            entry = st.one_of(st.integers(0, count - 1), entry)
+        cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=6)))
+        splices = tuple(
+            (start, stop, tuple(data.draw(st.lists(entry, max_size=3))))
+            for start, stop in zip(cuts[::2], cuts[1::2])
+        )
+        change = ChildrenChange(filename, path, splices)
         if not _children_vetted(change, container, filename, dialect):
             event("refused")
             return
@@ -502,7 +557,7 @@ class TestSiblingIndependence:
         section header reads back inside that section."""
         dialect = get_dialect("ini")
         tree = dialect.parse("port = 1\n[mysqld]\nuser = x\n", filename="my.cnf")
-        moved = ChildrenChange("my.cnf", (), (1, 0))
+        moved = ChildrenChange("my.cnf", (), ((0, 1, ()), (2, 2, (0,))))
         patched = patch_tree(tree, [moved])
         assert not dialect.parse(dialect.serialize(patched)).structurally_equal(patched)
         assert not _children_vetted(moved, tree.root, "my.cnf", dialect)
@@ -617,8 +672,7 @@ class TestDeltaProtocol:
         name = sut.config_filename
         tree = prepared.trees.get(name)
         assert tree.root.children[0].kind == "comment"
-        keep = tuple(range(1, len(tree.root.children)))
-        delta = ScenarioDelta((), (ChildrenChange(name, (), keep),))
+        delta = ScenarioDelta((), (ChildrenChange(name, (), ((0, 1, ()),)),))
 
         assert sut.start_delta(prepared, delta) is prepared.result
         assert sut.is_running()
@@ -787,10 +841,63 @@ def _typo_of(words):
     )
 
 
+def _exact_state(sut):
+    """Everything the diagnosis suite can read of an Apache, in order:
+    list order, dict item order and whether it runs."""
+    return (
+        list(sut.listen_ports),
+        list(sut.document_roots),
+        [list(vhost.items()) for vhost in sut.virtual_hosts],
+        list(sut.effective_directives.items()),
+        sut._running,
+    )
+
+
+def _draw_move(data, tree):
+    """A scenario moving one node root -> section, section -> root, or within
+    one container forward or backward: the moves that take two splices."""
+    root = tree.root.children
+    sections = [index for index, node in enumerate(root) if node.kind == "section"]
+    direction = data.draw(
+        st.sampled_from(["root-to-section", "section-to-root", "forward", "backward"])
+    )
+    if direction == "root-to-section":
+        section = data.draw(st.sampled_from(sections))
+        target = (data.draw(st.sampled_from([i for i in range(len(root)) if i != section])),)
+        parent = (section,)
+        index = data.draw(st.one_of(st.none(), st.integers(-2, len(root[section].children) + 1)))
+    elif direction == "section-to-root":
+        section = data.draw(st.sampled_from([i for i in sections if root[i].children]))
+        target = (section, data.draw(st.integers(0, len(root[section].children) - 1)))
+        parent = ()
+        index = data.draw(st.one_of(st.none(), st.integers(-3, len(root) + 1)))
+    else:
+        containers = [()] + [(i,) for i in sections if len(root[i].children) >= 2]
+        parent = data.draw(st.sampled_from(containers))
+        count = len(node_at(tree, parent).children)
+        position = data.draw(st.integers(0, count - 1))
+        if direction == "forward":
+            if position == count - 1:
+                return None
+            index = data.draw(st.integers(position + 1, count - 1))
+        else:
+            if position == 0:
+                return None
+            index = data.draw(st.integers(0, position - 1))
+        target = parent + (position,)
+    operation = MoveOperation(
+        NodeAddress(tree.name, target), NodeAddress(tree.name, parent), index
+    )
+    return f"move {direction}", FaultScenario(
+        "property", "property", "property", operations=(operation,)
+    )
+
+
 class TestApacheEffectTable:
-    """Apache's delta walk replays the directive effects and the module set
-    its baseline recorded.  It must answer exactly what the walk that
-    records nothing and a full start of the materialised file answer, and
+    """Apache's scoped delta walk folds the baseline's summaries of untouched
+    top-level runs and replays the directive effects and the module set its
+    baseline recorded.  It must leave exactly the state the whole walk over
+    the patched tree and a full start of the materialised file leave, and
     evaluate only directives the table lacks."""
 
     @given(data=st.data())
@@ -802,7 +909,8 @@ class TestApacheEffectTable:
     def test_table_walk_empty_walk_and_full_start_agree(self, apache_structural, data):
         engine, _config_set, view_set, prepared = apache_structural
         tree = prepared.trees.get("httpd.conf")
-        if data.draw(st.booleans()):
+        draw = data.draw(st.sampled_from(["field", "structural", "move"]))
+        if draw == "field":
             members = [(path, node) for node, path in tree.root.walk_with_paths() if path]
             guards = [
                 (path, node)
@@ -816,7 +924,10 @@ class TestApacheEffectTable:
             vetted = [engine._vet_change(change, prepared.trees)]
             kind = f"field {(node.name or node.kind).lower()}"
         else:
-            kind, scenario = _draw_structural_scenario(data, tree)
+            drawn = (_draw_structural_scenario if draw == "structural" else _draw_move)(data, tree)
+            if drawn is None:
+                return
+            kind, scenario = drawn
             try:
                 vetted = _structural_changes(engine, scenario, view_set, prepared)
             except TemplateError:
@@ -840,8 +951,119 @@ class TestApacheEffectTable:
         event(f"{kind}: started={by_start.started} noop={by_walk is prepared.result}")
         outcomes = [(r.started, r.errors, r.warnings) for r in (by_table, by_walk, by_start)]
         assert outcomes[0] == outcomes[1] == outcomes[2], outcomes
-        assert table._observable_state() == empty._observable_state() == full._observable_state()
+        # the live state matches in order too, after failed starts as well
+        assert _exact_state(table) == _exact_state(empty) == _exact_state(full)
         assert (by_table is prepared.result) == (by_walk is prepared.result)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_arbitrary_root_splices_agree_with_the_whole_walk(self, apache_structural, data):
+        """Splices no single operation makes -- children dropped, repeated
+        and reordered at once, ``LoadModule`` lines and new guards among
+        them -- still leave the state the whole walk over the patched tree
+        leaves."""
+        _engine, _config_set, _view_set, prepared = apache_structural
+        tree = prepared.trees.get("httpd.conf")
+        count = len(tree.root.children)
+        loaders = [i for i, node in enumerate(tree.root.children) if (node.name or "") == "LoadModule"]
+        module_line = st.sampled_from(_HTTPD_VALUES).map(
+            lambda value: ConfigNode("directive", name="LoadModule", value=value)
+        )
+        # a guard on any module the baseline loads, or on one it does not
+        arguments = sorted(prepared.state.modules | {"worker.c", "mod_mime_magic.c"})
+        guarded = st.builds(
+            lambda negated, argument: ConfigNode(
+                "section",
+                name="IfModule",
+                value=negated + argument,
+                children=[ConfigNode("directive", name="Listen", value="8081")],
+            ),
+            st.sampled_from(["", "!"]),
+            st.sampled_from(arguments),
+        )
+        entry = st.one_of(
+            st.integers(0, count - 1),
+            st.sampled_from(loaders),
+            _inserted_nodes(tree),
+            module_line,
+            guarded,
+        )
+        cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=8)))
+        splices = tuple(
+            (start, stop, tuple(data.draw(st.lists(entry, max_size=4))))
+            for start, stop in zip(cuts[::2], cuts[1::2])
+        )
+        delta = ScenarioDelta((), (ChildrenChange("httpd.conf", (), splices),))
+        scoped = SimulatedApache()
+        by_scoped = scoped.start_delta(prepared, delta)
+        whole = SimulatedApache()
+        by_whole = SystemUnderTest.start_delta(whole, prepared, delta)
+        event(f"started={by_whole.started} noop={by_whole is prepared.result}")
+        assert (by_scoped.started, by_scoped.errors, by_scoped.warnings) == (
+            by_whole.started,
+            by_whole.errors,
+            by_whole.warnings,
+        )
+        assert _exact_state(scoped) == _exact_state(whole)
+        assert (by_scoped is prepared.result) == (by_whole is prepared.result)
+
+    #: loads mod_mime_magic.c, which opens ``<IfModule mod_mime_magic.c>``
+    _OPENS_A_GUARD = "mime_magic_module modules/mod_mime_magic.so"
+    #: swaps status_module and mod_status.c for modules no guard tests
+    _NO_GUARD = "statu_module modules/mod_statu.so"
+
+    @pytest.mark.parametrize(
+        "edit, value, flips",
+        [
+            ("field", _OPENS_A_GUARD, True),
+            ("insert", _OPENS_A_GUARD, True),
+            ("field", _NO_GUARD, False),
+            ("insert", _NO_GUARD, False),
+            ("delete", None, False),
+        ],
+    )
+    def test_only_a_flipped_guard_takes_the_whole_walk(self, monkeypatch, edit, value, flips):
+        """A ``LoadModule`` edit updates the baseline's module-word counts;
+        the delta walks the whole patched tree only when the new module set
+        changes a baseline ``<IfModule>`` verdict."""
+        sut = SimulatedApache()
+        prepared = sut.prepare(sut.default_configuration())
+        tree = prepared.trees.get("httpd.conf")
+        index, node = next(
+            (i, n) for i, n in enumerate(tree.root.children) if (n.value or "").startswith("status_module")
+        )
+        if edit == "field":
+            delta = self._field_delta(tree, (index,), value=value)
+        elif edit == "insert":
+            line = ConfigNode("directive", name="LoadModule", value=value, attrs=dict(node.attrs))
+            delta = ScenarioDelta((), (ChildrenChange("httpd.conf", (), ((3, 3, (line,)),)),))
+        else:  # unloads status_module
+            delta = ScenarioDelta((), (ChildrenChange("httpd.conf", (), ((index, index + 1, ()),)),))
+        whole_walks = []
+        whole_walk = SystemUnderTest.start_delta
+
+        def counted(self, baseline, delta):
+            whole_walks.append(delta)
+            return whole_walk(self, baseline, delta)
+
+        monkeypatch.setattr(SystemUnderTest, "start_delta", counted)
+        result = sut.start_delta(prepared, delta)
+        assert len(whole_walks) == (1 if flips else 0)
+        monkeypatch.setattr(SystemUnderTest, "start_delta", whole_walk)
+
+        empty = SimulatedApache()
+        by_walk = SystemUnderTest.start_delta(empty, prepared, delta)
+        full = SimulatedApache()
+        patched = patched_trees(prepared.trees, delta).get("httpd.conf")
+        by_start = full.start({"httpd.conf": get_dialect("apache").serialize(patched)})
+        outcomes = [(r.started, r.errors, r.warnings) for r in (result, by_walk, by_start)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert _exact_state(sut) == _exact_state(empty) == _exact_state(full)
+        assert ("mimemagicfile" in sut.effective_directives) == flips
 
     def test_module_set_follows_every_kind_of_edit(self):
         """Guards that test a loaded module open and close with the edit,
@@ -861,13 +1083,13 @@ class TestApacheEffectTable:
             "LoadModule worker_module modules/worker.so\n", filename="httpd.conf"
         ).root.children[0]
         deltas = {
-            "delete": ScenarioDelta((), (ChildrenChange("httpd.conf", (), (1, 2, 3, 4)),)),
-            "insert": ScenarioDelta((), (ChildrenChange("httpd.conf", (), (0, 1, 2, 3, 4, worker)),)),
+            "delete": ScenarioDelta((), (ChildrenChange("httpd.conf", (), ((0, 1, ()),)),)),
+            "insert": ScenarioDelta((), (ChildrenChange("httpd.conf", (), ((5, 5, (worker,)),)),)),
             "move": ScenarioDelta(
                 (),
                 (
-                    ChildrenChange("httpd.conf", (), (1, 2, 3, 4)),
-                    ChildrenChange("httpd.conf", (3,), (0, (0,))),
+                    ChildrenChange("httpd.conf", (), ((0, 1, ()),)),
+                    ChildrenChange("httpd.conf", (3,), ((1, 1, ((0,),)),)),
                 ),
             ),
             "typo": self._field_delta(tree, (0,), value="mime_module modules/mod_mim.so"),
@@ -953,8 +1175,7 @@ class TestApacheEffectTable:
             if node.kind == "directive":
                 deltas.append(self._field_delta(tree, (index,), value=(node.value or "") + "0"))
                 deltas.append(self._field_delta(tree, (index,), name=(node.name or "") + "s"))
-            keep = tuple(position for position in range(len(tree.root.children)) if position != index)
-            deltas.append(ScenarioDelta((), (ChildrenChange("httpd.conf", (), keep),)))
+            deltas.append(ScenarioDelta((), (ChildrenChange("httpd.conf", (), ((index, index + 1, ()),)),)))
         for section in skipped:
             index = tree.root.children.index(section)
             deltas.append(self._field_delta(tree, (index,), value="!" + section.value))

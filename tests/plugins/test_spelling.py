@@ -254,14 +254,20 @@ def _enumerated(model: TypoModel, word: str) -> list[str]:
             for candidate in model.typist.substitution_candidates(char)
         ]
     elif isinstance(model, CaseAlterationModel):
+
+        def shifted(char):
+            # Shift toggles a letter only to one character that toggles back
+            swapped = char.swapcase()
+            return swapped if len(swapped) == 1 and swapped.swapcase() == char else char
+
         built = []
         for index in range(len(word) - 1):
             first, second = word[index], word[index + 1]
             if first.isalpha() and second.isalpha() and first.isupper() != second.isupper():
-                built.append(word[:index] + first.swapcase() + second.swapcase() + word[index + 2:])
+                built.append(word[:index] + shifted(first) + shifted(second) + word[index + 2:])
         for index, char in enumerate(word):
             if char.isalpha() and char.isupper():
-                built.append(word[:index] + char.lower() + word[index + 1:])
+                built.append(word[:index] + shifted(char) + word[index + 1:])
     elif isinstance(model, TranspositionModel):
         built = [
             word[:index] + word[index + 1] + word[index] + word[index + 2:]
@@ -312,6 +318,23 @@ class TestIndexedVariants:
         for model in MODELS_BY_LAYOUT["qwerty-us"]:
             for word in ("", "a", "A", "aa", "aaa", "aA", "Aa", "€", "€€", "ß", "Aß", "Aª", "ªA"):
                 assert list(model.variants(word)) == _enumerated(model, word), (model.name, word)
+
+    @pytest.mark.parametrize(
+        "word, typos",
+        [
+            ("Aß", ["aß"]),  # ß upper-cases to "SS": never toggled
+            ("ßA", ["ßa"]),
+            ("Aª", ["aª"]),  # ª has no other case
+            ("ªA", ["ªa"]),
+            ("İa", ["İA"]),  # İ lower-cases to "i" plus a combining dot
+            ("aİ", ["Aİ"]),
+            ("İ", []),
+            ("Ab", ["aB", "ab"]),
+        ],
+    )
+    def test_case_alteration_toggles_only_shift_letters(self, word, typos):
+        assert CaseAlterationModel().mutations(word) == typos
+        assert _enumerated(CaseAlterationModel(), word) == typos
 
     def test_variants_are_read_only_sequences(self):
         variants = SubstitutionModel().variants("port")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.infoset import ConfigNode, ConfigSet
-from repro.core.templates.base import NodeAddress
+from repro.core.templates.base import AddressIndex, NodeAddress
 from repro.errors import TemplateError
 from repro.parsers.base import get_dialect, serialize_tree
 from repro.plugins.structural import (
@@ -93,6 +93,29 @@ class TestStructuralErrorsPlugin:
         scenarios = plugin.generate(plugin.view.transform(ini_set), rng)
         ids = [s.scenario_id for s in scenarios]
         assert len(ids) == len(set(ids))
+
+    @pytest.mark.parametrize("max_scenarios_per_class", [None, 2])
+    def test_one_address_index_per_generate(self, ini_set, monkeypatch, max_scenarios_per_class):
+        """The five templates share one index: one walk of the set per call,
+        with or without the random subset around each template."""
+        built = []
+        original = AddressIndex.__init__
+
+        def counted(self, config_set):
+            built.append(config_set)
+            original(self, config_set)
+
+        plugin = StructuralErrorsPlugin(
+            foreign_directives=[ConfigNode("directive", "Listen", "80")],
+            max_scenarios_per_class=max_scenarios_per_class,
+        )
+        view_set = plugin.view.transform(ini_set)
+        monkeypatch.setattr(AddressIndex, "__init__", counted)
+        for seed in (1, 2):
+            built.clear()
+            scenarios = plugin.generate(view_set, random.Random(seed))
+            assert len({s.category for s in scenarios}) == 5
+            assert built == [view_set]
 
     def test_duplicate_scenario_serialises(self, ini_set, rng):
         plugin = StructuralErrorsPlugin(include=["duplicate-directive"])
