@@ -87,61 +87,98 @@ class IncrementalStats:
         return self.fallbacks + self.guard_fallbacks + self.errors
 
 
-def _reparse_alone(node: ConfigNode, filename: str, dialect) -> ConfigNode | None:
+def _reparse_alone(
+    node: ConfigNode, filename: str, dialect, container: ConfigNode | None = None
+) -> ConfigNode | None:
     """The single node ``node`` reads back as when serialised on its own.
 
-    None when the text does not parse or parses to anything but exactly
-    one node.  ``node`` itself is only read, so shared and snapshot nodes
-    stay untouched.
+    With a ``container`` (one below the file root), ``node`` is serialised
+    inside a childless copy of it, so a node that container cannot hold
+    (a section inside an INI section) fails to read back.  None when the
+    text does not parse or parses to anything but exactly one node.
+    ``node`` itself is only read, so shared and snapshot nodes stay
+    untouched.
     """
-    root = ConfigNode("file", name=filename, children=[node])
+    held = node
+    if container is not None:
+        held = ConfigNode(
+            container.kind, container.name, container.value, container.attrs, children=[node]
+        )
+    root = ConfigNode("file", name=filename, children=[held])
     snippet = ConfigTree(filename, root, dialect=dialect.name)
     try:
         reparsed = dialect.parse(dialect.serialize(snippet), filename=filename)
     except ConfErrError:
         return None
     children = reparsed.root.children
+    if held is not node and len(children) == 1:
+        children = children[0].children
     return children[0] if len(children) == 1 else None
 
 
-def _children_vetted(
-    change: ChildrenChange, container: ConfigNode, filename: str, dialect
-) -> bool:
+def _children_vetted(change: ChildrenChange, tree: ConfigTree, dialect) -> bool:
     """Whether a spliced child list means what a full parse would read.
 
-    Sound when three things hold:
+    Sound when four things hold:
 
-    * the dialect declares
-      :attr:`~repro.parsers.base.ConfigDialect.sibling_independent`, so
-      each child reads back the same whatever its new neighbours and
-      container are;
-    * every inserted snapshot serialises alone and re-parses to exactly
-      one structurally equal node (shared baseline nodes, kept or
-      moved, were read by the parser already and need no text check);
-    * a rewritten file *root* cannot end differently: a file's last
-      line interacts with the end-of-file rules (a trailing empty line
-      without a final newline vanishes on reparse), so the file must
-      keep at least two children, and a file without a final newline
-      must keep its baseline last child last.
+    * the dialect answers
+      :meth:`~repro.parsers.base.ConfigDialect.siblings_independent_in`
+      for the container, so each child reads back the same whatever its
+      new neighbours;
+    * every node moved in from another container of the tree comes from
+      one that answers yes as well (shared baseline nodes were read by the
+      parser already and need no text check);
+    * every inserted snapshot serialises alone inside the container and
+      re-parses to exactly one structurally equal node;
+    * the file cannot end differently.  A trailing empty line without a
+      final newline vanishes on reparse, so the file *root* keeps at least
+      two children, and in a file without a final newline every container
+      holding its last line -- the root, its last child, that child's last
+      child and so on (an INI section or sshd ``Match`` block that ends
+      the file) -- keeps its baseline last child last.
 
-    The checks read the splices only, never the untouched children.
+    The checks read the splices and the path down to the container only,
+    never the untouched children.
     """
-    if not dialect.sibling_independent:
+    root = tree.root
+    container = node_at(tree, change.path)
+    if container is None or not dialect.siblings_independent_in(container):
         return False
     splices = change.splices
+    count = len(container.children)
     if not change.path:
-        count = len(container.children)
         length = count + sum(len(entries) - (stop - start) for start, stop, entries in splices)
         if length < 2:
             return False
-        if not container.get("trailing_newline", True) and _last_child(splices, count) != count - 1:
-            return False
+    if (
+        not root.get("trailing_newline", True)
+        and _ends_file(root, change.path)
+        and _last_child(splices, count) != count - 1
+    ):
+        return False
     for _start, _stop, entries in splices:
         for entry in entries:
             if isinstance(entry, ConfigNode):
-                reparsed = _reparse_alone(entry, filename, dialect)
+                reparsed = _reparse_alone(
+                    entry, tree.name, dialect, container if change.path else None
+                )
                 if reparsed is None or not reparsed.structurally_equal(entry):
                     return False
+            elif isinstance(entry, tuple):
+                source = node_at(tree, entry[:-1])
+                if source is None or not dialect.siblings_independent_in(source):
+                    return False
+    return True
+
+
+def _ends_file(root: ConfigNode, path: tuple[int, ...]) -> bool:
+    """Whether the container at ``path`` holds the file's last line: each
+    step of the path goes to its parent's last child."""
+    node = root
+    for index in path:
+        if index != len(node.children) - 1:
+            return False
+        node = node.children[index]
     return True
 
 
@@ -301,8 +338,7 @@ class InjectionEngine:
             return None
         dialect = get_dialect(baseline_tree.dialect)
         if isinstance(change, ChildrenChange):
-            vetted = _children_vetted(change, base_node, baseline_tree.name, dialect)
-            return change if vetted else None
+            return change if _children_vetted(change, baseline_tree, dialect) else None
         if base_node.kind != change.kind:
             return None
         if not base_node.children and dialect.roundtrip_safe(

@@ -25,12 +25,20 @@ contains one ``dns-record`` node per published record:
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
 from repro.core.views.base import View
 from repro.dns.names import is_subdomain_of, normalize_name, reverse_pointer_name
 from repro.errors import SerializationError, TransformError
 
-__all__ = ["DnsRecordView", "VIEW_TREE_NAME"]
+__all__ = [
+    "BindEntry",
+    "DnsRecordView",
+    "VIEW_TREE_NAME",
+    "bind_record_fields",
+    "bind_zone_entries",
+]
 
 VIEW_TREE_NAME = "dns-records"
 
@@ -57,6 +65,79 @@ def make_record_node(
     return ConfigNode("dns-record", name=normalize_name(name), value=value, attrs=attrs)
 
 
+#: What one zone-file record line publishes depends on exactly these:
+#: ``(zone file, $ORIGIN, $TTL, owner text, type, rdata, TTL attribute)``.
+BindEntry = tuple[str, str, str | None, str, str, str, str | None]
+
+
+def bind_zone_entries(tree: ConfigTree) -> Iterator[BindEntry]:
+    """Each record line of a parsed zone file as a :data:`BindEntry`, in
+    file order.
+
+    ``$ORIGIN`` and ``$TTL`` apply to the lines after them, and a record
+    with a blank owner inherits the owner text of the record before it.
+    """
+    origin = ""
+    default_ttl = None
+    last_owner = ""
+    for node in tree.root.children:
+        kind = node.kind
+        if kind == "control":
+            if node.name == "ORIGIN":
+                origin = node.value or ""
+            elif node.name == "TTL":
+                default_ttl = node.value
+            continue
+        if kind != "record":
+            continue
+        owner_text = node.name if node.name else last_owner
+        last_owner = owner_text
+        attrs = node.attrs
+        yield (
+            tree.name,
+            origin,
+            default_ttl,
+            owner_text,
+            attrs.get("type", "A"),
+            node.value or "",
+            attrs.get("ttl"),
+        )
+
+
+def bind_record_fields(
+    zone_file: str,
+    origin: str,
+    default_ttl: str | None,
+    owner_text: str,
+    rtype: str,
+    rdata: str,
+    ttl: str | None,
+) -> tuple[str, str, dict]:
+    """The ``(name, value, attrs)`` of the ``dns-record`` node one zone
+    record line publishes (see :func:`bind_zone_entries`)."""
+    owner = normalize_name(owner_text, origin)
+    rtype = rtype.upper()
+    attrs = {
+        "rtype": rtype,
+        "source_file": zone_file,
+        "origin": normalize_name(origin) if origin else "",
+        "ttl": ttl or default_ttl,
+    }
+    if rtype == "MX":
+        parts = rdata.split(None, 1)
+        digits = parts[0] if parts else ""
+        # a non-numeric priority keeps its text: loading the records refuses it
+        attrs["priority"] = int(digits) if digits.isascii() and digits.isdigit() else digits
+        return owner, normalize_name(parts[1], origin) if len(parts) > 1 else "", attrs
+    if rtype == "SOA":
+        attrs["soa_rdata"] = rdata
+        primary = rdata.split()[0] if rdata.split() else ""
+        return owner, normalize_name(primary, origin), attrs
+    if rtype in ("NS", "CNAME", "PTR"):
+        return owner, normalize_name(rdata, origin), attrs
+    return owner, rdata.strip('"'), attrs  # A, AAAA, TXT, RP, HINFO, ...
+
+
 class DnsRecordView(View):
     """Bidirectional mapping between zone/data files and the record view."""
 
@@ -79,52 +160,9 @@ class DnsRecordView(View):
 
     # ---- BIND zone files ----------------------------------------------------
     def _transform_bind_zone(self, tree: ConfigTree, root: ConfigNode) -> None:
-        origin = ""
-        default_ttl = None
-        last_owner = ""
-        for node in tree.root.children:
-            if node.kind == "control":
-                if node.name == "ORIGIN":
-                    origin = node.value or ""
-                elif node.name == "TTL":
-                    default_ttl = node.value
-                continue
-            if node.kind != "record":
-                continue
-            owner_text = node.name if node.name else last_owner
-            last_owner = owner_text
-            owner = normalize_name(owner_text, origin)
-            rtype = node.get("type", "A").upper()
-            rdata = node.value or ""
-            attrs = {
-                "rtype": rtype,
-                "source_file": tree.name,
-                "origin": normalize_name(origin) if origin else "",
-                "ttl": node.get("ttl") or default_ttl,
-            }
-            if rtype == "MX":
-                parts = rdata.split(None, 1)
-                digits = parts[0] if parts else ""
-                # a non-numeric priority keeps its text: loading the records refuses it
-                attrs["priority"] = int(digits) if digits.isascii() and digits.isdigit() else digits
-                exchanger = normalize_name(parts[1], origin) if len(parts) > 1 else ""
-                root.append(ConfigNode("dns-record", name=owner, value=exchanger, attrs=attrs))
-            elif rtype == "SOA":
-                attrs["soa_rdata"] = rdata
-                primary = rdata.split()[0] if rdata.split() else ""
-                root.append(
-                    ConfigNode(
-                        "dns-record", name=owner, value=normalize_name(primary, origin), attrs=attrs
-                    )
-                )
-            elif rtype in ("NS", "CNAME", "PTR"):
-                root.append(
-                    ConfigNode(
-                        "dns-record", name=owner, value=normalize_name(rdata, origin), attrs=attrs
-                    )
-                )
-            else:  # A, AAAA, TXT, RP, HINFO, ...
-                root.append(ConfigNode("dns-record", name=owner, value=rdata.strip('"'), attrs=attrs))
+        for entry in bind_zone_entries(tree):
+            owner, value, attrs = bind_record_fields(*entry)
+            root.append(ConfigNode("dns-record", name=owner, value=value, attrs=attrs))
 
     # ---- tinydns data files -------------------------------------------------
     def _transform_tinydns(self, tree: ConfigTree, root: ConfigNode) -> None:

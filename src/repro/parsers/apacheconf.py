@@ -38,9 +38,11 @@ class ApacheConfDialect(ConfigDialect):
     """Parser/serialiser for Apache ``httpd.conf``-style files."""
 
     name = "apache"
-    #: Directives are single lines and sections balanced tag blocks; indents
-    #: are recorded, so a node reads back the same in any container.
-    sibling_independent = True
+
+    def siblings_independent_in(self, container: ConfigNode) -> bool:
+        # Directives are single lines and sections balanced tag blocks; indents
+        # are recorded, so a node reads back the same in any container.
+        return True
 
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)

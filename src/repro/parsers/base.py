@@ -20,7 +20,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Mapping
 
-from repro.core.infoset import ConfigTree
+from repro.core.infoset import ConfigNode, ConfigTree
 from repro.errors import SerializationError
 
 __all__ = [
@@ -77,18 +77,24 @@ class ConfigDialect(ABC):
     #: same kind means the full-file parse would see exactly that node.
     line_oriented: bool = False
 
-    #: True when a child's text reads back as the same node wherever it is
-    #: placed: whatever its siblings are and whichever container (at any
-    #: depth) holds it, as long as the node serialises alone and re-parses
-    #: to itself.  Self-delimiting lines and brace or tag blocks qualify; a
-    #: format in which meaning flows between siblings does not (a zone
-    #: file's blank owner and ``$ORIGIN``, an INI section header or an sshd
-    #: ``Match`` line claiming the lines after it).  The delta-validation
-    #: guard admits structural edits -- deleted, inserted, moved and
-    #: reordered children -- only for such dialects.  A code-level
-    #: contract: set it only where the sibling-independence property test
-    #: in ``tests/core/test_incremental.py`` holds.
-    sibling_independent: bool = False
+    def siblings_independent_in(self, container: ConfigNode) -> bool:
+        """Whether ``container``'s children mean the same whatever their siblings.
+
+        True promises that a child of ``container`` reads back as the same
+        node whatever its neighbours are, as long as it is either a node the
+        parser placed in a container of the same file that also answers True,
+        or a node that serialises alone inside ``container`` and re-parses to
+        itself.  Self-delimiting lines and brace or tag blocks qualify; a
+        child list in which meaning flows between siblings does not (a zone
+        file's blank owner and ``$ORIGIN``, or a file root holding an INI
+        section header or an sshd ``Match`` line, which claims the lines
+        after it).  The delta-validation guard admits structural edits --
+        deleted, inserted, moved and reordered children -- only in such
+        containers.  A code-level contract: answer True only where the
+        sibling-independence property test in
+        ``tests/core/test_incremental.py`` holds.  The default is False.
+        """
+        return False
 
     # ------------------------------------------------------------ template API
     @abstractmethod

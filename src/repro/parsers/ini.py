@@ -44,6 +44,12 @@ class IniDialect(ConfigDialect):
     name = "ini"
     line_oriented = True
 
+    def siblings_independent_in(self, container: ConfigNode) -> bool:
+        # A section's children are self-contained lines.  The file root is
+        # not: a header claims the lines after it, so a directive moved
+        # after one reparses into that section.
+        return container.kind == "section"
+
     def roundtrip_safe(self, kind, name, value, attrs) -> bool:
         # A directive re-parses identically when nothing in it can be taken
         # for a comment marker, header, separator, line break or strippable

@@ -43,9 +43,11 @@ class NamedConfDialect(ConfigDialect):
     """Parser/serialiser for BIND ``named.conf``."""
 
     name = "namedconf"
-    #: Statements end at ``;`` and blocks at their own ``};``; indentation is
-    #: re-derived from depth and ignored by the parser.
-    sibling_independent = True
+
+    def siblings_independent_in(self, container: ConfigNode) -> bool:
+        # Statements end at ``;`` and blocks at their own ``};``; indentation is
+        # re-derived from depth and ignored by the parser.
+        return True
 
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)

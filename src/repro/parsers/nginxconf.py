@@ -59,9 +59,11 @@ class NginxConfDialect(ConfigDialect):
     """Parser/serialiser for nginx ``nginx.conf``-style files."""
 
     name = "nginxconf"
-    #: Directives end at ``;`` and blocks at their own ``}``; indents are
-    #: recorded, so a node reads back the same in any container.
-    sibling_independent = True
+
+    def siblings_independent_in(self, container: ConfigNode) -> bool:
+        # Directives end at ``;`` and blocks at their own ``}``; indents are
+        # recorded, so a node reads back the same in any container.
+        return True
 
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)

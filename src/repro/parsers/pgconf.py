@@ -37,7 +37,10 @@ class PostgresConfDialect(ConfigDialect):
     #: One line = one flat node and no cross-line constructs, so the
     #: engine's single-node reparse substitution is sound.
     line_oriented = True
-    sibling_independent = True
+
+    def siblings_independent_in(self, container: ConfigNode) -> bool:
+        # Every line is one flat, self-contained node.
+        return True
 
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)

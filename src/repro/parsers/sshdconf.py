@@ -52,6 +52,12 @@ class SshdConfDialect(ConfigDialect):
     #: how they tokenise), so single-node reparse substitution is sound.
     line_oriented = True
 
+    def siblings_independent_in(self, container: ConfigNode) -> bool:
+        # Inside a Match block every line stands alone; at the file root a
+        # Match line claims the lines after it, so a global directive moved
+        # after one reparses into that block.
+        return container.kind == "section"
+
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)
         current: ConfigNode = root

@@ -17,6 +17,7 @@ entries of Table 3.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping
 
 from repro.core.infoset import ConfigSet
@@ -26,7 +27,12 @@ from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.base import StartResult
 from repro.sut.dns.nameserver import SimulatedNameServer
-from repro.sut.dns.zonedata import RecordDataError, config_set_to_records
+from repro.sut.dns.zonedata import (
+    RecordDataError,
+    bind_record_table,
+    config_set_to_records,
+)
+from repro.sut.incremental import BaselineValidation, ScenarioDelta
 
 __all__ = ["SimulatedBIND", "DEFAULT_NAMED_CONF", "DEFAULT_FORWARD_ZONE", "DEFAULT_REVERSE_ZONE"]
 
@@ -80,7 +86,18 @@ $ORIGIN 2.0.192.in-addr.arpa.
 
 
 class SimulatedBIND(SimulatedNameServer):
-    """Simulated BIND 9-style authoritative name server."""
+    """Simulated BIND 9-style authoritative name server.
+
+    Its baseline (see :meth:`_baseline_state`) keeps a table of what each
+    pristine zone record line converts to, keyed by everything the
+    conversion reads: the zone file, the ``$ORIGIN`` and ``$TTL`` in force,
+    the owner text (a blank owner's inherited one), the type, the rdata and
+    the TTL attribute.  A delta walk (:meth:`start_delta`) takes each line's
+    record from that table and converts afresh only the lines whose entry
+    it lacks -- the lines a delta edited, or whose ``$ORIGIN``, ``$TTL`` or
+    inherited owner it changed.  A full start and ``prepare`` walk with an
+    empty table.
+    """
 
     name = "BIND"
     config_filename = "named.conf"
@@ -101,6 +118,9 @@ class SimulatedBIND(SimulatedNameServer):
         }
         #: Zones declared in named.conf after the last successful start.
         self.zones: dict[str, str] = {}
+        #: Record conversions the walk takes as known: the baseline's during
+        #: ``start_delta``, none otherwise.
+        self._known_records: Mapping = {}
 
     # --------------------------------------------------------------- interface
     def default_configuration(self) -> dict[str, str]:
@@ -151,7 +171,7 @@ class SimulatedBIND(SimulatedNameServer):
                 return StartResult.failed(f"zone '{zone_name}': {exc}")
 
         try:
-            records = config_set_to_records(config_set)
+            records = config_set_to_records(config_set, self._known_records)
         except RecordDataError as exc:
             return StartResult.failed(f"zone data rejected: {exc}")
         errors = self.check_zones(zones, records)
@@ -164,30 +184,58 @@ class SimulatedBIND(SimulatedNameServer):
     def _observable_state(self) -> tuple:
         return (self.zones, list(self._records))
 
+    def _baseline_state(self, trees: ConfigSet) -> Mapping:
+        """Every pristine zone record line mapped to its conversion.
+
+        Built once per baseline and only read afterwards: a delta walk
+        converts the lines the table lacks without adding them.
+        """
+        table: dict = {}
+        for tree in trees:
+            if tree.dialect == "bindzone":
+                table.update(bind_record_table(tree))
+        return MappingProxyType(table)
+
+    def start_delta(
+        self, baseline: BaselineValidation, delta: ScenarioDelta
+    ) -> StartResult | None:
+        """The shared delta protocol, walking with the baseline's record table."""
+        self._known_records = baseline.state or {}
+        try:
+            return super().start_delta(baseline, delta)
+        finally:
+            self._known_records = {}
+
     # ------------------------------------------------------------- zone checks
     @staticmethod
     def check_zones(zones: Mapping[str, str], records: RecordSet) -> list[str]:
-        """BIND-style zone sanity checks; returns the list of fatal problems."""
+        """BIND-style zone sanity checks; returns the list of fatal problems.
+
+        One pass groups the record types by owner, so the checks cost what
+        the records do, not records times owners.
+        """
+        types_by_owner: dict[str, list[str]] = {}
+        for record in records:
+            types_by_owner.setdefault(record.name, []).append(record.rtype)
         errors: list[str] = []
         for zone_name in zones:
-            if not records.records(zone_name, "SOA"):
+            apex_types = types_by_owner.get(normalize_name(zone_name), ())
+            if "SOA" not in apex_types:
                 errors.append(f"zone {zone_name}/IN: has no SOA record")
-            if not records.records(zone_name, "NS"):
+            if "NS" not in apex_types:
                 errors.append(f"zone {zone_name}/IN: has no NS records")
 
         # CNAME exclusivity: an alias owner may not have records of other types.
-        for owner in records.names():
-            owner_records = records.records(owner)
-            if any(record.rtype == "CNAME" for record in owner_records) and any(
-                record.rtype != "CNAME" for record in owner_records
-            ):
-                other = sorted({r.rtype for r in owner_records if r.rtype != "CNAME"})
-                errors.append(
-                    f"zone: {owner}: CNAME and other data ({', '.join(other)})"
-                )
+        alias_owners = set()
+        for owner, types in types_by_owner.items():
+            if "CNAME" not in types:
+                continue
+            alias_owners.add(owner)
+            other = sorted({rtype for rtype in types if rtype != "CNAME"})
+            if other:
+                errors.append(f"zone: {owner}: CNAME and other data ({', '.join(other)})")
 
         # MX / NS targets must not be aliases.
-        alias_owners = {record.name for record in records if record.rtype == "CNAME"}
         for record in records:
             if record.rtype in ("MX", "NS") and record.value in alias_owners:
                 errors.append(

@@ -11,22 +11,26 @@ fallback machinery that makes the contract hold:
   a patched tree that reparses to itself, so the SUT revalidates exactly
   what a real parse of the mutated file would build -- for field edits and
   for structural edits (deleted, inserted, moved, reordered children),
-* the sibling-independence contract of every dialect that declares it,
-* fallback routing: newline smuggling, kind-changing typos and mutated
-  include arguments all take the full path (or resolve identically
-  through it),
+* the sibling-independence contract of every container a dialect answers
+  ``siblings_independent_in`` for, file ends included,
+* fallback routing: newline smuggling, kind-changing typos, stale tinydns
+  values and mutated include arguments all take the full path (or resolve
+  identically through it),
 * what the delta path skips stays skipped without changing answers:
-  ``prepare`` parses each pristine file once, the databases' splice and
-  Apache's scoped walk over its baseline summaries and directive table
-  leave exactly the state of the walk that reuses nothing, and Apache
-  evaluates only directives its table lacks,
-* baseline ownership (one per SUT instance), per-engine counters and the
-  spec/CLI knob.
+  ``prepare`` parses each pristine file once, the databases' splice,
+  Apache's scoped walk over its baseline summaries and directive table,
+  and BIND's walk over its record table leave exactly the state of the
+  walk that reuses nothing, and Apache and BIND compute only what their
+  tables lack,
+* baseline ownership (one per SUT instance), per-engine counters (the
+  paper suite's delta decisions among them) and the spec/CLI knob.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -34,7 +38,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 from repro.core.engine import InjectionEngine, _children_vetted
 from repro.core.infoset import ConfigNode, ConfigSet
 from repro.core.profile import InjectionOutcome, ResilienceProfile
-from repro.core.spec import RESUME_IRRELEVANT_PATHS, ExecutionSpec
+from repro.core.spec import RESUME_IRRELEVANT_PATHS, ExecutionSpec, ExperimentSpec
 from repro.core.suite import CampaignSuite
 from repro.core.templates.base import (
     DeleteOperation,
@@ -44,7 +48,7 @@ from repro.core.templates.base import (
     NodeAddress,
     PermuteChildrenOperation,
 )
-from repro.errors import ConfErrError, TemplateError
+from repro.errors import ConfErrError, SerializationError, TemplateError
 from repro.parsers.base import ConfigDialect, available_dialects, get_dialect
 from repro.plugins import (
     DnsSemanticErrorsPlugin,
@@ -252,6 +256,29 @@ class TestRoundTripGuard:
         assert engine._vet_change(change, prepared.trees) is None
 
 
+    def test_a_stale_tinydns_value_is_refused(self):
+        """A tinydns record holds its first field twice, as ``value`` and as
+        ``attrs['fields'][0]``, and the serialiser writes the fields.  A
+        change to ``value`` alone never reaches the file, so the guard must
+        refuse it: admitting it would validate a typo the full pass never
+        injects."""
+        engine = InjectionEngine(SimulatedDjbdns(), SpellingMistakesPlugin())
+        prepared = engine.prepare_incremental()
+        assert prepared is not None
+        tree = prepared.trees.get("data")
+        index, node = next(
+            (i, n) for i, n in enumerate(tree.root.children) if n.kind == "record" and n.value
+        )
+        assert node.get("fields")[0] == node.value
+        typo = node.value + "9"
+        stale = NodeChange("data", (index,), "record", node.name, typo, dict(node.attrs))
+        assert engine._vet_change(stale, prepared.trees) is None
+        # the same typo in both copies reads back as written
+        fields = [typo, *node.get("fields")[1:]]
+        both = NodeChange("data", (index,), "record", node.name, typo, dict(node.attrs, fields=fields))
+        assert engine._vet_change(both, prepared.trees) == both
+
+
 # ------------------------------------------------------------ structural guard
 _ODD_TEXT = st.text("ab<>/#;{}= \t\n\\\"", max_size=8)
 
@@ -386,16 +413,14 @@ class TestStructuralGuard:
         drop_last = ChildrenChange("t.conf", (), ((2, 3, ()),))
         patched = patch_tree(tree, [drop_last])
         assert not dialect.parse(dialect.serialize(patched)).structurally_equal(patched)
-        assert not _children_vetted(drop_last, tree.root, "t.conf", dialect)
+        assert not _children_vetted(drop_last, tree, dialect)
         drop_first = ChildrenChange("t.conf", (), ((0, 1, ()),))
-        assert _children_vetted(drop_first, tree.root, "t.conf", dialect)
+        assert _children_vetted(drop_first, tree, dialect)
         # the last child may move away and back, or be re-listed last
         for splices in (((2, 3, ()), (3, 3, (2,))), ((0, 3, (1, 0, 2)),)):
-            assert _children_vetted(ChildrenChange("t.conf", (), splices), tree.root, "t.conf", dialect)
+            assert _children_vetted(ChildrenChange("t.conf", (), splices), tree, dialect)
         for splices in (((0, 3, (2, 1, 0)),), ((3, 3, (0,)),), ((1, 3, ()),)):
-            assert not _children_vetted(
-                ChildrenChange("t.conf", (), splices), tree.root, "t.conf", dialect
-            )
+            assert not _children_vetted(ChildrenChange("t.conf", (), splices), tree, dialect)
 
 
 class TestPatchTree:
@@ -490,39 +515,75 @@ class TestPatchTree:
 
 
 # ---------------------------------------------------- sibling independence
-#: One shipped file per dialect that declares sibling independence.
+def _default_file(sut_class, filename):
+    return sut_class().default_configuration()[filename]
+
+
+#: Sample files of every dialect with containers answering
+#: ``siblings_independent_in``: each shipped file, plus INI and sshd files
+#: whose last section, with blank lines inside it, holds the file's last line.
 SIBLING_INDEPENDENT_SAMPLES = {
-    "apache": (SimulatedApache, "httpd.conf"),
-    "namedconf": (SimulatedBIND, "named.conf"),
-    "nginxconf": (SimulatedNginx, "nginx.conf"),
-    "pgconf": (SimulatedPostgres, "postgresql.conf"),
+    "apache": [("httpd.conf", _default_file(SimulatedApache, "httpd.conf"))],
+    "namedconf": [("named.conf", _default_file(SimulatedBIND, "named.conf"))],
+    "nginxconf": [("nginx.conf", _default_file(SimulatedNginx, "nginx.conf"))],
+    "pgconf": [("postgresql.conf", _default_file(SimulatedPostgres, "postgresql.conf"))],
+    "ini": [
+        ("my.cnf", _default_file(SimulatedMySQL, "my.cnf")),
+        ("my.cnf", "# top\n[client]\nport = 3306\n\n[mysqld]\n\nuser = mysql\n  \n; note\nskip-networking\n"),
+    ],
+    "sshdconf": [
+        ("sshd_config", _default_file(SimulatedSshd, "sshd_config")),
+        ("sshd_config", "Port 22\n\nMatch User a\n    X11Forwarding no\nMatch Group b\n\n    PermitTTY no\n  \n    # end\n"),
+    ],
 }
 
 
+def _answering_containers(tree, dialect):
+    """(node, path) of every node of ``tree`` that may hold children and
+    for which ``dialect`` answers the per-container question yes."""
+    return [
+        (node, path)
+        for node, path in tree.root.walk_with_paths()
+        if (not path or node.children or node.kind == "section")
+        and dialect.siblings_independent_in(node)
+    ]
+
+
 class TestSiblingIndependence:
-    """Dialects declaring ``sibling_independent`` keep its promise."""
+    """Containers answering ``siblings_independent_in`` keep its promise."""
 
     def test_every_declaring_dialect_is_tested(self):
-        declared = {name for name in available_dialects() if get_dialect(name).sibling_independent}
+        declared = {
+            name
+            for name in available_dialects()
+            if type(get_dialect(name)).siblings_independent_in
+            is not ConfigDialect.siblings_independent_in
+        }
         assert declared == set(SIBLING_INDEPENDENT_SAMPLES)
+        for name, samples in SIBLING_INDEPENDENT_SAMPLES.items():
+            dialect = get_dialect(name)
+            for filename, text in samples:
+                assert _answering_containers(dialect.parse(text, filename=filename), dialect)
 
     @pytest.mark.parametrize("dialect_name", sorted(SIBLING_INDEPENDENT_SAMPLES))
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_admitted_child_lists_read_back_as_patched(self, dialect_name, data):
         """Any mix of kept, moved-in and inserted children the guard admits,
-        in any container, serialises to text that parses back to itself
-        (kept children may repeat, drop out or change order)."""
-        sut_class, filename = SIBLING_INDEPENDENT_SAMPLES[dialect_name]
-        text = sut_class().default_configuration()[filename]
+        in any container answering yes, serialises to text that parses back
+        to itself (kept children may repeat, drop out or change order)."""
+        filename, text = data.draw(st.sampled_from(SIBLING_INDEPENDENT_SAMPLES[dialect_name]))
         ending = data.draw(st.sampled_from(["lf", "crlf", "no-final-newline"]))
         if ending == "crlf":
             text = text.replace("\n", "\r\n")
         elif ending == "no-final-newline":
-            text = text.rstrip("\n")
+            text = text[:-1]
         dialect = get_dialect(dialect_name)
         tree = dialect.parse(text, filename=filename)
-        container, path = data.draw(st.sampled_from(_containers(tree)))
+        containers = _answering_containers(tree, dialect)
+        # half the draws edit the container holding the file's last line
+        container, path = data.draw(st.one_of(st.just(containers[-1]), st.sampled_from(containers)))
+        event("root" if not path else "nested container")
         # any node but the container and its ancestors may be moved in
         movable = [
             p for _node, p in tree.root.walk_with_paths() if p and path[: len(p)] != p
@@ -531,13 +592,14 @@ class TestSiblingIndependence:
         entry = st.one_of(_inserted_nodes(tree), st.sampled_from(movable))
         if count:
             entry = st.one_of(st.integers(0, count - 1), entry)
-        cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=6)))
+        cut = st.one_of(st.just(count), st.integers(0, count))  # often at the end
+        cuts = sorted(data.draw(st.lists(cut, max_size=6)))
         splices = tuple(
             (start, stop, tuple(data.draw(st.lists(entry, max_size=3))))
             for start, stop in zip(cuts[::2], cuts[1::2])
         )
         change = ChildrenChange(filename, path, splices)
-        if not _children_vetted(change, container, filename, dialect):
+        if not _children_vetted(change, tree, dialect):
             event("refused")
             return
         event("admitted")
@@ -545,22 +607,67 @@ class TestSiblingIndependence:
         reparsed = dialect.parse(dialect.serialize(patched), filename=filename)
         assert reparsed.structurally_equal(patched)
 
-    @pytest.mark.parametrize("dialect_name", ["bindzone", "ini", "sshdconf"])
-    def test_flowing_dialects_do_not_declare(self, dialect_name):
-        """Zone owners and $ORIGIN, INI headers and sshd Match lines carry
-        meaning across siblings, so these dialects never take structural
-        deltas."""
-        assert not get_dialect(dialect_name).sibling_independent
+    @pytest.mark.parametrize("dialect_name", ["ini", "sshdconf"])
+    def test_the_last_section_keeps_the_file_end(self, dialect_name):
+        """The section holding the last line of a file without a final
+        newline keeps its last child last: a blank line moved there would
+        vanish on reparse."""
+        filename, text = SIBLING_INDEPENDENT_SAMPLES[dialect_name][1]
+        dialect = get_dialect(dialect_name)
+        tree = dialect.parse(text.rstrip("\n"), filename=filename)
+        last = (len(tree.root.children) - 1,)
+        section = node_at(tree, last)
+        blank = next(i for i, node in enumerate(section.children) if node.kind == "blank")
+        count = len(section.children)
+        to_the_end = ChildrenChange(filename, last, ((blank, blank + 1, ()), (count, count, (blank,))))
+        patched = patch_tree(tree, [to_the_end])
+        assert not dialect.parse(dialect.serialize(patched), filename=filename).structurally_equal(patched)
+        assert not _children_vetted(to_the_end, tree, dialect)
+        # with a final newline the same move reads back as patched
+        tree = dialect.parse(text.rstrip("\n") + "\n", filename=filename)
+        patched = patch_tree(tree, [to_the_end])
+        assert dialect.parse(dialect.serialize(patched), filename=filename).structurally_equal(patched)
+        assert _children_vetted(to_the_end, tree, dialect)
 
-    def test_ini_header_claims_a_moved_directive(self):
-        """Why INI cannot declare it: a root directive moved after a
-        section header reads back inside that section."""
-        dialect = get_dialect("ini")
-        tree = dialect.parse("port = 1\n[mysqld]\nuser = x\n", filename="my.cnf")
-        moved = ChildrenChange("my.cnf", (), ((0, 1, ()), (2, 2, (0,))))
+    @pytest.mark.parametrize(
+        "dialect_name, text",
+        [
+            ("ini", "port = 1\n[mysqld]\nuser = x\n"),
+            ("sshdconf", "Port 22\nMatch User a\n    X11Forwarding no\n"),
+        ],
+    )
+    def test_a_header_claims_a_directive_moved_after_it(self, dialect_name, text):
+        """Why the root answers no: a root directive moved after a section
+        header would read back inside that section (sshd refuses to write
+        it at all, since a full pass would read it so)."""
+        dialect = get_dialect(dialect_name)
+        tree = dialect.parse(text, filename="f")
+        moved = ChildrenChange("f", (), ((0, 1, ()), (2, 2, (0,))))
         patched = patch_tree(tree, [moved])
-        assert not dialect.parse(dialect.serialize(patched)).structurally_equal(patched)
-        assert not _children_vetted(moved, tree.root, "my.cnf", dialect)
+        try:
+            reparsed = dialect.parse(dialect.serialize(patched), filename="f")
+        except SerializationError:
+            assert dialect_name == "sshdconf"
+        else:
+            assert not reparsed.structurally_equal(patched)
+            assert reparsed.root.children[0].children[-1].structurally_equal(tree.root.children[0])
+        assert not dialect.siblings_independent_in(tree.root)
+        assert not _children_vetted(moved, tree, dialect)
+        # inside the section the same directive reads back wherever it goes,
+        # but a section snapshot or a node moved in from the root does not
+        section = tree.root.children[1]
+        assert dialect.siblings_independent_in(section)
+        directive = section.children[0].clone()
+        for entry, admitted in ((directive, True), (section.clone(), False), ((0,), False)):
+            change = ChildrenChange("f", (1,), ((0, 0, (entry,)),))
+            assert _children_vetted(change, tree, dialect) is admitted
+
+    def test_zone_files_never_answer_yes(self):
+        """Zone owners and $ORIGIN carry meaning across siblings, so zone
+        files never take structural deltas."""
+        dialect = get_dialect("bindzone")
+        tree = dialect.parse(_default_file(SimulatedBIND, "example.com.zone"), filename="z")
+        assert not any(dialect.siblings_independent_in(node) for node in tree.walk())
 
 
 # ------------------------------------------------------------- fallback routing
@@ -1206,6 +1313,212 @@ class TestApacheEffectTable:
 
 
 # --------------------------------------------- counters and baseline ownership
+# ------------------------------------------------------- BIND's record table
+_ZONE_OWNERS = ["", "@", "www", "mail", "webmail", "ftp.example.com.", "ns1", "10", "shell"]
+_ZONE_VALUES = [
+    "www.example.com.",
+    "mail.example.com.",
+    "10 mail.example.com.",
+    "x0 mail.example.com.",
+    "192.0.2.10",
+    '"text"',
+    "ns1.example.com. hostmaster.example.com. 2008010101 3600 900 604800 86400",
+]
+_ZONE_TYPES = ["A", "MX", "NS", "SOA", "CNAME", "TXT", "PTR", "mx", "cname"]
+_ZONE_TTLS = [None, "", "3600", "1h", "x", "\\u0663\\u0660"]
+_NAMED_VALUES = ['"example.com"', '"2.0.192.in-addr.arpa"', '"example.com.zone"', '"192.0.2.rev"']
+
+
+def _zone_record(draw):
+    """A record line snapshot a delta may insert."""
+    return ConfigNode(
+        "record",
+        name=draw(st.sampled_from(_ZONE_OWNERS)),
+        value=draw(st.sampled_from(_ZONE_VALUES)),
+        attrs={
+            "type": draw(st.sampled_from(_ZONE_TYPES)),
+            "ttl": draw(st.sampled_from(_ZONE_TTLS)),
+            "class": "IN",
+            "inline_comment": "",
+        },
+    )
+
+
+def _draw_bind_change(data, trees):
+    """One field edit of a zone record, ``$ORIGIN``/``$TTL`` line or
+    ``named.conf`` node, or splices of a zone file's lines."""
+    draw = data.draw
+    kind = draw(st.sampled_from(["record", "control", "splice", "named.conf"]))
+    if kind == "named.conf":
+        tree = trees.get("named.conf")
+        members = [(path, node) for node, path in tree.root.walk_with_paths() if path and node.value]
+        path, node = draw(st.sampled_from(members))
+        value = draw(st.one_of(st.sampled_from(_NAMED_VALUES), _typo_of(_NAMED_VALUES)))
+        return kind, NodeChange(tree.name, path, node.kind, node.name, value, dict(node.attrs))
+    tree = trees.get(draw(st.sampled_from(["example.com.zone", "192.0.2.rev"])))
+    children = tree.root.children
+    if kind == "splice":
+        count = len(children)
+        entry = st.one_of(st.integers(0, count - 1), st.builds(_zone_record, st.just(draw)))
+        cuts = sorted(draw(st.lists(st.integers(0, count), max_size=4)))
+        splices = tuple(
+            (start, stop, tuple(draw(st.lists(entry, max_size=3))))
+            for start, stop in zip(cuts[::2], cuts[1::2])
+        )
+        return kind, ChildrenChange(tree.name, (), splices)
+    wanted = "record" if kind == "record" else "control"
+    index = draw(st.sampled_from([i for i, node in enumerate(children) if node.kind == wanted]))
+    node = children[index]
+    attrs = dict(node.attrs)
+    if kind == "control":
+        words = ["example.org.", "example.com.", "2.0.192.in-addr.arpa.", "3600", "x", node.value]
+        return kind, NodeChange(tree.name, (index,), node.kind, node.name, draw(_typo_of(words)), attrs)
+    name = draw(st.one_of(st.just(node.name), st.sampled_from(_ZONE_OWNERS), _typo_of(_ZONE_OWNERS)))
+    value = draw(st.one_of(st.just(node.value), st.sampled_from(_ZONE_VALUES), _typo_of(_ZONE_VALUES)))
+    attrs["type"] = draw(st.one_of(st.just(attrs["type"]), st.sampled_from(_ZONE_TYPES)))
+    attrs["ttl"] = draw(st.one_of(st.just(attrs["ttl"]), st.sampled_from(_ZONE_TTLS)))
+    return kind, NodeChange(tree.name, (index,), node.kind, name, value, attrs)
+
+
+def _bind_state(sut):
+    """Everything the diagnosis suite can read of a BIND, in order."""
+    return (
+        dict(sut.zones),
+        [(r.name, r.rtype, r.value, r.priority, r.ttl, r.metadata) for r in sut.records],
+        sut.is_running(),
+    )
+
+
+@pytest.fixture(scope="module")
+def bind_baseline():
+    sut = SimulatedBIND()
+    prepared = sut.prepare(sut.default_configuration())
+    assert prepared.result.started
+    return prepared
+
+
+def _bind_three_ways(prepared, delta):
+    """The outcomes and states of the table walk, the empty-table walk and
+    (when the patched files read back as patched) a full start."""
+    table = SimulatedBIND()
+    by_table = table.start_delta(prepared, delta)
+    empty = SimulatedBIND()
+    by_walk = SystemUnderTest.start_delta(empty, prepared, delta)
+    runs = [(table, by_table), (empty, by_walk)]
+    patched = patched_trees(prepared.trees, delta)
+    try:
+        files = {tree.name: get_dialect(tree.dialect).serialize(tree) for tree in patched}
+        reads_back = all(
+            get_dialect(tree.dialect).parse(files[tree.name], filename=tree.name).structurally_equal(tree)
+            for tree in patched
+        )
+    except ConfErrError:
+        reads_back = False
+    if reads_back:
+        full = SimulatedBIND()
+        runs.append((full, full.start(files)))
+    return runs
+
+
+class TestBindRecordTable:
+    """BIND's delta walk takes each record line's conversion from the
+    baseline's table and converts afresh only the lines it lacks.  It must
+    leave exactly what the walk with an empty table and a full start of the
+    serialised patched files leave, failed starts included."""
+
+    @given(data=st.data())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_table_walk_empty_walk_and_full_start_agree(self, bind_baseline, data):
+        prepared = bind_baseline
+        changes = {}
+        for _ in range(data.draw(st.integers(1, 2))):
+            kind, change = _draw_bind_change(data, prepared.trees)
+            changes[(change.tree, change.path, type(change))] = change
+        delta = ScenarioDelta(
+            tuple(c for c in changes.values() if isinstance(c, NodeChange)),
+            tuple(c for c in changes.values() if isinstance(c, ChildrenChange)),
+        )
+        runs = _bind_three_ways(prepared, delta)
+        outcomes = [(r.started, r.errors, r.warnings) for _sut, r in runs]
+        first = outcomes[0][1][0].split(":")[0] if outcomes[0][1] else "started"
+        event(f"{kind}: {first}" + ("" if len(runs) == 3 else " (no full start)"))
+        assert all(outcome == outcomes[0] for outcome in outcomes), outcomes
+        states = [_bind_state(sut) for sut, _r in runs]
+        assert all(state == states[0] for state in states)
+        assert (runs[0][1] is prepared.result) == (runs[1][1] is prepared.result)
+
+    @pytest.mark.parametrize(
+        "path, fields, error",
+        [
+            ((0,), {"value": "1h"}, "TTL '1h'"),
+            ((4,), {"value": "x0 mail.example.com."}, "priority 'x0'"),
+            ((2,), {"attrs": {"type": "TXT"}}, "has no SOA record"),
+            ((3,), {"attrs": {"type": "A"}}, "has no NS records"),
+            ((7,), {"name": "webmail"}, "CNAME and other data (A)"),
+            ((4,), {"value": "10 ftp.example.com."}, "is a CNAME (illegal)"),
+            ((1,), {"value": "example.org."}, "has no SOA record"),
+        ],
+        ids=["ttl", "mx-priority", "no-soa", "no-ns", "cname-and-a", "mx-alias", "origin"],
+    )
+    def test_failed_starts_agree(self, bind_baseline, path, fields, error):
+        prepared = bind_baseline
+        node = node_at(prepared.trees.get("example.com.zone"), path)
+        attrs = dict(node.attrs) | fields.pop("attrs", {})
+        change = dict(name=node.name, value=node.value) | fields
+        delta = ScenarioDelta((NodeChange("example.com.zone", path, node.kind, attrs=attrs, **change),))
+        runs = _bind_three_ways(prepared, delta)
+        assert len(runs) == 3
+        outcomes = [(r.started, r.errors, r.warnings) for _sut, r in runs]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert not outcomes[0][0] and error in " ".join(outcomes[0][1]), outcomes[0]
+        assert _bind_state(runs[0][0]) == _bind_state(runs[1][0]) == _bind_state(runs[2][0])
+
+    def test_only_lines_the_table_lacks_are_converted(self, monkeypatch):
+        """A field edit converts its own line afresh, an ``$ORIGIN`` edit
+        every line after it, a ``named.conf`` edit none; the table never
+        grows."""
+        import repro.sut.dns.zonedata as zonedata
+
+        sut = SimulatedBIND()
+        prepared = sut.prepare(sut.default_configuration())
+        table = prepared.state
+        size = len(table)
+        assert size == sum(
+            node.kind == "record" for tree in prepared.trees if tree.dialect == "bindzone"
+            for node in tree.root.children
+        )
+        converted = []
+        original = zonedata.bind_record
+
+        def counting(*entry):
+            converted.append(entry)
+            return original(*entry)
+
+        monkeypatch.setattr(zonedata, "bind_record", counting)
+        zone = prepared.trees.get("example.com.zone")
+        named = prepared.trees.get("named.conf")
+        records_after_origin = sum(node.kind == "record" for node in zone.root.children[2:])
+        www = node_at(zone, (6,))
+        options = node_at(named, (0, 1))
+        cases = [
+            (NodeChange(zone.name, (6,), "record", www.name, "192.0.2.11", dict(www.attrs)), 1),
+            (NodeChange(zone.name, (1,), "control", "ORIGIN", "example.org.", {}), records_after_origin),
+            (NodeChange(named.name, (0, 1), options.kind, options.name, "yes", dict(options.attrs)), 0),
+        ]
+        for change, expected in cases:
+            converted.clear()
+            result = sut.start_delta(prepared, ScenarioDelta((change,)))
+            assert result is not None
+            assert len(converted) == expected, change
+            assert prepared.state is table and len(table) == size
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = None
+
+
 class TestCountersAndBaselineOwnership:
     def test_noop_scenarios_reuse_baseline_outcomes(self):
         """Typos the parser swallows (case changes, ignored groups) prove the
@@ -1264,6 +1577,42 @@ class TestCountersAndBaselineOwnership:
 
 
 # ------------------------------------------------------------- executor parity
+PAPER_SUITE = Path(__file__).resolve().parents[2] / "examples" / "specs" / "paper_suite.toml"
+
+
+def test_paper_suite_delta_decisions_are_counted(monkeypatch):
+    """The delta path's decisions over the paper suite at seed 2008, summed
+    over every engine's ``stats``: counts, no clock.  Of the 30 scenarios
+    the round-trip guard still refuses, 6 are MySQL structural edits of the
+    file root (omitted sections) and 15 djbdns typos that never
+    reach the data file (see test_a_stale_tinydns_value_is_refused)."""
+    engines = []
+    original = InjectionEngine.__init__
+
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(InjectionEngine, "__init__", recording)
+    spec = ExperimentSpec.from_file(PAPER_SUITE)
+    assert (spec.execution.seed, spec.execution.jobs) == (2008, 1)
+    CampaignSuite.from_spec(spec).run()
+    totals = Counter()
+    refused = Counter()
+    for engine in engines:
+        stats = engine.stats.snapshot()
+        totals.update(stats)
+        if stats["guard_fallbacks"]:
+            refused[(engine.sut.name, engine.plugin.name)] += stats["guard_fallbacks"]
+    assert totals["attempts"] == 1706
+    assert totals["guard_fallbacks"] == 30
+    assert totals["delta_starts"] == 1676
+    assert totals["noop_reuses"] == 920
+    assert totals["fallbacks"] == totals["errors"] == 0
+    assert refused[("MySQL", "structural")] == 6
+    assert refused[("djbdns", "spelling")] == 15
+
+
 class TestExecutorParity:
     """Profiles are identical across executors x incremental settings."""
 
