@@ -55,6 +55,14 @@ class InjectionOutcome(Enum):
         )
 
 
+#: ``InjectionOutcome(value)`` as a dict lookup (the Enum call costs more than
+#: the rest of a record's decode).  An unknown value raises ``KeyError`` and
+#: an unhashable one ``TypeError``, both refusals the store's line rule catches.
+_OUTCOME_BY_VALUE = {outcome.value: outcome for outcome in InjectionOutcome}
+_DETECTED = tuple(outcome for outcome in InjectionOutcome if outcome.is_detected())
+_INJECTED = tuple(outcome for outcome in InjectionOutcome if outcome.counts_as_injected())
+
+
 @dataclass
 class InjectionRecord:
     """One line of the resilience profile."""
@@ -88,7 +96,7 @@ class InjectionRecord:
             scenario_id=data["scenario_id"],
             category=data.get("category", ""),
             description=data.get("description", ""),
-            outcome=InjectionOutcome(data["outcome"]),
+            outcome=_OUTCOME_BY_VALUE[data["outcome"]],
             messages=list(data.get("messages", [])),
             failed_tests=list(data.get("failed_tests", [])),
             metadata=dict(data.get("metadata", {})),
@@ -127,16 +135,21 @@ class ResilienceProfile:
     def __init__(self, system_name: str, records: Iterable[InjectionRecord] | None = None):
         self.system_name = system_name
         self._records: list[InjectionRecord] = list(records or [])
+        #: Outcome -> record count, built on the first count query and
+        #: cleared by every change (``add`` stays one append and one store).
+        self._tally: Counter[InjectionOutcome] | None = None
 
     # ------------------------------------------------------------------ build
     def add(self, record: InjectionRecord) -> InjectionRecord:
         """Append one record."""
         self._records.append(record)
+        self._tally = None
         return record
 
     def extend(self, records: Iterable[InjectionRecord]) -> None:
         """Append many records."""
         self._records.extend(records)
+        self._tally = None
 
     def merge(self, other: "ResilienceProfile") -> "ResilienceProfile":
         """New profile containing this profile's records followed by ``other``'s."""
@@ -158,22 +171,30 @@ class ResilienceProfile:
         """Records with a specific outcome."""
         return [record for record in self._records if record.outcome is outcome]
 
+    def _outcome_tally(self) -> Counter[InjectionOutcome]:
+        """The outcome counts every count query reads, one pass per change."""
+        if self._tally is None:
+            self._tally = Counter(record.outcome for record in self._records)
+        return self._tally
+
     def outcome_counts(self) -> dict[InjectionOutcome, int]:
         """Count of records per outcome (all outcomes present, possibly zero)."""
-        counter = Counter(record.outcome for record in self._records)
-        return {outcome: counter.get(outcome, 0) for outcome in InjectionOutcome}
+        tally = self._outcome_tally()
+        return {outcome: tally[outcome] for outcome in InjectionOutcome}
 
     def injected_count(self) -> int:
         """Number of scenarios actually injected (excludes impossible/harness errors)."""
-        return sum(1 for record in self._records if record.outcome.counts_as_injected())
+        tally = self._outcome_tally()
+        return sum(tally[outcome] for outcome in _INJECTED)
 
     def detected_count(self) -> int:
         """Number of injected errors the system caught (startup or tests)."""
-        return sum(1 for record in self._records if record.outcome.is_detected())
+        tally = self._outcome_tally()
+        return sum(tally[outcome] for outcome in _DETECTED)
 
     def ignored_count(self) -> int:
         """Number of injected errors that went unnoticed."""
-        return sum(1 for record in self._records if record.outcome is InjectionOutcome.IGNORED)
+        return self._outcome_tally()[InjectionOutcome.IGNORED]
 
     def detection_rate(self) -> float:
         """Fraction of injected errors that were detected (0.0 when nothing was injected)."""
@@ -195,14 +216,21 @@ class ResilienceProfile:
         """Split the profile into per-category sub-profiles."""
         result: dict[str, ResilienceProfile] = {}
         for record in self._records:
-            result.setdefault(record.category, ResilienceProfile(self.system_name)).add(record)
+            sub = result.get(record.category)
+            if sub is None:
+                sub = result[record.category] = ResilienceProfile(self.system_name)
+            sub.add(record)
         return result
 
     def by_metadata(self, key: str) -> dict[Any, "ResilienceProfile"]:
         """Split the profile by a metadata value (e.g. the targeted directive)."""
         result: dict[Any, ResilienceProfile] = {}
         for record in self._records:
-            result.setdefault(record.metadata.get(key), ResilienceProfile(self.system_name)).add(record)
+            value = record.metadata.get(key)
+            sub = result.get(value)
+            if sub is None:
+                sub = result[value] = ResilienceProfile(self.system_name)
+            sub.add(record)
         return result
 
     # ------------------------------------------------------------ serialisation

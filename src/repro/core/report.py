@@ -183,7 +183,7 @@ def resilience_matrix_table(
     def overall(system: str) -> str:
         merged = ResilienceProfile(system)
         for profile in profiles[system].values():
-            merged.extend(profile.records)
+            merged.extend(profile)
         return cell(merged)
 
     rows.append(["overall", *[overall(system) for system in systems]])
@@ -210,8 +210,10 @@ def store_matrix_profiles(store) -> tuple[dict[str, dict[str, ResilienceProfile]
         display = store.system_display_name(system)
         merged = profiles.setdefault(display, {})
         for campaign, profile in per_campaign.items():
-            existing = merged.setdefault(campaign, ResilienceProfile(display))
-            existing.extend(profile.records)
+            existing = merged.get(campaign)
+            if existing is None:
+                existing = merged[campaign] = ResilienceProfile(display)
+            existing.extend(profile)
     return profiles, plugin_order
 
 

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.profile import (
     DETECTION_BINS,
@@ -160,3 +161,133 @@ class TestResilienceProfile:
         assert "TestSys" in text
         assert "injected errors:        4" in text
         assert "50.0%" in text
+
+
+def recount(profile: ResilienceProfile) -> dict:
+    """Every count query answered by a fresh pass over ``profile.records``."""
+    outcomes = [entry.outcome for entry in profile.records]
+    injected = sum(1 for outcome in outcomes if outcome.counts_as_injected())
+    detected = sum(1 for outcome in outcomes if outcome.is_detected())
+    return {
+        "outcome_counts": {outcome: outcomes.count(outcome) for outcome in InjectionOutcome},
+        "injected": injected,
+        "detected": detected,
+        "ignored": outcomes.count(InjectionOutcome.IGNORED),
+        "rate": detected / injected if injected else 0.0,
+    }
+
+
+def answers(profile: ResilienceProfile) -> dict:
+    return {
+        "outcome_counts": profile.outcome_counts(),
+        "injected": profile.injected_count(),
+        "detected": profile.detected_count(),
+        "ignored": profile.ignored_count(),
+        "rate": profile.detection_rate(),
+    }
+
+
+_outcome_lists = st.lists(st.sampled_from(list(InjectionOutcome)), max_size=4)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(list(InjectionOutcome))),
+        st.tuples(st.just("extend"), _outcome_lists),
+        st.tuples(st.just("merge"), _outcome_lists),
+        st.tuples(st.just("query"), st.none()),
+    ),
+    max_size=30,
+)
+
+
+class TestOutcomeTally:
+    @settings(max_examples=200, deadline=None)
+    @given(_operations)
+    def test_counts_match_a_recount_after_any_interleaving(self, operations):
+        # the tally is built by the first query after a change; every
+        # change must clear it, whether or not a query built it
+        profile = ResilienceProfile("S")
+        for operation, argument in operations:
+            if operation == "add":
+                profile.add(record(argument))
+            elif operation == "extend":
+                profile.extend(record(outcome) for outcome in argument)
+            elif operation == "merge":
+                before = answers(profile)
+                merged = profile.merge(ResilienceProfile("S", [record(o) for o in argument]))
+                assert answers(profile) == before == recount(profile)
+                assert answers(merged) == recount(merged)
+                profile = merged
+            else:
+                assert answers(profile) == recount(profile)
+        assert answers(profile) == recount(profile)
+
+    def test_outcome_counts_returns_a_copy(self):
+        profile = ResilienceProfile("S", [record(InjectionOutcome.IGNORED)])
+        profile.outcome_counts()[InjectionOutcome.IGNORED] = 99
+        assert profile.ignored_count() == 1
+
+
+def _enum_from_dict(data):
+    """``InjectionRecord.from_dict`` as written with the ``Enum`` call."""
+    return InjectionRecord(
+        scenario_id=data["scenario_id"],
+        category=data.get("category", ""),
+        description=data.get("description", ""),
+        outcome=InjectionOutcome(data["outcome"]),
+        messages=list(data.get("messages", [])),
+        failed_tests=list(data.get("failed_tests", [])),
+        metadata=dict(data.get("metadata", {})),
+        duration_seconds=float(data.get("duration_seconds", 0.0)),
+    )
+
+
+#: The exceptions the store's line rule turns into a corrupt-line verdict.
+_LINE_RULE_CATCHES = (ValueError, KeyError, TypeError)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+_outcome_values = st.sampled_from(
+    [outcome.value for outcome in InjectionOutcome] + [outcome.name for outcome in InjectionOutcome]
+)
+_record_dicts = st.fixed_dictionaries(
+    {},
+    optional={
+        "scenario_id": st.text(max_size=4) | _json,
+        "category": st.text(max_size=4) | _json,
+        "description": _json,
+        "outcome": _outcome_values | _json,
+        "messages": st.lists(st.text(max_size=3), max_size=2) | _json,
+        "failed_tests": st.lists(st.text(max_size=3), max_size=2) | _json,
+        "metadata": st.dictionaries(st.text(max_size=3), _json, max_size=2) | _json,
+        "duration_seconds": st.floats() | _json,
+    },
+)
+
+
+class TestRecordFromDict:
+    @settings(max_examples=400, deadline=None)
+    @given(_record_dicts | _json)
+    def test_table_lookup_accepts_and_refuses_like_the_enum_call(self, data):
+        try:
+            expected = _enum_from_dict(data)
+        except Exception as exc:  # noqa: BLE001 - the refusal itself is compared
+            expected = exc
+        try:
+            actual = InjectionRecord.from_dict(data)
+        except Exception as exc:  # noqa: BLE001
+            actual = exc
+        if isinstance(expected, Exception):
+            assert isinstance(actual, Exception)
+            assert isinstance(actual, _LINE_RULE_CATCHES) == isinstance(expected, _LINE_RULE_CATCHES)
+        else:
+            assert not isinstance(actual, Exception), actual
+            assert actual.outcome is expected.outcome
+            assert repr(actual) == repr(expected)  # repr: a NaN duration equals itself
+
+    @pytest.mark.parametrize("outcome", ["IGNORED", "no-such-outcome", ["ignored"], {"v": 1}, None])
+    def test_unknown_or_unhashable_outcome_is_refused_as_the_line_rule_expects(self, outcome):
+        with pytest.raises(_LINE_RULE_CATCHES):
+            InjectionRecord.from_dict({"scenario_id": "s", "outcome": outcome})

@@ -1,11 +1,13 @@
 """Unit tests for the persistent result store."""
 
 import json
+import os
 
 import pytest
 
 from repro.core.profile import InjectionOutcome, InjectionRecord
-from repro.core.store import MANIFEST_VERSION, ResultStore
+from repro.core.report import render_store_report, store_matrix_table, store_typo_table
+from repro.core.store import MANIFEST_VERSION, ResultStore, _cut_torn_tail
 from repro.errors import StoreError
 
 
@@ -286,3 +288,110 @@ class TestLoading:
         store.append("zeta", "c", record("a"))
         store.append("alpha", "c", record("b"))
         assert store.systems() == ["alpha", "zeta"]
+
+
+def render(store: ResultStore) -> str:
+    """Table 1, the matrix and the report, as a ``--from-store`` user sees them."""
+    return "\n".join([store_typo_table(store), store_matrix_table(store), render_store_report(store)])
+
+
+class TestDecodeCache:
+    """One instance renders many times; every render shows the file as it is now."""
+
+    MANIFEST = {
+        **MANIFEST,
+        "systems": {"mysql": "MySQL", "pg": "Postgres"},
+        "plugins": [{"name": "spelling", "params": {}}, {"name": "structural", "params": {}}],
+    }
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.write_manifest(self.MANIFEST)
+        store.append("mysql", "spelling", record("a"))
+        store.append("mysql", "spelling", record("b", InjectionOutcome.DETECTED_AT_STARTUP))
+        store.append("mysql", "structural", record("c"))
+        store.append("pg", "spelling", record("d", InjectionOutcome.DETECTED_BY_TESTS))
+        store.close()
+        return store
+
+    def rerender(self, store: ResultStore) -> str:
+        """Render again on the same instance; it must equal a fresh reader's."""
+        after = render(store)
+        assert after == render(ResultStore(store.root))
+        return after
+
+    def test_append_is_seen(self, store):
+        before = render(store)
+        store.append("mysql", "spelling", record("e", InjectionOutcome.DETECTED_BY_TESTS))
+        assert self.rerender(store) != before
+
+    def test_repair_of_a_corrupt_interior_line_is_seen(self, store):
+        before = render(store)
+        path = store.path_for("mysql")
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + b"garbage\n" + b"".join(lines[1:]))
+        with pytest.raises(StoreError, match="corrupt record"):
+            render(store)
+        store.repair()
+        assert self.rerender(store) == before
+
+    def test_torn_tail_and_its_cut_are_seen(self, store):
+        before = render(store)
+        path = store.path_for("mysql")
+        line = json.dumps({"campaign": "spelling", "record": record("t").to_dict()})
+        with open(path, "ab") as handle:
+            handle.write(line.encode("utf-8"))  # a whole record, but no newline: torn
+        assert self.rerender(store) == before
+        _cut_torn_tail(path, quarantine=False)
+        assert self.rerender(store) == before
+        with open(path, "ab") as handle:
+            handle.write(line.encode("utf-8") + b"\n")
+        assert self.rerender(store) != before
+
+    def test_deleted_file_is_seen(self, store):
+        before = render(store)
+        store.path_for("pg").unlink()
+        after = self.rerender(store)
+        assert after != before
+        assert store.load_profiles()["pg"] == {}
+
+    def test_same_size_rewrite_with_the_old_mtime_is_seen(self, store):
+        # timestamps are not trusted: the bytes decide
+        before = render(store)
+        path = store.path_for("mysql")
+        stat = path.stat()
+        data = path.read_bytes()
+        flipped = data.replace(b'"ignored"', b'"timeout"', 1)
+        assert len(flipped) == len(data) and flipped != data
+        with open(path, "r+b") as handle:
+            handle.write(flipped)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        assert path.stat().st_size == stat.st_size
+        after = self.rerender(store)
+        assert after != before
+        assert "timeouts:               1" in after
+
+    def test_three_renders_decode_each_line_once(self, store, monkeypatch):
+        decoded = []
+        original = InjectionRecord.from_dict.__func__
+
+        def counting(cls, data):
+            decoded.append(data["scenario_id"])
+            return original(cls, data)
+
+        monkeypatch.setattr(InjectionRecord, "from_dict", classmethod(counting))
+        render(store)
+        assert sorted(decoded) == ["a", "b", "c", "d"]
+        render(store)
+        assert len(decoded) == 4
+
+    def test_mutating_a_returned_profile_does_not_leak(self, store):
+        first = store.load_profiles()
+        first["mysql"]["spelling"].add(record("x"))
+        store.merged_profiles()["MySQL"].add(record("y"))
+        again = store.load_profiles()
+        assert [rec.scenario_id for rec in again["mysql"]["spelling"]] == ["a", "b"]
+        assert len(store.merged_profiles()["MySQL"]) == 3
+        assert again["mysql"]["spelling"] is not first["mysql"]["spelling"]
