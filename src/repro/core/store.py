@@ -66,19 +66,11 @@ Concurrency contract, precisely:
   ``write()`` of one complete line followed by a flush, a reader streaming
   the file mid-append sees only complete records plus at most one torn
   trailing line -- which the line rule below skips.  Live progress
-  endpoints poll exactly this way.  ``load_profiles`` (and so every
-  renderer) keeps each file's decoded records per store instance, keyed on
-  a digest of the file's bytes: rendering Table 1, the matrix and the
-  report from one instance decodes each file once, while any change to a
-  file's bytes -- an append, a repair, a cut tail -- is a miss, so a live
-  reader always sees the file as it is.  The key is the bytes, not a
-  timestamp: an in-place rewrite within one clock tick keeps ``mtime``.
-  The decoded records are shared between calls and are read-only.
+  endpoints poll exactly this way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -121,9 +113,6 @@ _CORRUPT_SUFFIX = ".corrupt"
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 #: The verdicts :func:`_classify` gives a line.
 _RECORD, _BLANK, _CORRUPT, _TORN = "record", "blank", "corrupt", "torn"
-#: Read size of :func:`_file_digest`; a 1 MiB buffer measurably raised a
-#: render's peak RSS against this one.
-_DIGEST_CHUNK = 1 << 16
 
 
 def _classify(
@@ -174,18 +163,6 @@ def _read_entries(path: Path, quarantine: bool) -> Iterator[tuple]:
                 raise StoreError(
                     f"corrupt record at {path}:{number}: {detail}", "store/corrupt-line"
                 ) from detail
-
-
-def _file_digest(path: Path) -> bytes | None:
-    """SHA-1 of the file's bytes, read in chunks; None when it is not a file."""
-    digest = hashlib.sha1()
-    try:
-        with open(path, "rb") as handle:
-            while chunk := handle.read(_DIGEST_CHUNK):
-                digest.update(chunk)
-    except (FileNotFoundError, IsADirectoryError):
-        return None
-    return digest.digest()
 
 
 def _cut_torn_tail(path: Path, quarantine: bool) -> None:
@@ -291,10 +268,6 @@ class ResultStore:
         self._systems_index: dict[str, str] | None = None
         #: Whether this instance holds the advisory ``store.lock``.
         self._lock_owned = False
-        #: system -> (digest of its record file, its records by campaign);
-        #: see :meth:`_records_by_campaign`.  Never dropped: a changed file
-        #: is a miss.
-        self._decoded: dict[str, tuple[bytes, dict[str, tuple[InjectionRecord, ...]]]] = {}
 
     def close(self) -> None:
         """Close cached append handles and release the writer lock.
@@ -689,53 +662,22 @@ class ResultStore:
                     return name
         return system
 
-    def _records_by_campaign(self, system: str) -> dict[str, tuple[InjectionRecord, ...]]:
-        """One system's records grouped by campaign, decoded once per file content.
-
-        Campaigns come in first-appearance order and records in append
-        order.  The file is digested on every call; a digest this instance
-        has decoded before is served from memory, anything else is decoded
-        through :meth:`iter_records` (so the line rule and its errors are
-        exactly the streaming reader's).  A decode is kept only when the
-        file's digest after it matches the one before: records read from a
-        file that changed mid-decode are returned but never cached.
-        """
-        path = self.path_for(system)
-        before = _file_digest(path)
-        if before is None:
-            self._decoded.pop(system, None)
-            return {}
-        cached = self._decoded.get(system)
-        if cached is not None and cached[0] == before:
-            return cached[1]
-        grouped: dict[str, list[InjectionRecord]] = {}
-        for campaign, record in self.iter_records(system):
-            records = grouped.get(campaign)
-            if records is None:
-                records = grouped[campaign] = []
-            records.append(record)
-        decoded = {campaign: tuple(records) for campaign, records in grouped.items()}
-        if _file_digest(path) == before:
-            self._decoded[system] = (before, decoded)
-        return decoded
-
     def load_profiles(self) -> dict[str, dict[str, ResilienceProfile]]:
         """Rebuild per-system, per-campaign profiles from disk.
 
         Returns ``{system_key: {campaign: profile}}``; record order within a
         campaign is append order, which for a completed run is scenario order.
-        Every call returns fresh profiles, but a file whose bytes have not
-        changed since this instance last decoded it is not decoded again:
-        the :class:`InjectionRecord` objects inside are shared between calls
-        and are read-only.
         """
         result: dict[str, dict[str, ResilienceProfile]] = {}
         for system in self.systems():
             display = self.system_display_name(system)
-            result[system] = {
-                campaign: ResilienceProfile(display, records)
-                for campaign, records in self._records_by_campaign(system).items()
-            }
+            per_campaign: dict[str, ResilienceProfile] = {}
+            for campaign, record in self.iter_records(system):
+                profile = per_campaign.get(campaign)
+                if profile is None:
+                    profile = per_campaign[campaign] = ResilienceProfile(display)
+                profile.add(record)
+            result[system] = per_campaign
         return result
 
     def merged_profiles(self) -> dict[str, ResilienceProfile]:
