@@ -8,12 +8,13 @@ Postgres and Apache, and prints the table in the paper's layout.
 from benchmarks.conftest import BENCH_SEED, run_suite
 from repro.bench import table1
 from repro.core.profile import InjectionOutcome
+from repro.core.report import merged
 
 
 def test_table1_resilience_to_typos(run_once):
     spec = table1.table1_spec(seed=BENCH_SEED, typos_per_directive=10, directives_per_section=10)
     cells = run_once(run_suite, spec)
-    profiles = table1.merged(cells)
+    profiles = merged(cells)
 
     print("\n\nTable 1 -- Resilience to typos\n" + table1.render(cells) + "\n")
 

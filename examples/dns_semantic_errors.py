@@ -21,6 +21,7 @@ Run with::
 
 from repro.bench import table3
 from repro.core.profile import InjectionOutcome
+from repro.core.report import merged
 from repro.core.suite import CampaignSuite
 
 
@@ -28,10 +29,11 @@ def main() -> None:
     result = CampaignSuite.from_spec(table3.table3_spec(seed=2008)).run()
 
     print("Behaviour per fault class (Table 3):\n")
-    print(table3.render(result.profiles_by_display()))
+    profiles = result.profiles_by_display()
+    print(table3.render(profiles))
     print()
 
-    for profile in result.overall_profiles().values():
+    for profile in merged(profiles).values():
         impossible = profile.records_with(InjectionOutcome.INJECTION_IMPOSSIBLE)
         detected = profile.detected_count()
         print(

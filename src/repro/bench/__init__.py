@@ -14,8 +14,9 @@ as an ordinary campaign suite (spec -> :class:`~repro.core.suite.CampaignSuite`
 
 A renderer takes ``{system display name: {campaign label: profile}}`` --
 the shape of :meth:`~repro.core.suite.SuiteResult.profiles_by_display` for
-a live run and of :func:`store_profiles` for a stored one -- so a render
-from disk is byte-identical to the live render by construction.
+a live run and of :meth:`~repro.core.store.ResultStore.load_profiles` for a
+stored one -- so a render from disk is byte-identical to the live render by
+construction.
 ``docs/PERFORMANCE.md`` records the timing measurements.
 """
 
@@ -26,13 +27,11 @@ from typing import Callable, Mapping, NamedTuple
 from repro.bench import figure3, matrix, table1, table2, table3
 from repro.bench.timing import ThroughputResult, campaign_throughput, time_single_injection
 from repro.core.profile import ResilienceProfile
-from repro.core.report import store_matrix_profiles
 from repro.core.spec import ExperimentSpec
 
 __all__ = [
     "ARTIFACTS",
     "Artifact",
-    "store_profiles",
     "time_single_injection",
     "campaign_throughput",
     "ThroughputResult",
@@ -59,19 +58,3 @@ ARTIFACTS: dict[str, Artifact] = {
     "figure3": Artifact(figure3.figure3_spec, figure3.render, ("experiments_per_directive",)),
     "matrix": Artifact(matrix.matrix_spec, matrix.render, ("systems", "plugins")),
 }
-
-
-def store_profiles(store) -> dict[str, dict[str, ResilienceProfile]]:
-    """A stored suite's cell profiles, shaped like a live run's.
-
-    Systems and campaigns come in manifest order; a cell with no records
-    on disk (a campaign that injected nothing, or has not run yet) is an
-    empty profile, exactly as in the live run.
-    """
-    profiles, plugin_order = store_matrix_profiles(store)
-    order = list(plugin_order or ())
-    result: dict[str, dict[str, ResilienceProfile]] = {}
-    for system, cells in profiles.items():
-        names = order + [name for name in cells if name not in order]
-        result[system] = {name: cells.get(name, ResilienceProfile(system)) for name in names}
-    return result

@@ -23,6 +23,7 @@ from typing import Mapping
 from repro.core.profile import ResilienceProfile
 from repro.core.report import (
     detection_distribution,
+    merged,
     per_directive_detection_rates,
     render_distribution_chart,
 )
@@ -68,14 +69,9 @@ def directive_rates(
     value_typos = {
         system: ResilienceProfile(
             system,
-            [
-                record
-                for profile in cells.values()
-                for record in profile.records
-                if record.metadata.get("token_type") == TOKEN_DIRECTIVE_VALUE
-            ],
+            [record for record in profile if record.metadata.get("token_type") == TOKEN_DIRECTIVE_VALUE],
         )
-        for system, cells in profiles.items()
+        for system, profile in merged(profiles).items()
     }
     if not any(len(profile) for profile in value_typos.values()):
         raise StoreError(

@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.profile import ResilienceProfile
-from repro.core.report import typo_resilience_table
+from repro.core.report import merged, typo_resilience_table
 from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
 from repro.core.views.token_view import TOKEN_DIRECTIVE_NAME, TOKEN_DIRECTIVE_VALUE
 
-__all__ = ["table1_spec", "render", "merged"]
+__all__ = ["table1_spec", "render"]
 
 
 def table1_spec(
@@ -62,14 +62,6 @@ def table1_spec(
         ),
         execution=ExecutionSpec(seed=seed),
     )
-
-
-def merged(profiles: Mapping[str, Mapping[str, ResilienceProfile]]) -> dict[str, ResilienceProfile]:
-    """Each system's campaigns merged into one profile."""
-    return {
-        system: ResilienceProfile(system, [r for profile in cells.values() for r in profile.records])
-        for system, cells in profiles.items()
-    }
 
 
 def render(profiles: Mapping[str, Mapping[str, ResilienceProfile]]) -> str:

@@ -822,7 +822,7 @@ def _command_artifact(args: argparse.Namespace) -> int:
     """``table1`` ... ``matrix``: run the artefact's spec (or load a stored
     run) and print its render -- one renderer for both, so the two outputs
     of one run are byte-identical."""
-    from repro.bench import ARTIFACTS, store_profiles
+    from repro.bench import ARTIFACTS
 
     artifact = ARTIFACTS[args.command]
     resume = getattr(args, "resume", False)
@@ -832,7 +832,7 @@ def _command_artifact(args: argparse.Namespace) -> int:
                 "--resume needs --store (continue an interrupted run); "
                 "--from-store only re-renders the records already on disk"
             )
-        profiles = store_profiles(ResultStore(args.from_store))
+        profiles = ResultStore(args.from_store).load_profiles()
     else:
         spec = artifact.spec(**{name: getattr(args, name) for name in artifact.options})
         spec = dataclasses.replace(

@@ -19,7 +19,10 @@ here too (:func:`classify_structural_support`,
 so the paper's artefacts can be rebuilt from any source of profiles --
 a live run or a :class:`~repro.core.store.ResultStore` on disk
 (:func:`store_typo_table` renders Table 1 straight from a store, without
-re-running a single injection).
+re-running a single injection).  Every renderer takes the ``{system display
+name: {campaign: profile}}`` shape of a live suite and of
+:meth:`~repro.core.store.ResultStore.load_profiles` alike; :func:`merged`
+is the one rule that folds a system's cells into one profile.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.core.profile import (
 
 __all__ = [
     "format_table",
+    "merged",
     "typo_resilience_table",
     "structural_support_table",
     "semantic_behaviour_table",
@@ -45,7 +49,6 @@ __all__ = [
     "classify_semantic_behaviour",
     "per_directive_detection_rates",
     "store_typo_table",
-    "store_matrix_profiles",
     "store_matrix_table",
     "render_store_report",
 ]
@@ -62,6 +65,14 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
+
+
+def merged(profiles: Mapping[str, Mapping[str, ResilienceProfile]]) -> dict[str, ResilienceProfile]:
+    """Each system's cells merged into one profile, in cell order."""
+    return {
+        system: ResilienceProfile(system, [record for profile in cells.values() for record in profile])
+        for system, cells in profiles.items()
+    }
 
 
 # ----------------------------------------------------------------------- Table 1
@@ -141,30 +152,23 @@ def semantic_behaviour_table(behaviour: Mapping[str, Mapping[str, str]]) -> str:
 
 
 # ------------------------------------------------------------------ the matrix
-def resilience_matrix_table(
-    profiles: Mapping[str, Mapping[str, ResilienceProfile]],
-    plugin_order: Sequence[str] | None = None,
-) -> str:
+def resilience_matrix_table(profiles: Mapping[str, Mapping[str, ResilienceProfile]]) -> str:
     """The M-systems x N-plugins resilience matrix.
 
     ``profiles`` maps system display name to a mapping of plugin (campaign)
     name to that cell's profile; columns are the systems in mapping order,
-    rows the plugins.  Each cell shows ``detected/injected (rate)`` --
-    detection at startup and by functional tests combined -- or ``n/a``
-    when the plugin injected nothing into that system (e.g. DNS semantic
-    errors against a web server).  A summary row totals each system.
+    rows the plugins in first-seen order.  Each cell shows
+    ``detected/injected (rate)`` -- detection at startup and by functional
+    tests combined -- or ``n/a`` when the plugin injected nothing into that
+    system (e.g. DNS semantic errors against a web server).  A summary row
+    totals each system's merged cells.
 
     The same renderer serves live suite results and result stores, which is
     what makes ``conferr matrix`` and ``conferr matrix --from-store`` of
     one run byte-identical.
     """
     systems = list(profiles)
-    if plugin_order is None:
-        seen: dict[str, None] = {}
-        for per_plugin in profiles.values():
-            for plugin in per_plugin:
-                seen.setdefault(plugin, None)
-        plugin_order = list(seen)
+    plugins = list(dict.fromkeys(plugin for per_plugin in profiles.values() for plugin in per_plugin))
 
     def cell(profile: ResilienceProfile | None) -> str:
         if profile is None:
@@ -177,44 +181,11 @@ def resilience_matrix_table(
 
     rows: list[list[object]] = [
         [plugin, *[cell(profiles[system].get(plugin)) for system in systems]]
-        for plugin in plugin_order
+        for plugin in plugins
     ]
-
-    def overall(system: str) -> str:
-        merged = ResilienceProfile(system)
-        for profile in profiles[system].values():
-            merged.extend(profile)
-        return cell(merged)
-
-    rows.append(["overall", *[overall(system) for system in systems]])
+    totals = merged(profiles)
+    rows.append(["overall", *[cell(totals[system]) for system in systems]])
     return format_table(["", *systems], rows)
-
-
-def store_matrix_profiles(store) -> tuple[dict[str, dict[str, ResilienceProfile]], list[str] | None]:
-    """Load a store's per-(system, plugin) matrix cells in one pass.
-
-    Returns ``(profiles, plugin_order)``: profiles keyed by system display
-    name then campaign, and the manifest's plugin row order (None for
-    stores without a plugin list).  One read serves both the rendering and
-    any caller that wants the cell profiles themselves.
-    """
-    manifest = store.read_manifest()
-    plugin_order = None
-    recorded = manifest.get("plugins")
-    if isinstance(recorded, Sequence):
-        plugin_order = [
-            entry.get("name") for entry in recorded if isinstance(entry, Mapping)
-        ]
-    profiles: dict[str, dict[str, ResilienceProfile]] = {}
-    for system, per_campaign in store.load_profiles().items():
-        display = store.system_display_name(system)
-        merged = profiles.setdefault(display, {})
-        for campaign, profile in per_campaign.items():
-            existing = merged.get(campaign)
-            if existing is None:
-                existing = merged[campaign] = ResilienceProfile(display)
-            existing.extend(profile)
-    return profiles, plugin_order
 
 
 def store_matrix_table(store) -> str:
@@ -226,8 +197,7 @@ def store_matrix_table(store) -> str:
     byte-identical to the live run's
     :meth:`~repro.core.suite.SuiteResult.matrix`.
     """
-    profiles, plugin_order = store_matrix_profiles(store)
-    return resilience_matrix_table(profiles, plugin_order=plugin_order)
+    return resilience_matrix_table(store.load_profiles())
 
 
 # ------------------------------------------------------------- classification
@@ -279,7 +249,7 @@ def store_typo_table(store) -> str:
     :meth:`~repro.core.suite.SuiteResult.table1` does -- the two renderings
     of the same run are byte-identical.
     """
-    return typo_resilience_table(store.merged_profiles())
+    return typo_resilience_table(merged(store.load_profiles()))
 
 
 def render_store_report(store) -> str:
@@ -296,7 +266,7 @@ def render_store_report(store) -> str:
         f"(kind: {manifest.get('kind')}, seed: {manifest.get('seed')})"
     ]
     # one pass over the records serves the summaries and Table 1 alike
-    profiles = store.merged_profiles()
+    profiles = merged(store.load_profiles())
     for profile in profiles.values():
         lines.append("")
         lines.append(profile.summary())

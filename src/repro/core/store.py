@@ -143,7 +143,7 @@ def _classify(
                     if not isinstance(entry["system"], str):
                         raise TypeError("quarantine entry without a string system")
                     detail = (entry["system"], *detail)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 pending = (number, raw, exc)
                 continue
             yield number, raw, _RECORD, detail
@@ -663,38 +663,39 @@ class ResultStore:
         return system
 
     def load_profiles(self) -> dict[str, dict[str, ResilienceProfile]]:
-        """Rebuild per-system, per-campaign profiles from disk.
+        """The stored cell profiles: ``{system display name: {campaign: profile}}``.
 
-        Returns ``{system_key: {campaign: profile}}``; record order within a
-        campaign is append order, which for a completed run is scenario order.
+        The shape every renderer takes, and the one a live run's
+        :meth:`~repro.core.suite.SuiteResult.profiles_by_display` returns.
+        Systems and campaigns come in manifest order; a manifest campaign
+        with no records on disk (it injected nothing, or has not run yet) is
+        an empty profile, exactly as in the live run, and campaigns the
+        manifest does not list follow in the order their records appear.
+        System keys sharing a display name share one profile per campaign.
+        Record order within a campaign is append order, which for a
+        completed run is scenario order.
+
+        Raises :class:`StoreError` (``store/missing``) for a directory
+        without a manifest.
         """
+        recorded = self.read_manifest().get("plugins")
+        campaigns = (
+            [entry.get("name") for entry in recorded if isinstance(entry, Mapping)]
+            if isinstance(recorded, list)
+            else []
+        )
         result: dict[str, dict[str, ResilienceProfile]] = {}
         for system in self.systems():
             display = self.system_display_name(system)
-            per_campaign: dict[str, ResilienceProfile] = {}
+            cells = result.get(display)
+            if cells is None:
+                cells = result[display] = {name: ResilienceProfile(display) for name in campaigns}
             for campaign, record in self.iter_records(system):
-                profile = per_campaign.get(campaign)
+                profile = cells.get(campaign)
                 if profile is None:
-                    profile = per_campaign[campaign] = ResilienceProfile(display)
+                    profile = cells[campaign] = ResilienceProfile(display)
                 profile.add(record)
-            result[system] = per_campaign
         return result
-
-    def merged_profiles(self) -> dict[str, ResilienceProfile]:
-        """One merged profile per system (all campaigns), keyed by display name.
-
-        Two system keys sharing a display name merge into one profile rather
-        than one silently shadowing the other.
-        """
-        merged: dict[str, ResilienceProfile] = {}
-        for system, per_campaign in self.load_profiles().items():
-            display = self.system_display_name(system)
-            profile = merged.get(display)
-            if profile is None:
-                profile = merged[display] = ResilienceProfile(display)
-            for campaign_profile in per_campaign.values():
-                profile.extend(campaign_profile)
-        return merged
 
     # ------------------------------------------------------------ verify/repair
     def _record_files(self, systems: list[str]) -> list[tuple[str, Path]]:

@@ -28,7 +28,7 @@ from repro.core.engine import InjectionEngine
 from repro.core.executor import CampaignExecutor, WorkerSpec, resolve_executor
 from repro.core.faults import FaultPolicy
 from repro.core.profile import InjectionRecord, ResilienceProfile
-from repro.core.report import resilience_matrix_table, typo_resilience_table
+from repro.core.report import merged, resilience_matrix_table, typo_resilience_table
 from repro.core.spec import ExperimentSpec, derive_seed
 from repro.core.store import ResultStore
 from repro.core.templates.base import FaultScenario
@@ -56,14 +56,8 @@ class SuiteResult:
 
     def overall(self, system: str) -> ResilienceProfile:
         """All plugins' records for one system merged into one profile."""
-        merged = ResilienceProfile(self.system_names.get(system, system))
-        for profile in self.profiles.get(system, {}).values():
-            merged.extend(profile.records)
-        return merged
-
-    def overall_profiles(self) -> dict[str, ResilienceProfile]:
-        """Merged per-system profiles keyed by display name, in suite order."""
-        return {self.system_names[key]: self.overall(key) for key in self.profiles}
+        name = self.system_names.get(system, system)
+        return merged({name: self.profiles.get(system, {})})[name]
 
     def total_executed(self) -> int:
         """Scenarios actually run by this invocation."""
@@ -75,15 +69,17 @@ class SuiteResult:
 
     def table1(self) -> str:
         """Table 1 layout over the suite's merged per-system profiles."""
-        return typo_resilience_table(self.overall_profiles())
+        return typo_resilience_table(merged(self.profiles_by_display()))
 
     def profiles_by_display(self) -> dict[str, dict[str, ResilienceProfile]]:
         """Per-(system, plugin) cell profiles keyed by system display name.
 
         The shape every artefact renderer in :mod:`repro.bench` consumes
-        (:func:`repro.bench.store_profiles` builds it from a store); keeping
-        the display-name remapping in one place is what guarantees the live
-        rendering stays byte-identical to the store-backed one.
+        (:meth:`ResultStore.load_profiles
+        <repro.core.store.ResultStore.load_profiles>` reads it from a
+        store); keeping the display-name remapping in one place is what
+        guarantees the live rendering stays byte-identical to the
+        store-backed one.
         """
         return {
             self.system_names.get(key, key): dict(per_plugin)

@@ -8,7 +8,8 @@ submit/poll/cancel/render operations the HTTP layer maps routes onto.
 
 Artifact rendering goes through *exactly* the ``--from-store`` code paths
 the CLI uses (the :data:`~repro.bench.ARTIFACTS` renderers over
-:func:`~repro.bench.store_profiles`, and :func:`render_store_report`),
+:meth:`~repro.core.store.ResultStore.load_profiles`, and
+:func:`render_store_report`),
 so a table fetched over HTTP is byte-identical to the local
 ``conferr table1 --from-store <job-store>`` render -- the acceptance
 criterion of the service, and the reason results need no new code to be
@@ -22,7 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from repro.bench import ARTIFACTS, store_profiles
+from repro.bench import ARTIFACTS
 from repro.core.report import render_store_report
 from repro.core.spec import ExperimentSpec, validation_report
 from repro.core.store import ResultStore
@@ -49,7 +50,7 @@ def render_artifact(store: ResultStore, name: str) -> str:
         return render_store_report(store) + "\n"
     if name not in ARTIFACTS:
         raise ServiceError(f"unknown artifact {name!r}; available: {', '.join(ARTIFACT_NAMES)}")
-    return ARTIFACTS[name].render(store_profiles(store)) + "\n"
+    return ARTIFACTS[name].render(store.load_profiles()) + "\n"
 
 
 class SpecRejected(ServiceError):

@@ -13,7 +13,7 @@ from repro.bench.table3 import FAULT_LABELS
 from repro.bench.timing import single_injection_callable
 from repro.bench.workloads import full_directive_mysql_config, full_directive_postgres_config
 from repro.core.profile import InjectionOutcome, ResilienceProfile
-from repro.core.report import detection_distribution
+from repro.core.report import detection_distribution, merged
 from repro.core.suite import CampaignSuite
 from repro.errors import StoreError
 from repro.sut.mysql import SimulatedMySQL
@@ -45,7 +45,7 @@ class TestTable1:
 
     @pytest.fixture(scope="class")
     def profiles(self, cells):
-        return table1.merged(cells)
+        return merged(cells)
 
     def test_all_three_systems_present(self, profiles):
         assert set(profiles) == {"MySQL", "Postgres", "Apache"}

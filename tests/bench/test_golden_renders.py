@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import ARTIFACTS, store_profiles
-from repro.core.report import store_typo_table
+from repro.bench import ARTIFACTS
+from repro.core.report import render_store_report
 from repro.core.store import ResultStore
 from repro.core.suite import CampaignSuite
 
@@ -61,16 +61,16 @@ def test_live_render_matches_golden(artifact_run, golden):
 
 def test_store_render_is_byte_identical(artifact_run):
     name, live, store = artifact_run
-    assert ARTIFACTS[name].render(store_profiles(store)) == live
+    assert ARTIFACTS[name].render(store.load_profiles()) == live
     assert store.read_manifest()["kind"] == "suite"
 
 
 def test_report_views_match_golden(tmp_path, golden):
-    # the deterministic body of `conferr report <store-dir>`: the merged
-    # per-system summaries followed by the typo-resilience layout
+    # `conferr report <store-dir>` as printed, less its header line, which
+    # names the store's temporary path
     spec = ARTIFACTS["matrix"].spec(**GOLDEN_RUNS["matrix"])
     with ResultStore(tmp_path / "mx") as store:
         CampaignSuite.from_spec(spec).run(store=store)
-    sections = [profile.summary() for profile in store.merged_profiles().values()]
-    sections.append(store_typo_table(store))
-    golden("report.txt", "\n\n".join(sections) + "\n")
+    header, body = render_store_report(store).split("\n\n", 1)
+    assert header == f"result store: {store.root} (kind: suite, seed: {SEED})"
+    golden("report.txt", body + "\n")

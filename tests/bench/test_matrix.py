@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.bench import store_profiles
 from repro.bench.matrix import MATRIX_PLUGINS, MATRIX_SYSTEMS, matrix_spec, render
 from repro.core.report import resilience_matrix_table
 from repro.core.profile import ResilienceProfile, InjectionOutcome, InjectionRecord
@@ -40,7 +39,7 @@ class TestRenderer:
         table = resilience_matrix_table({"sys": {"plug": ResilienceProfile("sys")}})
         assert "n/a" in table
 
-    def test_plugin_order_is_preserved(self):
+    def test_plugin_rows_keep_first_seen_order(self):
         profiles = {
             "sys": {
                 "zeta": ResilienceProfile("sys"),
@@ -77,7 +76,7 @@ class TestLiveVsStore:
 
     def test_live_and_store_renders_are_byte_identical(self, stored_run):
         profiles, store = stored_run
-        assert render(store_profiles(store)) == render(profiles)
+        assert render(store.load_profiles()) == render(profiles)
 
     def test_matrix_lists_every_requested_cell(self, stored_run):
         profiles, _store = stored_run
@@ -85,9 +84,9 @@ class TestLiveVsStore:
         for per_plugin in profiles.values():
             assert set(per_plugin) == {"omission", "spelling"}
 
-    def test_from_store_profiles_match_live_counts(self, stored_run):
+    def test_stored_profiles_match_live_counts(self, stored_run):
         profiles, store = stored_run
-        reloaded = store_profiles(store)
+        reloaded = store.load_profiles()
         for system, per_plugin in profiles.items():
             for plugin, profile in per_plugin.items():
                 assert reloaded[system][plugin].injected_count() == profile.injected_count()
@@ -101,14 +100,14 @@ class TestLiveVsStore:
             systems=["bind"], plugins=["omission", "semantic-constraints"],
             seed=2008, store=store,
         )
-        reloaded = store_profiles(store)
+        reloaded = store.load_profiles()
         assert len(reloaded["BIND"]["semantic-constraints"]) == 0
         assert len(live["BIND"]["semantic-constraints"]) == 0
         assert list(reloaded["BIND"]) == ["omission", "semantic-constraints"]
 
     def test_from_store_requires_a_result_store(self, tmp_path):
         with pytest.raises(StoreError, match="no result store"):
-            store_profiles(ResultStore(tmp_path / "bogus"))
+            ResultStore(tmp_path / "bogus").load_profiles()
 
 
 class TestExecutorInvariance:

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.core.report import merged
 from repro.core.store import ResultStore
 from repro.core.suite import CampaignSuite
 from repro.plugins import ConstraintViolationPlugin, SpellingMistakesPlugin
@@ -101,11 +102,11 @@ class TestConcurrentReaders:
         rows = snapshot(tmp_path)
         assert len(rows) == result.total_executed()  # torn tail skipped
 
-    def test_merged_profiles_are_readable_mid_lock(self, tmp_path):
+    def test_profiles_are_readable_mid_lock(self, tmp_path):
         writer = ResultStore(tmp_path)
         small_suite().run(store=writer)
-        # writer still holds the lock; a reader can do full profile merges
-        profiles = ResultStore(tmp_path).merged_profiles()
+        # writer still holds the lock; a reader can load and merge every cell
+        profiles = merged(ResultStore(tmp_path).load_profiles())
         assert set(profiles) == {"MySQL", "Postgres"}
         assert all(len(profile) > 0 for profile in profiles.values())
 

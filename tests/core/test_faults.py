@@ -8,6 +8,7 @@ scenario must surface exactly once as a quarantined ``TIMEOUT`` /
 ``HARNESS_ERROR`` record -- never silently vanish, never duplicate.
 """
 
+import functools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -29,6 +30,7 @@ from repro.core.templates.base import FaultScenario
 from repro.plugins import SpellingMistakesPlugin
 from repro.registry import get_system
 from repro.sut.chaos import ChaosFactory
+from repro.sut.latency import LatencySUT
 
 SEED = 2008
 
@@ -305,11 +307,29 @@ def _chaos_then_clean(store, executor, factory=None):
     return store
 
 
+#: Seconds each surviving chaos scenario spends stopping its SUT.
+SLOW_STOP = 0.1
+
+
 class TestSharedPoolUnderChaos:
     """Respawn and isolation on the one pool a process suite keeps."""
 
     def test_respawned_pool_serves_the_next_cell(self, tmp_path, process_pools):
-        chaos = _chaos_then_clean(ResultStore(tmp_path / "process"), "process")
+        # The chaos cell has 29 one-scenario blocks; its crashes fall on
+        # blocks 1 and 8, each in the first 8-block window of a pool.  The
+        # stream respawns a broken pool only for blocks it has not submitted
+        # yet, so the clean cell reuses the chaos cell's last pool only if
+        # that pool breaks before its three surviving workers have finished
+        # the 13 blocks behind its window.  A crash kills its worker at
+        # once, while every surviving scenario takes SLOW_STOP: the crashing
+        # worker would have to lag about 5 * SLOW_STOP behind the others.
+        slow = ChaosFactory(
+            functools.partial(LatencySUT, get_system("djbdns"), stop_latency=SLOW_STOP),
+            crash_fraction=CHAOS_FRACTION,
+            seed=SEED,
+            hang_seconds=30.0,
+        )
+        chaos = _chaos_then_clean(ResultStore(tmp_path / "process"), "process", slow)
         shared = [(pool, tokens) for pool, tokens in process_pools if pool._max_workers == 4]
         assert len(shared) >= 2, "the chaos cell must break and respawn the pool"
         chaos_token, clean_token = dict.fromkeys(t for _pool, tokens in shared for t in tokens)

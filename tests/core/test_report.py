@@ -6,6 +6,7 @@ from repro.core.report import (
     classify_structural_support,
     detection_distribution,
     format_table,
+    merged,
     per_directive_detection_rates,
     render_distribution_chart,
     render_store_report,
@@ -38,6 +39,19 @@ class TestFormatTable:
     def test_cells_are_stringified(self):
         text = format_table(["n"], [[42]])
         assert "42" in text
+
+
+class TestMerged:
+    def test_each_system_cells_fold_into_one_profile_in_cell_order(self):
+        spelling, structural = profile_with(1, 0, 2, "MySQL"), profile_with(0, 1, 0, "MySQL")
+        profiles = {"MySQL": {"spelling": spelling, "structural": structural}, "Empty": {}}
+        folded = merged(profiles)
+        assert list(folded) == ["MySQL", "Empty"]
+        assert folded["MySQL"].system_name == "MySQL"
+        assert folded["MySQL"].records == spelling.records + structural.records
+        assert len(folded["Empty"]) == 0
+        folded["MySQL"].add(spelling.records[0])
+        assert len(spelling) == 3  # the cells are not aliased
 
 
 class TestTypoResilienceTable:
@@ -224,7 +238,7 @@ class TestStoreReport:
     def test_report_is_the_summaries_then_table1(self, tmp_path):
         store = self._store(tmp_path)
         expected = [f"result store: {store.root} (kind: suite, seed: 7)"]
-        for profile in store.merged_profiles().values():
+        for profile in merged(store.load_profiles()).values():
             expected += ["", profile.summary()]
         expected += ["", store_typo_table(store)]
         assert render_store_report(store) == "\n".join(expected)

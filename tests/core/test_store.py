@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.core.profile import InjectionOutcome, InjectionRecord
-from repro.core.report import render_store_report, store_matrix_table, store_typo_table
+from repro.core.report import merged, render_store_report, store_matrix_table, store_typo_table
 from repro.core.store import MANIFEST_VERSION, ResultStore, _cut_torn_tail
 from repro.errors import StoreError
 
@@ -192,10 +192,12 @@ class TestSystemsIndex:
 
     def test_load_profiles_recovers_sanitised_keys(self, tmp_path):
         store = ResultStore(tmp_path)
+        store.write_manifest({**MANIFEST, "systems": {"my sql": "My SQL"}})
         store.append("my sql", "spelling", record("a"))
+        assert store.path_for("my sql").name == "my_sql.jsonl"
         profiles = ResultStore(tmp_path).load_profiles()
-        assert set(profiles) == {"my sql"}
-        assert len(profiles["my sql"]["spelling"]) == 1
+        assert set(profiles) == {"My SQL"}
+        assert len(profiles["My SQL"]["spelling"]) == 1
 
     def test_index_files_are_not_listed_as_systems(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -260,23 +262,54 @@ class TestLoading:
     def test_load_profiles_groups_by_campaign(self, tmp_path):
         store = ResultStore(tmp_path)
         store.write_manifest(MANIFEST)
+        store.append("mysql", "structural", record("c"))
         store.append("mysql", "spelling", record("a"))
         store.append("mysql", "spelling", record("b", InjectionOutcome.DETECTED_AT_STARTUP))
-        store.append("mysql", "structural", record("c"))
         profiles = store.load_profiles()
-        assert set(profiles) == {"mysql"}
-        assert len(profiles["mysql"]["spelling"]) == 2
-        assert len(profiles["mysql"]["structural"]) == 1
-        assert profiles["mysql"]["spelling"].system_name == "MySQL"
+        assert set(profiles) == {"MySQL"}
+        # the manifest's campaign first, then the unlisted one as it appears
+        assert list(profiles["MySQL"]) == ["spelling", "structural"]
+        assert [r.scenario_id for r in profiles["MySQL"]["spelling"]] == ["a", "b"]
+        assert len(profiles["MySQL"]["structural"]) == 1
+        assert profiles["MySQL"]["spelling"].system_name == "MySQL"
 
-    def test_merged_profiles_use_display_names(self, tmp_path):
+    def test_load_profiles_keep_manifest_order_and_empty_cells(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.write_manifest(MANIFEST)
+        store.write_manifest(
+            {
+                **MANIFEST,
+                "systems": {"pg": "Postgres", "mysql": "MySQL"},
+                "plugins": [{"name": "structural"}, {"name": "spelling"}],
+            }
+        )
         store.append("mysql", "spelling", record("a"))
-        store.append("mysql", "structural", record("b"))
-        merged = store.merged_profiles()
-        assert set(merged) == {"MySQL"}
-        assert len(merged["MySQL"]) == 2
+        profiles = store.load_profiles()
+        assert list(profiles) == ["Postgres", "MySQL"]
+        assert {system: list(cells) for system, cells in profiles.items()} == {
+            "Postgres": ["structural", "spelling"],
+            "MySQL": ["structural", "spelling"],
+        }
+        assert [len(profiles["MySQL"][name]) for name in ("structural", "spelling")] == [0, 1]
+        assert all(len(profile) == 0 for profile in profiles["Postgres"].values())
+        assert profiles["Postgres"]["spelling"].system_name == "Postgres"
+
+    def test_load_profiles_merge_keys_sharing_a_display_name(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.write_manifest({**MANIFEST, "systems": {"mysql": "MySQL", "mysql-old": "MySQL"}})
+        store.append("mysql", "spelling", record("a"))
+        store.append("mysql-old", "spelling", record("b"))
+        store.append("mysql-old", "structural", record("c"))
+        profiles = store.load_profiles()
+        assert list(profiles) == ["MySQL"]
+        assert [r.scenario_id for r in profiles["MySQL"]["spelling"]] == ["a", "b"]
+        assert len(merged(profiles)["MySQL"]) == 3
+
+    def test_load_profiles_need_a_manifest(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.append("mysql", "spelling", record("a"))
+        with pytest.raises(StoreError) as excinfo:
+            ResultStore(tmp_path).load_profiles()
+        assert excinfo.value.code == "store/missing"
 
     def test_systems_follow_manifest_order(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -354,7 +387,10 @@ class TestRerender:
         store.path_for("pg").unlink()
         after = self.rerender(store)
         assert after != before
-        assert store.load_profiles()["pg"] == {}
+        assert {name: len(cell) for name, cell in store.load_profiles()["Postgres"].items()} == {
+            "spelling": 0,
+            "structural": 0,
+        }
 
     def test_same_size_rewrite_with_the_old_mtime_is_seen(self, store):
         # a same-size rewrite that keeps the old mtime is still seen
@@ -389,9 +425,9 @@ class TestRerender:
 
     def test_mutating_a_returned_profile_does_not_leak(self, store):
         first = store.load_profiles()
-        first["mysql"]["spelling"].add(record("x"))
-        store.merged_profiles()["MySQL"].add(record("y"))
+        first["MySQL"]["spelling"].add(record("x"))
+        merged(store.load_profiles())["MySQL"].add(record("y"))
         again = store.load_profiles()
-        assert [rec.scenario_id for rec in again["mysql"]["spelling"]] == ["a", "b"]
-        assert len(store.merged_profiles()["MySQL"]) == 3
-        assert again["mysql"]["spelling"] is not first["mysql"]["spelling"]
+        assert [rec.scenario_id for rec in again["MySQL"]["spelling"]] == ["a", "b"]
+        assert len(merged(store.load_profiles())["MySQL"]) == 3
+        assert again["MySQL"]["spelling"] is not first["MySQL"]["spelling"]

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import ARTIFACTS, store_profiles
+from repro.bench import ARTIFACTS
 from repro.core.profile import InjectionOutcome, InjectionRecord
 from repro.core.report import render_store_report
 from repro.core.spec import ExperimentSpec
@@ -120,7 +120,7 @@ def test_damage_gets_a_coded_error_or_none(pristine, damage):
 
         _coded(lambda: ResultStore(root).verify())
         for artifact in ARTIFACTS.values():
-            _coded(lambda: artifact.render(store_profiles(ResultStore(root))))
+            _coded(lambda: artifact.render(ResultStore(root).load_profiles()))
         _coded(lambda: render_store_report(ResultStore(root)))
         _coded(lambda: diff_stores(ResultStore(root), ResultStore(pristine)))
         _coded(lambda: _resume(resumed))
@@ -148,17 +148,48 @@ class TestCodes:
             assert f"`{code}`" in robustness, code
 
 
-@pytest.mark.parametrize("line", [b"[1,2]", b"null", b'"str"', b'{"record": 5}', b'{"record": []}'])
+#: A complete record whose duration no float holds: ``float()`` overflows.
+HUGE_DURATION = json.dumps(
+    {"campaign": "spelling", "record": {"scenario_id": "x", "outcome": "ignored", "duration_seconds": 10**400}}
+).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"[1,2]",
+        b"null",
+        b'"str"',
+        b'{"record": 5}',
+        b'{"record": []}',
+        pytest.param(HUGE_DURATION, id="huge-duration"),
+    ],
+)
 def test_non_object_record_line_is_corrupt_to_every_reader(pristine, tmp_path, line):
     root = tmp_path / "store"
     shutil.copytree(pristine, root)
     path = root / "postgres.jsonl"
-    path.write_bytes(line + b"\n" + path.read_bytes())
+    records = path.read_bytes()
+    path.write_bytes(line + b"\n" + records)
     (check, *_) = ResultStore(root).verify().files
     assert check.corrupt_lines == [1]
     with pytest.raises(StoreError) as excinfo:
         list(ResultStore(root).iter_records("postgres"))
     assert excinfo.value.code == "store/corrupt-line"
+    ResultStore(root).repair()
+    assert path.read_bytes() == records
+    assert ResultStore(root).verify().clean
+    # as the last line it is torn: readers skip it and the next append cuts it
+    path.write_bytes(records + line + b"\n")
+    (check, *_) = ResultStore(root).verify().files
+    assert (check.corrupt_lines, check.torn_tail) == ([], True)
+    stored = list(ResultStore(root).iter_records("postgres"))
+    assert len(stored) == records.count(b"\n")
+    with ResultStore(root) as store:
+        store.append("postgres", *stored[0])
+    appended = path.read_bytes()
+    assert appended.startswith(records) and appended.count(b"\n") == records.count(b"\n") + 1
+    assert ResultStore(root).verify().clean
 
 
 def test_manifest_without_systems_is_a_verify_problem_repair_refuses(pristine, tmp_path):

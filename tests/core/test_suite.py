@@ -44,7 +44,7 @@ class TestSeedDerivation:
     def test_depends_on_suite_seed(self):
         assert derive_seed(1, "mysql", "spelling") != derive_seed(2, "mysql", "spelling")
 
-    def test_campaign_seed_is_independent_of_plugin_order(self):
+    def test_campaign_seed_is_independent_of_plugin_position(self):
         # the seed names the cell, not its position, so reordering plugins
         # cannot silently change the scenario stream
         suite = small_suite()
